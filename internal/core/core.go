@@ -67,8 +67,7 @@ type Machine struct {
 	icountOcc   []int                      // ICount policy: per-thread in-flight counts
 	probePCs    [BlockSize]uint32          // fetch: batched BTB probe addresses
 	probeOut    [BlockSize]bpred.BlockPred // fetch: batched BTB probe results
-	ffClash     []bool                     // fast-forward: clashing done blocks per window slot
-	ffBlocked   []ffBlockKind              // fast-forward: blocked-entry refusals replayed per cycle
+	ffBlocked   []refusal                  // fast-forward: blocked-entry refusals replayed per cycle
 	ffSkipped   uint64                     // fast-forward: cycles replayed in batch (diagnostic)
 
 	// Bitset scoreboards and incremental counters mirroring the entry
@@ -84,7 +83,6 @@ type Machine struct {
 	doneBlocks  int     // SU blocks with every live entry done
 	sqComp      int     // squashed entries lingering in m.completions
 	sqPend      int     // squashed entries lingering in m.pendingLoads
-	heldLoads   int     // load units held waiting on the cache
 	occByThread []int32 // live SU entries per thread
 	syncUndone  []int32 // per thread: live sync-class entries not yet done
 	ctUnres     []int32 // per thread: live CT entries not yet done
@@ -151,130 +149,24 @@ func (m *Machine) trace(format string, args ...any) {
 	}
 }
 
-// layout is the per-thread program geometry both constructors hand to
-// build: which text each thread runs, where its slot's physical window
-// and register partition start, and its virtual thread identity.
-type layout struct {
-	texts     [][]isa.Inst
-	slotOf    []int
-	physBase  []uint32
-	regBase   []int
-	regBudget []int
-	vtid      []int
-	vnth      []int
-	entry     []uint32 // per-thread entry PC (virtual)
-	stride    uint32   // syncctl slot stride; 0 for homogeneous runs
-}
-
 // New builds a machine for obj under cfg. A heterogeneous machine is
 // requested by setting cfg.Mix and passing a nil obj; the mix carries
-// its own programs.
+// its own programs. A homogeneous run is the one-slot mix of obj, built
+// through the same layout path.
 func New(obj *loader.Object, cfg Config) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Mix != nil {
-		if obj != nil {
-			return nil, fmt.Errorf("core: both an object and Config.Mix were given")
-		}
-		return newMix(cfg)
-	}
-	m0, err := obj.Load()
-	if err != nil {
-		return nil, err
-	}
-	text := make([]isa.Inst, len(obj.Text))
-	kregs := isa.RegsPerThread(cfg.Threads)
-	for i, w := range obj.Text {
-		in, err := isa.Decode(w)
-		if err != nil {
-			return nil, fmt.Errorf("core: text word %d: %w", i, err)
-		}
-		// Pre-validate the register budget so no rename-time panic is
-		// reachable from a loadable object: every register field must fit
-		// the static per-thread partition.
-		if r := in.MaxReg(); int(r) >= kregs {
-			return nil, fmt.Errorf("core: text word %d (%v at %#x) uses r%d, but the %d-thread partition budget is %d registers per thread",
-				i, in, uint32(i)*4, r, cfg.Threads, kregs)
-		}
-		text[i] = in
-	}
-	lay := layout{
-		texts:     [][]isa.Inst{text},
-		slotOf:    make([]int, cfg.Threads),
-		physBase:  make([]uint32, cfg.Threads),
-		regBase:   make([]int, cfg.Threads),
-		regBudget: make([]int, cfg.Threads),
-		vtid:      make([]int, cfg.Threads),
-		vnth:      make([]int, cfg.Threads),
-		entry:     make([]uint32, cfg.Threads),
-	}
-	for t := 0; t < cfg.Threads; t++ {
-		lay.regBase[t] = t * kregs
-		lay.regBudget[t] = kregs
-		lay.vtid[t] = t
-		lay.vnth[t] = cfg.Threads
-		lay.entry[t] = obj.Entry
-	}
-	return build(cfg, m0, lay), nil
-}
-
-// newMix builds a heterogeneous machine from cfg.Mix: one program per
-// slot, each in its own physical window and register partition.
-func newMix(cfg Config) (*Machine, error) {
 	mix := cfg.Mix
+	if mix == nil {
+		mix = loader.SoloMix(obj, cfg.Threads)
+	} else if obj != nil {
+		return nil, fmt.Errorf("core: both an object and Config.Mix were given")
+	}
 	m0, err := mix.Load()
 	if err != nil {
 		return nil, err
 	}
-	lay := layout{
-		texts:     make([][]isa.Inst, len(mix.Slots)),
-		slotOf:    make([]int, cfg.Threads),
-		physBase:  make([]uint32, cfg.Threads),
-		regBase:   make([]int, cfg.Threads),
-		regBudget: make([]int, cfg.Threads),
-		vtid:      make([]int, cfg.Threads),
-		vnth:      make([]int, cfg.Threads),
-		entry:     make([]uint32, cfg.Threads),
-		stride:    loader.SlotStride,
-	}
-	t, base := 0, 0
-	for s, slot := range mix.Slots {
-		budget := slot.Regs
-		if budget == 0 {
-			budget = isa.RegsPerThread(cfg.Threads)
-		}
-		text := make([]isa.Inst, len(slot.Object.Text))
-		for i, w := range slot.Object.Text {
-			in, err := isa.Decode(w)
-			if err != nil {
-				return nil, fmt.Errorf("core: mix slot %d text word %d: %w", s, i, err)
-			}
-			if r := in.MaxReg(); int(r) >= budget {
-				return nil, fmt.Errorf("core: mix slot %d text word %d (%v at %#x) uses r%d, but the slot's budget is %d registers per thread",
-					s, i, in, uint32(i)*4, r, budget)
-			}
-			text[i] = in
-		}
-		lay.texts[s] = text
-		for k := 0; k < slot.Threads; k++ {
-			lay.slotOf[t] = s
-			lay.physBase[t] = loader.SlotBase(s)
-			lay.regBase[t] = base
-			lay.regBudget[t] = budget
-			lay.vtid[t] = k
-			lay.vnth[t] = slot.Threads
-			lay.entry[t] = slot.Object.Entry
-			base += budget
-			t++
-		}
-	}
-	return build(cfg, m0, lay), nil
-}
-
-// build assembles the machine around a loaded memory image and layout;
-// cfg has been validated.
-func build(cfg Config, m0 *mem.Memory, lay layout) *Machine {
 	npred := 1
 	if cfg.PerThreadBTB {
 		npred = cfg.Threads
@@ -289,13 +181,13 @@ func build(cfg Config, m0 *mem.Memory, lay layout) *Machine {
 		dcache:       cache.New(cfg.Cache, m0),
 		sync:         syncctl.New(m0),
 		preds:        preds,
-		texts:        lay.texts,
-		slotOf:       lay.slotOf,
-		physBase:     lay.physBase,
-		regBase:      lay.regBase,
-		regBudget:    lay.regBudget,
-		vtid:         lay.vtid,
-		vnth:         lay.vnth,
+		texts:        make([][]isa.Inst, len(mix.Slots)),
+		slotOf:       make([]int, cfg.Threads),
+		physBase:     make([]uint32, cfg.Threads),
+		regBase:      make([]int, cfg.Threads),
+		regBudget:    make([]int, cfg.Threads),
+		vtid:         make([]int, cfg.Threads),
+		vnth:         make([]int, cfg.Threads),
 		suCap:        cfg.SUEntries / BlockSize,
 		pc:           make([]uint32, cfg.Threads),
 		fetchStopped: make([]bool, cfg.Threads),
@@ -303,10 +195,48 @@ func build(cfg Config, m0 *mem.Memory, lay layout) *Machine {
 		maskedThread: -1,
 		pools:        newPools(cfg.FUs),
 	}
-	m.initSoA()
-	if lay.stride != 0 {
-		m.sync.SetStride(lay.stride)
+	// Each slot's threads get its text, its physical window, a register
+	// partition, and thread ids relative to the slot.
+	t, base := 0, 0
+	for s, slot := range mix.Slots {
+		budget := slot.Regs
+		if budget == 0 {
+			budget = isa.RegsPerThread(cfg.Threads)
+		}
+		where := ""
+		if len(mix.Slots) > 1 {
+			where = fmt.Sprintf("mix slot %d ", s)
+		}
+		text := make([]isa.Inst, len(slot.Object.Text))
+		for i, w := range slot.Object.Text {
+			in, err := isa.Decode(w)
+			if err != nil {
+				return nil, fmt.Errorf("core: %stext word %d: %w", where, i, err)
+			}
+			// Pre-validate the register budget so no rename-time panic is
+			// reachable from a loadable object: every register field must
+			// fit the thread's static partition.
+			if r := in.MaxReg(); int(r) >= budget {
+				return nil, fmt.Errorf("core: %stext word %d (%v at %#x) uses r%d, but its partition on the %d-thread machine is %d registers per thread",
+					where, i, in, uint32(i)*4, r, cfg.Threads, budget)
+			}
+			text[i] = in
+		}
+		m.texts[s] = text
+		for k := 0; k < slot.Threads; k++ {
+			m.slotOf[t] = s
+			m.physBase[t] = loader.SlotBase(s)
+			m.regBase[t] = base
+			m.regBudget[t] = budget
+			m.vtid[t] = k
+			m.vnth[t] = slot.Threads
+			m.pc[t] = slot.Object.Entry
+			base += budget
+			t++
+		}
 	}
+	m.initSoA()
+	m.sync.SetStride(loader.SlotStride)
 	if cfg.FetchPolicy == ICount || cfg.FetchPolicy == ICountFeedback {
 		m.icountOcc = make([]int, cfg.Threads)
 	}
@@ -333,15 +263,12 @@ func build(cfg Config, m0 *mem.Memory, lay layout) *Machine {
 	if cfg.Coverage != nil {
 		m.initCoverage()
 	}
-	for t := range m.pc {
-		m.pc[t] = lay.entry[t]
-	}
 	m.stats.CommittedByThread = make([]uint64, cfg.Threads)
 	m.stats.HaltCycleByThread = make([]uint64, cfg.Threads)
 	for cl := range m.stats.FUUsage {
 		m.stats.FUUsage[cl] = make([]uint64, cfg.FUs.Count[cl])
 	}
-	return m
+	return m, nil
 }
 
 // Config returns the machine's configuration.
@@ -453,7 +380,7 @@ func (m *Machine) finishStats() {
 	m.stats.PhaseTime = m.phaseTime
 	for cl := range m.pools {
 		for u := range m.pools[cl].units {
-			m.stats.FUUsage[cl][u] = m.pools[cl].units[u].usedCyc
+			m.stats.FUUsage[cl][u] = m.pools[cl].units[u].occupancy(m.now)
 		}
 	}
 }
@@ -586,17 +513,6 @@ func (m *Machine) cycleStats() {
 				if n == 0 && !m.halted[t] {
 					m.cov.Hit(cover.EvThreadStarved)
 					break
-				}
-			}
-		}
-	}
-	// Held units (loads waiting on the cache) accrue occupancy here;
-	// only loads hold units, so the walk is skipped when none are held.
-	if m.heldLoads > 0 {
-		for cl := range m.pools {
-			for u := range m.pools[cl].units {
-				if m.pools[cl].units[u].holder >= 0 {
-					m.pools[cl].units[u].usedCyc++
 				}
 			}
 		}

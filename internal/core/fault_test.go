@@ -2,8 +2,14 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cover"
+	"repro/internal/fault"
+	"repro/internal/kernels"
+	"repro/internal/loader"
 )
 
 // Structured fault diagnostics: a wedged or misbehaving machine must
@@ -183,5 +189,50 @@ main: b main
 	}
 	if len(me.Threads) != 1 {
 		t.Errorf("thread states %d, want 1", len(me.Threads))
+	}
+}
+
+// TestSoloMixUnderFaultsMatchesHomogeneous: an explicit one-slot
+// Config.Mix is the homogeneous machine, also under a fault schedule
+// whose sync channels consult the controller for every flag address.
+// Stats — faults and coverage included — must match field for field.
+func TestSoloMixUnderFaultsMatchesHomogeneous(t *testing.T) {
+	b, err := kernels.Get("Water")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj, err := b.Build(kernels.Params{Threads: 4, Scale: kernels.Small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(mix bool) *Stats {
+		cfg := DefaultConfig()
+		cfg.Threads = 4
+		cfg.Coverage = cover.NewSet()
+		inj, err := fault.ParseSpec("sync-storm,seed=11")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Injector = inj
+		o := obj
+		if mix {
+			cfg.Mix, o = loader.SoloMix(obj, 4), nil
+		}
+		m, err := New(o, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := m.Run()
+		if err != nil {
+			t.Fatalf("mix=%v: %v", mix, err)
+		}
+		return st
+	}
+	homo, solo := run(false), run(true)
+	if homo.Sync.DelayedGrants == 0 {
+		t.Fatal("fault schedule delayed no sync grant")
+	}
+	if !reflect.DeepEqual(homo, solo) {
+		t.Errorf("one-slot mix diverges from the homogeneous run:\nhomogeneous: %+v\none-slot:    %+v", homo, solo)
 	}
 }

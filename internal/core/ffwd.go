@@ -15,10 +15,11 @@ import (
 // simulator spend most of its wall time executing cycles in which
 // provably nothing can change: no entry can issue, write back, commit,
 // or drain, and the front end is stalled or starved. fastForward
-// detects such spans and replays them as "light" cycles that perform
-// only the per-cycle bookkeeping the real pipeline would have performed
-// (stall counters, occupancy accumulation, coverage events, injector
-// consults), skipping the stage scans entirely.
+// detects such spans and replays them as "light" cycles. A light cycle
+// calls the stages that still act in an inert cycle — the injector
+// consults, commit, dispatch, fetch, and the end-of-cycle statistics —
+// and skips the scans of writeback, issue, and the memory stage, whose
+// only effects it replays as counters.
 //
 // The skip is bit-identical by construction, not by approximation:
 //
@@ -32,11 +33,11 @@ import (
 //     every waiting entry is provably unable to issue — missing a
 //     source value (silent until a writeback, which bounds the skip),
 //     waiting on a bypass window (its readyAt bounds the skip), or
-//     blocked on a frozen obstacle whose only per-cycle effect is a
-//     counter that the light cycles replay (see ffIssueBlocked);
-//     and the front end is in a stall regime whose per-cycle effects
-//     are a closed form (dispatch stalled on a full window or a WAW
-//     claim, or fetch finding no eligible thread / throttled).
+//     refused by issueVerdict — the same verdict tryIssue acts on —
+//     for a frozen reason whose only per-cycle effect is the counter
+//     noteRefusal bumps; and the front end is stalled (dispatch on a
+//     full window or a WAW claim, or fetch finding no eligible thread
+//     or throttled).
 //   - The skip ends strictly before the first cycle anything could
 //     change: the earliest in-flight completion, the earliest cache
 //     refill landing or forced-delay expiry any waiter is blocked on,
@@ -58,30 +59,6 @@ import (
 // ffDefaultMinSkip is the shortest span worth skipping: below this the
 // precondition work rivals just running the cycles.
 const ffDefaultMinSkip = 4
-
-// ffBlockKind names the pure-counter refusal a ready-but-blocked entry
-// takes in tryIssue, so the light cycles can replay it.
-type ffBlockKind uint8
-
-const (
-	ffbLoadSyncOrder  ffBlockKind = iota // LoadBlocked / EvLoadBlockedSyncOrder
-	ffbLoadAlias                         // LoadBlocked / EvLoadBlockedAlias
-	ffbLoadCrossAlias                    // LoadBlocked / EvLoadBlockedCrossAlias
-	ffbStoreFull                         // StoreBufferFull / EvStoreBufferFull
-	ffbFUExhausted                       // EvIssueFUExhausted only
-)
-
-// ffMode is the front end's per-cycle effect during a skip.
-type ffMode uint8
-
-const (
-	ffDispatchFull ffMode = iota // latch held, SU full
-	ffDispatchWAW                // latch held, scoreboard WAW claim
-	ffIdle                       // fetch finds no thread; no counter moves
-	ffIdleRR                     // same, but the TrueRR counter still advances
-	ffHold                       // ICountFeedback backend-pressure hold
-	ffConf                       // ConfThrottle: throttled or idle by cycle parity
-)
 
 // fastForward skips from m.now to the last provably inert cycle before
 // the next event, bounded by the runaway limit. Reports whether any
@@ -117,16 +94,15 @@ func (m *Machine) fastForward(limit uint64) bool {
 	// Commit: the selection must choose nothing under the full
 	// configured window. Injected shrinks only restrict the choice, so
 	// they cannot make a refused window commit.
-	cfgWin := m.cfg.CommitWindow
+	win := m.cfg.CommitWindow
 	if m.cfg.CommitPolicy == LowestOnly {
-		cfgWin = 1
+		win = 1
 	}
-	maxWin := cfgWin
-	if maxWin > len(m.su) {
-		maxWin = len(m.su)
+	if win > len(m.su) {
+		win = len(m.su)
 	}
 	if m.doneBlocks > 0 {
-		for i := 0; i < maxWin; i++ {
+		for i := 0; i < win; i++ {
 			b := m.su[i]
 			if !b.done() {
 				continue
@@ -223,22 +199,12 @@ func (m *Machine) fastForward(limit uint64) bool {
 		}
 	}
 
-	// Front end: classify the stall regime. mTh is the masked thread
-	// commit will publish this cycle (no block commits, so it is the
-	// bottom block's thread for the whole skip).
-	mTh := -1
-	if len(m.su) > 0 {
-		mTh = m.su[0].thread
-	}
-	var mode ffMode
-	var gap uint64
+	// Front end: dispatch must stall on a full window or a WAW claim, or
+	// fetch must find no thread (or be throttled). Either way the cycle's
+	// only effects are the counters dispatch and fetch bump, and the
+	// light cycles call them.
 	if m.latch != nil {
-		switch {
-		case len(m.su) == m.suCap:
-			mode = ffDispatchFull
-		case !m.cfg.Renaming && m.latchWAWStalled():
-			mode = ffDispatchWAW
-		default:
+		if len(m.su) < m.suCap && (m.cfg.Renaming || !m.latchWAWStalled()) {
 			return false // dispatch would drain the latch
 		}
 	} else {
@@ -250,48 +216,37 @@ func (m *Machine) fastForward(limit uint64) bool {
 			}
 		}
 		switch m.cfg.FetchPolicy {
-		case TrueRR:
-			if anyElig {
-				return false
-			}
-			mode = ffIdleRR
 		case MaskedRR:
+			// Commit chooses nothing, so it masks the bottom block's thread
+			// (none when the SU is empty) for the whole span.
+			masked := -1
+			if len(m.su) > 0 {
+				masked = m.su[0].thread
+			}
 			for t := 0; t < m.cfg.Threads; t++ {
-				if m.eligible(t) && t != mTh {
+				if m.eligible(t) && t != masked {
 					return false
 				}
 			}
-			mode = ffIdle
-		case CondSwitch, ICount:
-			if anyElig {
-				return false
-			}
-			mode = ffIdle
 		case ICountFeedback:
-			switch {
-			case m.suOcc*4 > m.cfg.SUEntries*3:
-				mode = ffHold // backend pressure holds fetch regardless of eligibility
-			case anyElig:
+			// Backend pressure holds fetch regardless of eligibility.
+			if anyElig && m.suOcc*4 <= m.cfg.SUEntries*3 {
 				return false
-			default:
-				mode = ffIdle
 			}
 		case ConfThrottle:
-			gap = m.throttleGap()
-			if gap == 1 {
-				if anyElig {
+			if gap := m.throttleGap(); anyElig {
+				if gap == 1 {
 					return false
 				}
-				mode = ffIdleRR
-			} else {
-				mode = ffConf
-				if anyElig {
-					// Throttled cycles are inert even with eligible threads,
-					// but the next unthrottled slot (n%gap == 0) would fetch.
-					if nu := ((m.now + gap) / gap) * gap; nu < next {
-						next = nu
-					}
+				// Throttled cycles are inert even with eligible threads, but
+				// the next unthrottled slot (n%gap == 0) would fetch.
+				if nu := ((m.now + gap) / gap) * gap; nu < next {
+					next = nu
 				}
+			}
+		default: // TrueRR, CondSwitch, ICount
+			if anyElig {
+				return false
 			}
 		}
 	}
@@ -300,14 +255,17 @@ func (m *Machine) fastForward(limit uint64) bool {
 	// the whole span. Entries missing a source value (unreadyBits) are
 	// silent until a writeback. Entries with all values fall into three
 	// cases: a future readyAt (silent until then — it bounds the skip);
-	// a tryIssue failure whose branch is frozen by the same invariants
-	// that freeze everything else (store buffer, sync state, FU pools)
-	// and whose only effect is a counter — classified here and replayed
-	// each light cycle; or a genuine issue opportunity, which refuses
-	// the skip. This is the most expensive precondition (per-entry alias
-	// scans), so it runs last: busy cycles refuse on the cheap checks
-	// above without paying for it.
+	// a refusal from issueVerdict, frozen by the same invariants that
+	// freeze everything else (store buffer, sync state, FU pools), whose
+	// only effect is its counter — recorded here and replayed each light
+	// cycle; or a genuine issue opportunity, which refuses the skip. A
+	// sync op that passes its ordering rules under a fault schedule
+	// consults the injector, a side effect, so it refuses the skip too.
+	// This is the most expensive precondition (per-entry alias scans), so
+	// it runs last: busy cycles refuse on the cheap checks above without
+	// paying for it.
 	blocked := m.ffBlocked[:0]
+	var ld loadPath
 	for wi, w := range m.waitBits {
 		g := w &^ m.unreadyBits[wi]
 		for g != 0 {
@@ -328,14 +286,23 @@ func (m *Machine) fastForward(limit uint64) bool {
 				}
 				continue
 			}
-			k, bound, inert := m.ffIssueBlocked(e)
-			if !inert {
+			c := e.inst.Op.FUClass()
+			ref, _ := m.issueVerdict(e, c, m.now+1, 0, &ld)
+			if ref == refNone {
 				return false
 			}
-			if bound < next {
-				next = bound
+			if ref == refFUExhausted {
+				// Under a fault schedule a sync op past its ordering rules
+				// consults the injector, and a held store-buffer slot can
+				// turn a store's unit refusal into a full-buffer one.
+				if m.cfg.Injector != nil && (c == isa.ClassSync || c == isa.ClassStore) {
+					return false
+				}
+				if at := m.pools[c].freesAt(); at < next {
+					next = at
+				}
 			}
-			blocked = append(blocked, k)
+			blocked = append(blocked, ref)
 		}
 	}
 	m.ffBlocked = blocked
@@ -348,276 +315,34 @@ func (m *Machine) fastForward(limit uint64) bool {
 		return false
 	}
 
-	// Committed: the span (m.now, last] is inert. Publish the commit
-	// stage's bookkeeping that is constant across it, then replay the
-	// per-cycle effects.
-	m.maskedThread = mTh
-
-	suFull := len(m.su) == m.suCap
-	emptyBubble, starved := false, false
-	if m.cov != nil {
-		if m.suOcc == 0 {
-			for _, h := range m.halted {
-				if !h {
-					emptyBubble = true
-					break
-				}
-			}
-		} else if m.cfg.Threads > 1 {
-			for t, c := range m.occByThread {
-				if c == 0 && !m.halted[t] {
-					starved = true
-					break
-				}
-			}
-		}
-	}
-	// Which window slots hold a complete-but-clashing block (the
-	// selection loop's coverage event); constant across the skip.
-	var clash []bool
-	if m.cov != nil && m.doneBlocks > 0 {
-		clash = m.ffClash[:0]
-		for i := 0; i < maxWin; i++ {
-			b := m.su[i]
-			c := false
-			if b.done() {
-				for j := 0; j < i; j++ {
-					if m.su[j].thread == b.thread {
-						c = true
-						break
-					}
-				}
-			}
-			clash = append(clash, c)
-		}
-		m.ffClash = clash
-	}
-
-	inj := m.cfg.Injector
+	// Committed: the span (m.now, last] is inert. Each light cycle runs
+	// the stages that still act — the injector consults, commit's
+	// no-choice bookkeeping, dispatch and fetch stalls, end-of-cycle
+	// statistics — and replays the rest: drain and load retries as
+	// rejection accounting, and each blocked entry's refusal.
 	start := m.now
 	for n := start + 1; n <= last; n++ {
 		m.now = n
-		// Injector consults run on their real cycles so schedule-driven
-		// perturbations (and their fault counters) land identically.
-		if inj != nil {
-			if slot, ok := inj.FlipPredictor(n); ok {
-				p := m.preds[slot%len(m.preds)]
-				if p.FlipEntry(slot / len(m.preds)) {
-					m.stats.Faults.Add(ChanPredictorFlip)
-				}
-			}
-			if h := inj.StoreBufferHold(n); h <= 0 {
-				m.sbHeld = 0
-			} else {
-				if maxHold := m.cfg.StoreBuffer - BlockSize; h > maxHold {
-					h = maxHold
-				}
-				m.sbHeld = h
-				m.stats.Faults.Add(ChanStoreSlotHold)
-			}
+		if m.cfg.Injector != nil {
+			m.injectPredictorFlip()
+			m.injectStoreBufferHold()
 		}
-		// Commit stage bookkeeping (no block is choosable).
-		w := cfgWin
-		if inj != nil && w > 1 {
-			if s := inj.CommitWindowShrink(n); s > 0 {
-				if s > w-1 {
-					s = w - 1
-				}
-				w -= s
-				m.stats.Faults.Add(ChanCommitShrink)
-			}
-		}
-		if w > len(m.su) {
-			w = len(m.su)
-		}
-		for i := 0; i < w && i < len(clash); i++ {
-			if clash[i] {
-				m.cov.Hit(cover.EvCommitBlockedClash)
-			}
-		}
-		if suFull {
-			m.stats.SUStalls++
-			if m.cov != nil {
-				m.cov.Hit(cover.EvSUStallFull)
-			}
-		}
-		// Drain and load retries: rejection accounting only.
+		m.commit()
 		if headDrain && m.cov != nil {
 			m.cov.Hit(cover.EvStoreDrainBlocked)
 		}
 		if nb > 0 || np > 0 {
 			m.dcache.FFRetryAccount(nb, np)
 		}
-		// Issue: each ready-but-blocked entry repeats the same refusal
-		// (and bumps the same counter) every cycle of the span.
-		for _, k := range m.ffBlocked {
-			switch k {
-			case ffbLoadSyncOrder:
-				m.stats.LoadBlocked++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvLoadBlockedSyncOrder)
-				}
-			case ffbLoadAlias:
-				m.stats.LoadBlocked++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvLoadBlockedAlias)
-				}
-			case ffbLoadCrossAlias:
-				m.stats.LoadBlocked++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvLoadBlockedCrossAlias)
-				}
-			case ffbStoreFull:
-				m.stats.StoreBufferFull++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvStoreBufferFull)
-				}
-			case ffbFUExhausted:
-				if m.cov != nil {
-					m.cov.Hit(cover.EvIssueFUExhausted)
-				}
-			}
+		for _, r := range m.ffBlocked {
+			m.noteRefusal(r)
 		}
-		// Front end.
-		stolen := false
-		if inj != nil && m.latch == nil && inj.FetchBlock(n) {
-			m.stats.Faults.Add(ChanFetchBlock)
-			m.stats.FetchIdle++
-			stolen = true
-		}
-		if !stolen {
-			switch mode {
-			case ffDispatchFull:
-				m.stats.DispatchStall++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvDispatchStallFull)
-				}
-			case ffDispatchWAW:
-				m.stats.DispatchStall++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvDispatchWAWStall)
-				}
-			case ffIdle:
-				m.stats.FetchIdle++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvFetchIdle)
-				}
-			case ffIdleRR:
-				m.rrCounter++
-				m.stats.FetchIdle++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvFetchIdle)
-				}
-			case ffHold:
-				m.stats.FetchThrottled++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvFetchFeedbackHold)
-				}
-				m.stats.FetchIdle++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvFetchIdle)
-				}
-			case ffConf:
-				if n%gap != 0 {
-					m.stats.FetchThrottled++
-					if m.cov != nil {
-						m.cov.Hit(cover.EvFetchConfThrottle)
-					}
-				} else {
-					m.rrCounter++
-				}
-				m.stats.FetchIdle++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvFetchIdle)
-				}
-			}
-		}
-		// End-of-cycle statistics.
-		m.stats.SUOccupancy += uint64(m.suOcc)
-		if suFull {
-			m.stats.SUFullCycles++
-		}
-		if emptyBubble {
-			m.cov.Hit(cover.EvSUEmptyBubble)
-		}
-		if starved {
-			m.cov.Hit(cover.EvThreadStarved)
-		}
-	}
-	// Held load units accrue occupancy every cycle; the intermediate
-	// values are unobservable, so add the whole span at once.
-	if m.heldLoads > 0 {
-		k := last - start
-		for cl := range m.pools {
-			for u := range m.pools[cl].units {
-				if m.pools[cl].units[u].holder >= 0 {
-					m.pools[cl].units[u].usedCyc += k
-				}
-			}
-		}
+		m.dispatch()
+		m.fetch()
+		m.cycleStats()
 	}
 	m.ffSkipped += last - start
 	return true
-}
-
-// ffIssueBlocked classifies a ready waiting entry for the fast-forward.
-// inert=true means tryIssue would take the same pure-counter refusal on
-// every cycle up to bound (exclusive); inert=false means the entry
-// could issue immediately, or its refusal path has side effects, so the
-// skip must be refused. The classification mirrors tryIssue's
-// pre-acquire checks against state the other preconditions freeze: sync
-// resolution, store-buffer contents, and alias sources change only at
-// issue, writeback, commit, or drain — none of which happen during a
-// skip; those refusals hold forever (bound = maximum). An FU-exhausted
-// refusal is only as durable as the pool: held units stay held (their
-// pending loads stay Busy by precondition) and pipelined units shed
-// their same-cycle restriction by now+1 (so a non-held one means the
-// entry would issue), but a busy non-pipelined unit frees at its
-// busyUntil — which can fall mid-span with no completion in flight when
-// the op that claimed the unit was squashed after issue — so the
-// earliest such busyUntil bounds the skip.
-func (m *Machine) ffIssueBlocked(e *suEntry) (ffBlockKind, uint64, bool) {
-	const never = ^uint64(0)
-	class := e.inst.Op.FUClass()
-	switch class {
-	case isa.ClassLoad:
-		if m.olderUnresolvedSync(e) {
-			return ffbLoadSyncOrder, never, true
-		}
-		addr := m.physAddr(e.thread, isa.EffAddr(e.src[0].value, e.inst.Imm))
-		_, src, blocked := m.forwardFromStore(e, addr)
-		if blocked {
-			return ffbLoadAlias, never, true
-		}
-		if src != nil && !m.cfg.StoreForwarding && src.blkID != e.blkID {
-			return ffbLoadCrossAlias, never, true
-		}
-		// No alias obstacle: the load's fate is the load pool's, below.
-	case isa.ClassStore:
-		// sbHeld is injector-driven and varies per cycle; require the
-		// buffer to block even with zero held slots, so the refusal (and
-		// its counter) is identical on every cycle of the span.
-		if m.cfg.StoreBuffer-len(m.storeBuf) <= m.waitingStoresBelow(e) {
-			return ffbStoreFull, never, true
-		}
-		return 0, 0, false
-	case isa.ClassSync:
-		// FLDW/FAI refusal paths consult and roll injector schedules and
-		// the sync controller — side effects a light cycle cannot replay.
-		return 0, 0, false
-	}
-	pool := &m.pools[class]
-	if pool.tryAcquire(m.now+1) >= 0 {
-		return 0, 0, false // a unit is free: the entry would issue
-	}
-	bound := never
-	for i := range pool.units {
-		u := &pool.units[i]
-		if u.holder < 0 && !pool.pipelined && u.busyUntil < bound {
-			bound = u.busyUntil
-		}
-	}
-	return ffbFUExhausted, bound, true
 }
 
 // FFSkipped reports how many cycles the idle fast-forward replayed in
@@ -625,22 +350,3 @@ func (m *Machine) ffIssueBlocked(e *suEntry) (ffBlockKind, uint64, bool) {
 // only — never part of Stats, so fast-forwarded and plain runs stay
 // comparable field for field.
 func (m *Machine) FFSkipped() uint64 { return m.ffSkipped }
-
-// latchWAWStalled reports whether the latch block is stalled by the
-// scoreboard's WAW rule (some destination register has an in-flight
-// writer), mirroring dispatch's check.
-func (m *Machine) latchWAWStalled() bool {
-	fb := m.latch
-	for s := 0; s < BlockSize; s++ {
-		if !fb.valid[s] {
-			continue
-		}
-		in := fb.insts[s]
-		if in.Op.WritesRd() && in.Rd != 0 {
-			if p := m.physReg(fb.thread, in.Rd); p >= 0 && m.busyReg[p] != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -397,24 +397,12 @@ func (m *Machine) dispatch() {
 	}
 	fb := m.latch
 
-	// Scoreboard mode: a block stalls while any of its destination
-	// registers has an in-flight writer (the 1-bit WAW stall).
-	if !m.cfg.Renaming {
-		for s := 0; s < BlockSize; s++ {
-			if !fb.valid[s] {
-				continue
-			}
-			in := fb.insts[s]
-			if in.Op.WritesRd() && in.Rd != 0 {
-				if p := m.physReg(fb.thread, in.Rd); p >= 0 && m.busyReg[p] != 0 {
-					m.stats.DispatchStall++
-					if m.cov != nil {
-						m.cov.Hit(cover.EvDispatchWAWStall)
-					}
-					return
-				}
-			}
+	if !m.cfg.Renaming && m.latchWAWStalled() {
+		m.stats.DispatchStall++
+		if m.cov != nil {
+			m.cov.Hit(cover.EvDispatchWAWStall)
 		}
+		return
 	}
 
 	b := m.newBlock(fb.thread)
@@ -465,6 +453,25 @@ func (m *Machine) dispatch() {
 	if trigger && m.cfg.FetchPolicy == CondSwitch {
 		m.rotateThread()
 	}
+}
+
+// latchWAWStalled reports whether scoreboard mode (Renaming off) stalls
+// the latch block: some destination register of the block has an
+// in-flight writer (the 1-bit WAW stall).
+func (m *Machine) latchWAWStalled() bool {
+	fb := m.latch
+	for s := 0; s < BlockSize; s++ {
+		if !fb.valid[s] {
+			continue
+		}
+		in := fb.insts[s]
+		if in.Op.WritesRd() && in.Rd != 0 {
+			if p := m.physReg(fb.thread, in.Rd); p >= 0 && m.busyReg[p] != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // renameSources resolves e's source operands against the newest

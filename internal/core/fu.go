@@ -8,7 +8,8 @@ type fuUnit struct {
 	lastIssue uint64 // pipelined units: accept one op per cycle
 	issued    bool   // lastIssue is meaningful
 	holder    int32  // entry index holding the unit until data returns, or -1
-	usedCyc   uint64 // occupancy, for Table 4 utilisation
+	heldSince uint64 // cycle the holder took the unit
+	usedCyc   uint64 // occupancy, for Table 4 utilisation (a running hold excluded)
 }
 
 // fuPool is all units of one class.
@@ -57,6 +58,22 @@ func (p *fuPool) tryAcquire(now uint64) int {
 	return -1
 }
 
+// freesAt is the first cycle a refused op could take a unit of an
+// exhausted pool without any other event. Held units stay held until
+// their loads' data returns, and pipelined units accept a new op every
+// cycle, so only a busy unpipelined unit frees on a known cycle: its
+// busyUntil. That can fall with no completion in flight, when the op
+// that claimed the unit was squashed after issue.
+func (p *fuPool) freesAt() uint64 {
+	at := ^uint64(0)
+	for i := range p.units {
+		if u := &p.units[i]; u.holder < 0 && !p.pipelined && u.busyUntil < at {
+			at = u.busyUntil
+		}
+	}
+	return at
+}
+
 // issue occupies unit i at cycle now and returns the completion cycle.
 func (p *fuPool) issue(i int, now uint64) uint64 {
 	u := &p.units[i]
@@ -71,8 +88,27 @@ func (p *fuPool) issue(i int, now uint64) uint64 {
 	return now + p.latency
 }
 
-// hold parks entry e on unit i until release (variable-latency loads).
-func (p *fuPool) hold(i int, e *suEntry) { p.units[i].holder = e.idx }
+// hold parks entry e on unit i from cycle now until release
+// (variable-latency loads).
+func (p *fuPool) hold(i int, e *suEntry, now uint64) {
+	p.units[i].holder = e.idx
+	p.units[i].heldSince = now
+}
 
-// release frees a held unit.
-func (p *fuPool) release(i int) { p.units[i].holder = -1 }
+// release frees a held unit at cycle now. A hold occupies the unit in
+// every cycle from the one it began through the one before release, so
+// the occupancy is charged here once rather than counted per cycle.
+func (p *fuPool) release(i int, now uint64) {
+	u := &p.units[i]
+	u.holder = -1
+	u.usedCyc += now - u.heldSince
+}
+
+// occupancy is the unit's busy cycles through the end of cycle now,
+// including a hold still running.
+func (u *fuUnit) occupancy(now uint64) uint64 {
+	if u.holder >= 0 {
+		return u.usedCyc + now + 1 - u.heldSince
+	}
+	return u.usedCyc
+}

@@ -365,9 +365,8 @@ func (m *Machine) checkSoA() error {
 			held++
 		}
 	}
-	if held != m.heldLoads || held != len(m.pendingLoads) {
-		return fmt.Errorf("heldLoads counter %d, %d units held, %d loads pending",
-			m.heldLoads, held, len(m.pendingLoads))
+	if held != len(m.pendingLoads) {
+		return fmt.Errorf("%d load units held, %d loads pending", held, len(m.pendingLoads))
 	}
 
 	// The register-producer table must name exactly the newest live

@@ -70,12 +70,65 @@ func (m *Machine) toCompletions(e *suEntry) {
 	m.completions = append(m.completions, e.idx)
 }
 
-// tryIssue applies per-class constraints, acquires a unit, and begins
-// execution. Reports whether the instruction left the window.
-func (m *Machine) tryIssue(e *suEntry) bool {
-	op := e.inst.Op
-	class := op.FUClass()
+// refusal is why a ready waiting entry does not issue. Every refusal
+// is a pure function of state that only issue, writeback, commit, or
+// drain change, which is what lets the fast-forward replay one across
+// an inert span (see noteRefusal).
+type refusal uint8
 
+const (
+	refNone        refusal = iota // the entry issues
+	refSyncOrder                  // load behind an older unresolved sync primitive
+	refAlias                      // load behind an older store of unknown address or data
+	refCrossAlias                 // restricted policy: a cross-block alias waits for the drain
+	refStoreFull                  // the store buffer cannot reserve a slot
+	refFAISpec                    // FAI behind an older unresolved control transfer
+	refFlagFence                  // sync op behind an older undrained flag store
+	refFUExhausted                // every unit of the class is busy
+)
+
+// refusalEvent is each refusal's coverage event.
+var refusalEvent = [...]cover.Event{
+	refSyncOrder:   cover.EvLoadBlockedSyncOrder,
+	refAlias:       cover.EvLoadBlockedAlias,
+	refCrossAlias:  cover.EvLoadBlockedCrossAlias,
+	refStoreFull:   cover.EvStoreBufferFull,
+	refFAISpec:     cover.EvFAIBlockedSpec,
+	refFlagFence:   cover.EvSyncFencedFlagStore,
+	refFUExhausted: cover.EvIssueFUExhausted,
+}
+
+// noteRefusal counts one refused issue attempt: the refusal's stat
+// counter, where it has one, and its coverage event.
+func (m *Machine) noteRefusal(r refusal) {
+	switch r {
+	case refSyncOrder, refAlias, refCrossAlias:
+		m.stats.LoadBlocked++
+	case refStoreFull:
+		m.stats.StoreBufferFull++
+	}
+	if m.cov != nil {
+		m.cov.Hit(refusalEvent[r])
+	}
+}
+
+// loadPath is what issueVerdict learns about a load on its way to a
+// verdict, handed back so tryIssue does not repeat the store scan.
+type loadPath struct {
+	addr      uint32 // the physical effective address
+	val       uint32 // the forwarded value
+	fwd       bool   // an older aliasing store forwards val
+	sameBlock bool   // the forwarding store is in the load's own block
+}
+
+// issueVerdict decides whether the ready waiting entry e, of FU class
+// class, would issue at cycle now with held store-buffer slots
+// unavailable: the unit it would take, or the refusal and -1. It
+// changes nothing but *ld, which it fills for loads: tryIssue asks at
+// m.now with m.sbHeld, and the fast-forward asks at m.now+1 with no
+// held slots. The unit check comes last, after every ordering and
+// resource rule of the entry's class.
+func (m *Machine) issueVerdict(e *suEntry, class isa.Class, now uint64, held int, ld *loadPath) (refusal, int) {
 	switch class {
 	case isa.ClassLoad:
 		// Acquire ordering: a load may not issue past an older unresolved
@@ -83,66 +136,30 @@ func (m *Machine) tryIssue(e *suEntry) bool {
 		// a flag-spin exit can capture stale data that survives because
 		// the spin exit turns out to be correctly predicted.
 		if m.olderUnresolvedSync(e) {
-			m.stats.LoadBlocked++
-			if m.cov != nil {
-				m.cov.Hit(cover.EvLoadBlockedSyncOrder)
-			}
-			return false
+			return refSyncOrder, -1
 		}
 		// Alias comparisons run on physical addresses throughout: issued
 		// stores latch physical addresses, and same-thread translation is
 		// a constant offset, so equality is unchanged from virtual space.
-		addr := m.physAddr(e.thread, isa.EffAddr(e.src[0].value, e.inst.Imm))
-		v, src, blocked := m.forwardFromStore(e, addr)
-		if blocked {
-			m.stats.LoadBlocked++
-			if m.cov != nil {
-				m.cov.Hit(cover.EvLoadBlockedAlias)
-			}
-			return false
+		ld.addr = m.physAddr(e.thread, isa.EffAddr(e.src[0].value, e.inst.Imm))
+		val, src, blocked := m.forwardFromStore(e, ld.addr)
+		// An older store to the same address supplies the value. With the
+		// StoreForwarding extension any store forwards. Under the paper's
+		// restricted policy only a store in the load's own commit block
+		// may forward — without that, a same-block store→load alias
+		// deadlocks (the load waits for the drain, the drain waits for
+		// commit, commit waits for the load); a cross-block alias waits
+		// for the drain as the paper says. Block identity is compared by
+		// id: a committed store's block has left the SU and its struct may
+		// already be recycled.
+		switch {
+		case blocked:
+			return refAlias, -1
+		case src != nil && !m.cfg.StoreForwarding && src.blkID != e.blkID:
+			return refCrossAlias, -1
 		}
 		if src != nil {
-			// An older store to the same address supplies the value. With
-			// the StoreForwarding extension any store forwards. Under the
-			// paper's restricted policy only a store in the load's own
-			// commit block may forward — without that, a same-block
-			// store→load alias deadlocks (the load waits for the drain,
-			// the drain waits for commit, commit waits for the load); a
-			// cross-block alias waits for the drain as the paper says.
-			// Block identity is compared by id: a committed store's block
-			// has left the SU and its struct may already be recycled.
-			if !m.cfg.StoreForwarding && src.blkID != e.blkID {
-				m.stats.LoadBlocked++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvLoadBlockedCrossAlias)
-				}
-				return false
-			}
-			pool := &m.pools[isa.ClassLoad]
-			unit := pool.tryAcquire(m.now)
-			if unit < 0 {
-				if m.cov != nil {
-					m.cov.Hit(cover.EvIssueFUExhausted)
-				}
-				return false
-			}
-			e.state = stIssued
-			m.noteIssued(e)
-			e.fuUnit = unit
-			e.addr = addr
-			e.addrValid = true
-			e.result = v
-			e.completeAt = pool.issue(unit, m.now)
-			m.toCompletions(e)
-			m.stats.LoadsForwarded++
-			if m.cov != nil {
-				if src.blkID == e.blkID {
-					m.cov.Hit(cover.EvLoadForwardSameBlock)
-				} else {
-					m.cov.Hit(cover.EvLoadForwardCross)
-				}
-			}
-			return true
+			ld.fwd, ld.val, ld.sameBlock = true, val, src.blkID == e.blkID
 		}
 	case isa.ClassStore:
 		// Deadlock avoidance: a store may take a slot only if enough free
@@ -154,82 +171,49 @@ func (m *Machine) tryIssue(e *suEntry) bool {
 		// machine wedges. Reserving per waiting store guarantees the
 		// bottom block can always issue all of its stores (Validate keeps
 		// StoreBuffer >= BlockSize), commit, and drain.
-		// Fault injection may hold some slots for a cycle (m.sbHeld),
-		// capped so the effective buffer never drops below BlockSize and
-		// the reservation argument above still goes through.
-		free := m.cfg.StoreBuffer - len(m.storeBuf) - m.sbHeld
-		if free <= m.waitingStoresBelow(e) {
-			m.stats.StoreBufferFull++
-			if m.cov != nil {
-				m.cov.Hit(cover.EvStoreBufferFull)
-			}
-			return false
+		// Fault injection may hold some slots for a cycle (held), capped
+		// so the effective buffer never drops below BlockSize and the
+		// reservation argument above still goes through.
+		if m.cfg.StoreBuffer-len(m.storeBuf)-held <= m.waitingStoresBelow(e) {
+			return refStoreFull, -1
 		}
 	case isa.ClassSync:
 		// FAI has a side effect, so it must issue non-speculatively.
-		if op == isa.FAI && m.olderUnresolvedCT(e) {
-			if m.cov != nil {
-				m.cov.Hit(cover.EvFAIBlockedSpec)
-			}
-			return false
+		if e.inst.Op == isa.FAI && m.olderUnresolvedCT(e) {
+			return refFAISpec, -1
 		}
 		// Release ordering: sync reads execute at issue and would bypass
 		// an older same-thread FSTW still queued in the store buffer
 		// (e.g. the barrier's count reset), reading a stale flag. Fence
 		// until older flag stores have drained.
 		if m.olderPendingFlagStore(e) {
-			if m.cov != nil {
-				m.cov.Hit(cover.EvSyncFencedFlagStore)
-			}
-			return false
-		}
-		// Fault injection: the controller may hold the grant (delayed
-		// lock grant), and an FLDW grant may arrive as a spurious wakeup
-		// — the thread reads the flag, discards the value, and retries a
-		// few cycles later. Timing-only: the retry's read supplies the
-		// architectural result. FAI is never woken spuriously (its
-		// read-modify-write must execute exactly once).
-		if m.cfg.Injector != nil {
-			if e.syncHoldUntil > m.now {
-				return false
-			}
-			addr := isa.EffAddr(e.src[0].value, e.inst.Imm)
-			pa := m.physAddr(e.thread, addr)
-			if !e.syncRolled {
-				e.syncRolled = true
-				if d := m.sync.GrantDelay(m.now, pa, op == isa.FAI); d > 0 {
-					e.syncHoldUntil = m.now + d
-					if m.Trace != nil {
-						m.trace("sync hold %v for %d cycles (injected)", e, d)
-					}
-					return false
-				}
-			}
-			if op == isa.FLDW && !e.syncWoken {
-				e.syncWoken = true
-				if m.cfg.Injector.SpuriousWakeup(m.now, e.tag) {
-					m.stats.Faults.Add(ChanSyncWakeup)
-					if loader.IsFlagAddr(addr) && (addr&3) == 0 {
-						_, _ = m.sync.Read(pa) // woken early: read and discard
-					}
-					e.syncHoldUntil = m.now + spuriousWakeupBackoff
-					if m.Trace != nil {
-						m.trace("spurious wakeup %v (injected)", e)
-					}
-					return false
-				}
-			}
+			return refFlagFence, -1
 		}
 	}
+	if unit := m.pools[class].tryAcquire(now); unit >= 0 {
+		return refNone, unit
+	}
+	return refFUExhausted, -1
+}
 
-	pool := &m.pools[class]
-	unit := pool.tryAcquire(m.now)
-	if unit < 0 {
-		if m.cov != nil {
-			m.cov.Hit(cover.EvIssueFUExhausted)
-		}
+// tryIssue issues e if its verdict allows, and begins execution.
+// Reports whether the instruction left the window.
+func (m *Machine) tryIssue(e *suEntry) bool {
+	op := e.inst.Op
+	class := op.FUClass()
+	var ld loadPath
+	ref, unit := m.issueVerdict(e, class, m.now, m.sbHeld, &ld)
+	// A sync op that passed its ordering rules asks the controller for
+	// its grant before taking a unit, and fault injection may hold it.
+	if (ref == refNone || ref == refFUExhausted) && class == isa.ClassSync &&
+		m.cfg.Injector != nil && m.syncHeld(e) {
 		return false
 	}
+	if ref != refNone {
+		m.noteRefusal(ref)
+		return false
+	}
+	pool := &m.pools[class]
 	e.state = stIssued
 	m.noteIssued(e)
 	e.fuUnit = unit
@@ -239,6 +223,22 @@ func (m *Machine) tryIssue(e *suEntry) bool {
 
 	switch class {
 	case isa.ClassLoad:
+		if ld.fwd {
+			e.addr = ld.addr
+			e.addrValid = true
+			e.result = ld.val
+			e.completeAt = pool.issue(unit, m.now)
+			m.toCompletions(e)
+			m.stats.LoadsForwarded++
+			if m.cov != nil {
+				if ld.sameBlock {
+					m.cov.Hit(cover.EvLoadForwardSameBlock)
+				} else {
+					m.cov.Hit(cover.EvLoadForwardCross)
+				}
+			}
+			return true
+		}
 		// Addresses are validated in the thread's virtual space, then
 		// latched physical (slot-translated) — including bad addresses, so
 		// every alias comparison stays in one address space.
@@ -259,8 +259,7 @@ func (m *Machine) tryIssue(e *suEntry) bool {
 		}
 		// The load holds its unit until the cache responds.
 		pool.issue(unit, m.now)
-		pool.hold(unit, e)
-		m.heldLoads++
+		pool.hold(unit, e, m.now)
 		m.retain(e)
 		e.where |= inPendingLoads
 		m.pendingLoads = append(m.pendingLoads, e.idx)
@@ -358,6 +357,51 @@ func (m *Machine) tryIssue(e *suEntry) bool {
 	e.completeAt = pool.issue(unit, m.now)
 	m.toCompletions(e)
 	return true
+}
+
+// syncHeld consults the fault schedule for a sync op about to issue and
+// reports whether it holds the op this cycle. The controller may hold
+// the grant (delayed lock grant), and an FLDW grant may arrive as a
+// spurious wakeup — the thread reads the flag, discards the value, and
+// retries a few cycles later. Timing-only: the retry's read supplies
+// the architectural result. FAI is never woken spuriously (its
+// read-modify-write must execute exactly once).
+func (m *Machine) syncHeld(e *suEntry) bool {
+	if e.syncHoldUntil > m.now {
+		return true
+	}
+	op := e.inst.Op
+	addr := isa.EffAddr(e.src[0].value, e.inst.Imm)
+	pa := m.physAddr(e.thread, addr)
+	// Only a valid virtual flag address reaches the controller: it sees
+	// physical addresses, and its slot masking would accept a stray
+	// wrong-path address that lands in another slot's window.
+	valid := loader.IsFlagAddr(addr) && (addr&3) == 0
+	if valid && !e.syncRolled {
+		e.syncRolled = true
+		if d := m.sync.GrantDelay(m.now, pa, op == isa.FAI); d > 0 {
+			e.syncHoldUntil = m.now + d
+			if m.Trace != nil {
+				m.trace("sync hold %v for %d cycles (injected)", e, d)
+			}
+			return true
+		}
+	}
+	if op == isa.FLDW && !e.syncWoken {
+		e.syncWoken = true
+		if m.cfg.Injector.SpuriousWakeup(m.now, e.tag) {
+			m.stats.Faults.Add(ChanSyncWakeup)
+			if valid {
+				_, _ = m.sync.Read(pa) // woken early: read and discard
+			}
+			e.syncHoldUntil = m.now + spuriousWakeupBackoff
+			if m.Trace != nil {
+				m.trace("spurious wakeup %v (injected)", e)
+			}
+			return true
+		}
+	}
+	return false
 }
 
 // resolveCT computes a control transfer's actual outcome (visible at
@@ -549,8 +593,7 @@ func (m *Machine) serviceLoads() {
 	for _, ei := range m.pendingLoads {
 		e := &m.ents[ei]
 		if e.squashed {
-			pool.release(e.fuUnit)
-			m.heldLoads--
+			pool.release(e.fuUnit, m.now)
 			m.sqPend--
 			e.where &^= inPendingLoads
 			m.release(e)
@@ -573,8 +616,7 @@ func (m *Machine) serviceLoads() {
 		e.completeAt = m.now + pool.latency
 		e.where = e.where&^inPendingLoads | inCompletions
 		m.completions = append(m.completions, ei)
-		pool.release(e.fuUnit)
-		m.heldLoads--
+		pool.release(e.fuUnit, m.now)
 	}
 	m.pendingLoads = remaining
 }

@@ -46,9 +46,6 @@ func (m *Machine) newEntry() int32 {
 	return i
 }
 
-// entry resolves an arena index to its entry.
-func (m *Machine) entry(i int32) *suEntry { return &m.ents[i] }
-
 // retain adds a container reference to e.
 func (m *Machine) retain(e *suEntry) { e.refs++ }
 
@@ -105,9 +102,6 @@ func (m *Machine) newStoreOp(e *suEntry) int32 {
 	*so = storeOp{idx: i, entry: e.idx}
 	return i
 }
-
-// sop resolves an arena index to its store op.
-func (m *Machine) sop(i int32) *storeOp { return &m.sops[i] }
 
 // freeStoreOp recycles a slot (drained, or squash-killed before
 // commit) and drops its entry reference.

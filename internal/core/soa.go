@@ -94,8 +94,7 @@ func (m *Machine) initSoA() {
 	m.drainQueue = make([]int32, 0, m.cfg.StoreBuffer)
 	m.wbDue = make([]int32, 0, entCap)
 	m.fwdCands = make([]int32, 0, entCap)
-	m.ffClash = make([]bool, 0, m.suCap)
-	m.ffBlocked = make([]ffBlockKind, 0, m.suCap*BlockSize)
+	m.ffBlocked = make([]refusal, 0, m.suCap*BlockSize)
 	for i := range m.regProd {
 		m.regProd[i] = -1
 	}

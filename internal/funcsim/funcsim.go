@@ -19,18 +19,18 @@ import (
 // is immaterial for the data-race-free homogeneous-multitasking programs
 // the paper runs, but round robin keeps spin loops live).
 //
-// Heterogeneous mixes (NewMix) generalize the layout: each thread runs
-// the predecoded text of its slot, translates data/flag addresses by the
+// Every simulator runs a program mix (NewMix): each thread runs the
+// predecoded text of its slot, translates data/flag addresses by the
 // slot's physical base, owns a contiguous window of the register file,
-// and sees TID/NTH relative to its own slot's thread group. The
-// homogeneous constructor builds the identity layout (one slot, base 0),
-// so both modes share one interpreter loop.
+// and sees TID/NTH relative to its own slot's thread group. A
+// homogeneous run (New) is the one-slot mix, whose layout is the
+// identity (base 0).
 type Sim struct {
 	m        *mem.Memory
 	sync     *syncctl.Controller
 	nthreads int
 
-	// Per-thread layout (identity in homogeneous mode).
+	// Per-thread layout (identity for a one-slot mix).
 	slotOf    []int    // which program slot the thread runs
 	physBase  []uint32 // slot window base added to every virtual address
 	regBase   []int    // first register-file index of the thread's window
@@ -67,71 +67,24 @@ func (f *MemFault) Error() string {
 		f.Thread, f.PC, dir, f.Addr, f.Reason)
 }
 
-// decodeText predecodes a text segment, validating up front that no
-// instruction reaches outside a kregs-register partition, so no register
-// access can fault mid-run for a loadable object.
-func decodeText(text []uint32, kregs int, what string) ([]isa.Inst, error) {
-	insts := make([]isa.Inst, len(text))
-	for i, w := range text {
-		in, err := isa.Decode(w)
-		if err != nil {
-			return nil, fmt.Errorf("funcsim: %s text word %d: %w", what, i, err)
-		}
-		if r := in.MaxReg(); int(r) >= kregs {
-			return nil, fmt.Errorf("funcsim: %s text word %d (%v) uses r%d, but the partition budget is %d registers per thread",
-				what, i, in, r, kregs)
-		}
-		insts[i] = in
-	}
-	return insts, nil
-}
-
 // New loads obj and prepares nthreads threads, all starting at the entry
-// point with the register file statically partitioned.
+// point with the register file statically partitioned: the one-slot mix
+// of obj.
 func New(obj *loader.Object, nthreads int) (*Sim, error) {
-	if nthreads < 1 || nthreads > isa.NumPhysRegs/2 {
-		return nil, fmt.Errorf("funcsim: invalid thread count %d", nthreads)
-	}
-	m, err := obj.Load()
-	if err != nil {
-		return nil, err
-	}
-	kregs := isa.RegsPerThread(nthreads)
-	insts, err := decodeText(obj.Text, kregs, fmt.Sprintf("%d-thread", nthreads))
-	if err != nil {
-		return nil, err
-	}
-	s := &Sim{
-		m:         m,
-		sync:      syncctl.New(m),
-		nthreads:  nthreads,
-		slotOf:    make([]int, nthreads),
-		physBase:  make([]uint32, nthreads),
-		regBase:   make([]int, nthreads),
-		regBudget: make([]int, nthreads),
-		vtid:      make([]int, nthreads),
-		vnth:      make([]int, nthreads),
-		regs:      make([]uint32, nthreads*kregs),
-		pc:        make([]uint32, nthreads),
-		halted:    make([]bool, nthreads),
-		insts:     [][]isa.Inst{insts},
-	}
-	for t := 0; t < nthreads; t++ {
-		s.regBase[t] = t * kregs
-		s.regBudget[t] = kregs
-		s.vtid[t] = t
-		s.vnth[t] = nthreads
-		s.pc[t] = obj.Entry
-	}
-	return s, nil
+	return NewMix(loader.SoloMix(obj, nthreads), nthreads)
 }
 
-// NewMix loads a heterogeneous program mix: each slot's object sits in
-// its own 2 MiB window and its thread group gets an independent register
-// budget (a slot's Regs, or an equal RegsPerThread share when zero).
-// Threads are numbered contiguously across slots in slot order, matching
-// the cycle-level core.
+// NewMix loads a program mix: each slot's object sits in its own 2 MiB
+// window and its thread group gets an independent register budget (a
+// slot's Regs, or an equal RegsPerThread share when zero). Threads are
+// numbered contiguously across slots in slot order, matching the
+// cycle-level core. Every text word is predecoded and checked against
+// its slot's budget up front, so no register access can fault mid-run
+// for a loadable object.
 func NewMix(mix *loader.Mix, threads int) (*Sim, error) {
+	if threads < 1 || threads > isa.NumPhysRegs/2 {
+		return nil, fmt.Errorf("funcsim: invalid thread count %d", threads)
+	}
 	if err := mix.Validate(); err != nil {
 		return nil, fmt.Errorf("funcsim: %w", err)
 	}
@@ -163,9 +116,17 @@ func NewMix(mix *loader.Mix, threads int) (*Sim, error) {
 		if budget == 0 {
 			budget = isa.RegsPerThread(threads)
 		}
-		insts, err := decodeText(slot.Object.Text, budget, fmt.Sprintf("slot %d", si))
-		if err != nil {
-			return nil, err
+		insts := make([]isa.Inst, len(slot.Object.Text))
+		for i, w := range slot.Object.Text {
+			in, err := isa.Decode(w)
+			if err != nil {
+				return nil, fmt.Errorf("funcsim: slot %d text word %d: %w", si, i, err)
+			}
+			if r := in.MaxReg(); int(r) >= budget {
+				return nil, fmt.Errorf("funcsim: slot %d text word %d (%v) uses r%d, but its partition on the %d-thread machine is %d registers per thread",
+					si, i, in, r, threads, budget)
+			}
+			insts[i] = in
 		}
 		s.insts[si] = insts
 		for k := 0; k < slot.Threads; k++ {
@@ -281,6 +242,21 @@ func (s *Sim) checkData(t int, pc, addr uint32, write bool) error {
 	return nil
 }
 
+// flagAddr validates a sync primitive's virtual flag address — inside
+// the flag segment and word-aligned, the rule the cycle-level core
+// applies at issue — and returns it slot-translated. Checking before
+// translating is what isolates a mix's slots: the sync controller only
+// sees physical addresses, and masking off the slot base there would
+// accept a virtual address in another slot's window.
+func (s *Sim) flagAddr(t int, pc uint32, in isa.Inst, write bool) (uint32, error) {
+	addr := isa.EffAddr(s.reg(t, in.Rs1), in.Imm)
+	if !loader.IsFlagAddr(addr) || (addr&3) != 0 {
+		return 0, &MemFault{Thread: t, PC: pc, Addr: addr, Write: write,
+			Reason: in.Op.String() + " outside the flag segment (or unaligned)"}
+	}
+	return s.physBase[t] + addr, nil
+}
+
 // step executes one instruction on thread t.
 func (s *Sim) step(t int) error {
 	insts := s.insts[s.slotOf[t]]
@@ -316,22 +292,31 @@ func (s *Sim) step(t int) error {
 		}
 		s.m.StoreWord(s.physBase[t]+addr, s.reg(t, in.Rs2))
 	case in.Op == isa.FLDW:
-		addr := isa.EffAddr(s.reg(t, in.Rs1), in.Imm)
-		v, err := s.sync.Read(s.physBase[t] + addr)
+		pa, err := s.flagAddr(t, pc, in, false)
 		if err != nil {
-			return &MemFault{Thread: t, PC: pc, Addr: addr, Reason: "fldw outside the flag segment (or unaligned)"}
+			return err
+		}
+		v, err := s.sync.Read(pa)
+		if err != nil {
+			return err
 		}
 		s.setReg(t, in.Rd, v)
 	case in.Op == isa.FSTW:
-		addr := isa.EffAddr(s.reg(t, in.Rs1), in.Imm)
-		if err := s.sync.Write(s.physBase[t]+addr, s.reg(t, in.Rs2)); err != nil {
-			return &MemFault{Thread: t, PC: pc, Addr: addr, Write: true, Reason: "fstw outside the flag segment (or unaligned)"}
+		pa, err := s.flagAddr(t, pc, in, true)
+		if err != nil {
+			return err
+		}
+		if err := s.sync.Write(pa, s.reg(t, in.Rs2)); err != nil {
+			return err
 		}
 	case in.Op == isa.FAI:
-		addr := isa.EffAddr(s.reg(t, in.Rs1), in.Imm)
-		v, err := s.sync.FetchAdd(s.physBase[t] + addr)
+		pa, err := s.flagAddr(t, pc, in, true)
 		if err != nil {
-			return &MemFault{Thread: t, PC: pc, Addr: addr, Write: true, Reason: "fai outside the flag segment (or unaligned)"}
+			return err
+		}
+		v, err := s.sync.FetchAdd(pa)
+		if err != nil {
+			return err
 		}
 		s.setReg(t, in.Rd, v)
 	case in.Op.IsBranch():
@@ -359,18 +344,11 @@ func (s *Sim) step(t int) error {
 
 // RunProgram is a convenience: assembler output in, final memory out.
 func RunProgram(obj *loader.Object, nthreads int, maxSteps uint64) (*Sim, error) {
-	s, err := New(obj, nthreads)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Run(maxSteps); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return RunMix(loader.SoloMix(obj, nthreads), maxSteps)
 }
 
-// RunMix is the heterogeneous RunProgram: a validated mix in, the fully
-// halted simulator (with its stacked slot memory) out.
+// RunMix runs a mix to completion: the fully halted simulator (with its
+// stacked slot memory) out.
 func RunMix(mix *loader.Mix, maxSteps uint64) (*Sim, error) {
 	s, err := NewMix(mix, mix.NumThreads())
 	if err != nil {

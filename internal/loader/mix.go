@@ -44,6 +44,13 @@ func (x *Mix) NumThreads() int {
 	return n
 }
 
+// SoloMix is the one-slot mix running obj on threads threads: the
+// homogeneous machine, which both simulators build through the same
+// layout path as any other mix.
+func SoloMix(obj *Object, threads int) *Mix {
+	return &Mix{Slots: []Slot{{Object: obj, Threads: threads}}}
+}
+
 // SlotBase returns the physical base address of slot s's window.
 func SlotBase(s int) uint32 { return uint32(s) * SlotStride }
 

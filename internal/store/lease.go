@@ -93,25 +93,19 @@ func (s *Store) AcquireLease(key, owner string, ttl time.Duration) (*CellLease, 
 	}
 	path := s.leasePath(key)
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			nonce := newLeaseNonce()
-			body, _ := json.Marshal(&leaseBody{
-				Version: Version, Key: key, Owner: owner, Nonce: nonce,
-				procIdent: selfIdent(), ExpiresUnixNano: time.Now().Add(ttl).UnixNano(),
-			})
-			_, werr := f.Write(body)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				os.Remove(path)
-				return nil, Transient(werr)
-			}
+		nonce := newLeaseNonce()
+		body, _ := json.Marshal(&leaseBody{
+			Version: Version, Key: key, Owner: owner, Nonce: nonce,
+			procIdent: selfIdent(), ExpiresUnixNano: time.Now().Add(ttl).UnixNano(),
+		})
+		err := publishNew(path, body)
+		switch {
+		case err == nil:
 			s.count(func(st *Stats) { st.LeasesAcquired++ })
 			return &CellLease{s: s, path: path, key: key, owner: owner, nonce: nonce}, nil
-		}
-		if !errors.Is(err, os.ErrExist) {
+		case IsTransient(err):
+			return nil, err
+		case !errors.Is(err, os.ErrExist):
 			// Lease dir unwritable etc: degrade to leaseless operation.
 			return nil, nil
 		}
@@ -120,6 +114,29 @@ func (s *Store) AcquireLease(key, owner string, ttl time.Duration) (*CellLease, 
 		}
 	}
 	return nil, nil
+}
+
+// publishNew creates path holding body, failing with an os.ErrExist
+// error if path already exists and a transient one if the body could
+// not be written. The body goes to a temp file first and is published
+// with a hard link, which is atomic and refuses an existing target, so
+// a rival claimant never reads a lease without its content (and breaks
+// it as torn).
+func publishNew(path string, body []byte) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	defer os.Remove(tmp)
+	_, err = f.Write(body)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return Transient(err)
+	}
+	return os.Link(tmp, path)
 }
 
 // breakLeaseIfStale removes path when its lease is unreadable garbage

@@ -20,10 +20,11 @@ type Controller struct {
 	m *mem.Memory
 
 	// stride, when non-zero, is the power-of-two physical window size of
-	// a heterogeneous mix (loader.SlotStride): addresses are validated
-	// against the flag segment of their own slot window by masking off
-	// the slot base. Zero (the homogeneous default) validates addresses
-	// directly against the single flag segment.
+	// a program mix (loader.SlotStride): addresses are validated against
+	// the flag segment of their own slot window by masking off the slot
+	// base. Masking cannot tell which slot issued an address, so the
+	// simulators check the virtual address first. Zero validates
+	// addresses directly against the single flag segment.
 	stride uint32
 
 	// FaultDelay, when set, is consulted once per FLDW/FAI request with a
@@ -46,8 +47,8 @@ type Controller struct {
 // New wraps main memory's flag segment.
 func New(m *mem.Memory) *Controller { return &Controller{m: m} }
 
-// SetStride arms per-slot flag-segment validation for a heterogeneous
-// mix; stride must be a power of two (loader.SlotStride).
+// SetStride arms per-slot flag-segment validation for a program mix;
+// stride must be a power of two (loader.SlotStride).
 func (c *Controller) SetStride(stride uint32) { c.stride = stride }
 
 // SegFault is the typed trap for a sync primitive whose address falls

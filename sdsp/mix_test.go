@@ -1,10 +1,13 @@
 package sdsp_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/funcsim"
 	"repro/internal/loader"
 	"repro/sdsp"
 )
@@ -250,5 +253,34 @@ func TestMixSoloIdentity(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMixFlagAddressStaysInSlot: a sync primitive whose virtual address
+// names another slot's flag window must fault in both simulators, as it
+// does when the same program runs alone. 0x300000 is slot 1's flag base
+// seen from slot 0; the sync controller's slot masking would accept it,
+// so the simulators must check the virtual address first.
+func TestMixFlagAddressStaysInSlot(t *testing.T) {
+	rogue, err := sdsp.Assemble("main: li r1, 0x300000\n fstw r2, 0(r1)\n halt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, err := sdsp.Assemble("main: halt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := &sdsp.Mix{Slots: []sdsp.MixSlot{{Object: rogue, Threads: 1}, {Object: victim, Threads: 1}}}
+
+	var mf *funcsim.MemFault
+	if _, err := sdsp.RunMixFunctional(mix); !errors.As(err, &mf) {
+		t.Errorf("functional mix run: got %v, want a *funcsim.MemFault", err)
+	}
+	if _, err := sdsp.RunFunctional(rogue, 1); !errors.As(err, &mf) {
+		t.Errorf("functional solo run: got %v, want a *funcsim.MemFault", err)
+	}
+	var me *sdsp.MachineError
+	if _, err := sdsp.RunMix(mix, sdsp.DefaultConfig(2)); !errors.As(err, &me) || me.Kind != core.FaultMem {
+		t.Errorf("pipeline mix run: got %v, want a memory MachineError", err)
 	}
 }

@@ -233,23 +233,13 @@ func Speedup(multiCycles, singleCycles uint64) float64 {
 }
 
 // Verify runs obj on both simulators and reports any divergence in
-// final memory — the repository's core correctness invariant.
+// final memory — the repository's core correctness invariant. It is
+// VerifyMix on the one-slot mix of obj.
 func Verify(obj *Object, cfg Config) error {
-	ref, err := funcsim.RunProgram(obj, cfg.Threads, 500_000_000)
-	if err != nil {
-		return fmt.Errorf("functional run: %w", err)
-	}
-	m, err := core.New(obj, cfg)
-	if err != nil {
-		return err
-	}
-	if _, err := m.Run(); err != nil {
-		return fmt.Errorf("pipeline run: %w", err)
-	}
-	return compareMemory(ref, m)
+	return VerifyMix(loader.SoloMix(obj, cfg.Threads), cfg)
 }
 
-// VerifyMix is Verify for heterogeneous mixes: the full stacked memory —
+// VerifyMix runs a mix on both simulators: the full stacked memory —
 // every slot's window — must match word for word, so any cross-slot leak
 // shows up even when each program's own results look right.
 func VerifyMix(mix *Mix, cfg Config) error {
