@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race ffdiff golden cover-golden bench bench-check check report
+.PHONY: all build vet lint test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check check report
 
 all: check
 
@@ -54,11 +54,16 @@ fault-sweep-smoke:
 # Coverage smoke: the event table over the four scheduled kernels
 # through the CLI, plus the coverage-floor tests (kernel floor and the
 # guided-generator must-hit check against the committed gap golden).
+# The tables land in /tmp/coverage-tables.txt and the verbose test log
+# in /tmp/coverage-floor.txt (CI uploads both); the test's exit status
+# is kept, since make's /bin/sh has no pipefail to see through a tee.
 cover-smoke:
+	$(GO) build -o /tmp/sdsp-sim-cover ./cmd/sdsp-sim
 	for bench in LL1 LL5 Matrix Sieve; do \
-		$(GO) run ./cmd/sdsp-sim -bench $$bench -threads 4 -cover > /dev/null || exit 1; \
-	done
-	$(GO) test ./sdsp -run 'TestKernelCoverage|TestCoverageFloor'
+		/tmp/sdsp-sim-cover -bench $$bench -threads 4 -cover || exit 1; \
+	done > /tmp/coverage-tables.txt
+	$(GO) test ./sdsp -run 'TestKernelCoverage|TestCoverageFloor' -v > /tmp/coverage-floor.txt 2>&1; \
+		status=$$?; cat /tmp/coverage-floor.txt; exit $$status
 
 # Frontend-study smoke: the small-scale predictor × fetch-policy study
 # through the CLI must match its committed golden byte for byte (the
@@ -100,13 +105,23 @@ store-race:
 	$(GO) test -race ./internal/store -run TestLeaseConcurrentClaimOneWinner -count=20
 	$(GO) test -race ./internal/experiments -run 'TestStoreColdWarmMixedIdentity|TestStoreCountersIndependentOfWorkers'
 
-# Fast-forward neutrality differential: the 204-schedule fault corpus
-# (and the miss-bound in-package smokes) with the idle-cycle
-# fast-forward off and on must produce bit-identical cycle counts,
-# stats, and coverage sets.
-ffdiff:
-	$(GO) test ./internal/core -run TestFastForward -count=1
-	$(GO) test ./sdsp -run 'TestFastForwardDifferential|TestFuzzCorpusExercisesFastForward' -count=1
+# Parallel determinism through the CLI: the small-scale sweep at -j 1
+# and -j 8 must be byte-identical, and equal to the committed golden.
+determinism-smoke:
+	$(GO) build -o /tmp/sdsp-exp ./cmd/sdsp-exp
+	/tmp/sdsp-exp -scale small -j 1 > /tmp/j1.txt
+	/tmp/sdsp-exp -scale small -j 8 > /tmp/j8.txt
+	cmp /tmp/j1.txt /tmp/j8.txt
+	cmp /tmp/j1.txt internal/experiments/testdata/small_tables.golden
+
+# Crash-bundle replay through the CLI: force a deterministic deadlock,
+# capture its bundle outside the workspace, and require -replay to
+# reproduce the identical failure.
+crash-replay-smoke:
+	$(GO) build -o /tmp/sdsp-sim ./cmd/sdsp-sim
+	rm -rf /tmp/crash
+	/tmp/sdsp-sim -bench Matrix -threads 4 -fault cache-storm,seed=3 -watchdog 3 -crashdir /tmp/crash && exit 1 || true
+	/tmp/sdsp-sim -replay /tmp/crash/sdsp-crash-*
 
 # Regenerate the small-scale golden tables after an intentional change
 # to a kernel, the core, or an experiment.
@@ -130,7 +145,7 @@ bench-check:
 	$(GO) run ./cmd/sdsp-bench -check BENCH_sim.json
 
 # Everything CI runs.
-check: vet lint build test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race ffdiff bench-check
+check: vet lint build test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race determinism-smoke bench-check crash-replay-smoke
 
 # Full paper-scale experiment report (several minutes; all cores).
 report:

@@ -513,11 +513,6 @@ func (c *Cache) writeback(l *line) {
 // blocked reports whether a second miss has wedged the cache.
 func (c *Cache) blocked() bool { return c.pending.valid }
 
-// Blocked reports whether the cache is rejecting all requests behind a
-// queued second miss (the fast-forward distinguishes blocked rejects,
-// which are counted, from silent Busy retries, which are not).
-func (c *Cache) Blocked() bool { return c.blocked() }
-
 // request implements the shared hit/miss/busy state machine.
 func (c *Cache) request(addr uint32, now uint64, count, write bool) (*line, Result) {
 	if c.blocked() {
@@ -633,55 +628,6 @@ func (c *Cache) ReadMany(now uint64, reqs []ReadReq) {
 	}
 	for i := range reqs {
 		reqs[i].Val, reqs[i].Res = c.Read(reqs[i].Addr, now, reqs[i].Count)
-	}
-}
-
-// FFProbe classifies what a retry (count=false) of addr would return
-// at cycle q without performing it: no counters, no port accounting, no
-// LRU or refill state change. A Busy result also reports the first
-// cycle the classification could change (the refill landing or the
-// forced delay expiring); Hit and Miss mean the retry would make
-// progress or mutate refill state, so the caller must not skip over it.
-// The idle-cycle fast-forward uses this to prove a span of cycles
-// inert; the caller replicates port arbitration across its requests.
-func (c *Cache) FFProbe(addr uint32, q uint64) (Result, uint64) {
-	if c.pending.valid {
-		// Blocked on a queued second miss until the active refill lands.
-		return Busy, c.active.readyAt
-	}
-	if until, ok := c.delays[addr]; ok && q < until {
-		return Busy, until
-	}
-	if c.lookup(addr) != nil {
-		return Hit, 0
-	}
-	if c.active.valid {
-		if c.active.addr == c.lineAddr(addr) {
-			return Busy, c.active.readyAt
-		}
-		return Miss, 0 // would queue a second miss: refill state change
-	}
-	return Miss, 0 // would start a refill: refill state change
-}
-
-// PortLimit reports the configured per-cycle port cap (0 = unlimited),
-// so the fast-forward can replicate port arbitration order.
-func (c *Cache) PortLimit() int { return c.cfg.Ports }
-
-// FFRetryAccount replicates one skipped cycle's rejection accounting:
-// nb retries refused while the cache was blocked, np refused for ports.
-// It must mirror request()'s counter and coverage behaviour exactly
-// (count=false retries bump no Reads/Writes).
-func (c *Cache) FFRetryAccount(nb, np int) {
-	c.stats.BlockedRejects += uint64(nb)
-	c.stats.PortRejects += uint64(np)
-	if c.Cover != nil {
-		for i := 0; i < nb; i++ {
-			c.Cover.Hit(cover.EvCacheBlockedReject)
-		}
-		for i := 0; i < np; i++ {
-			c.Cover.Hit(cover.EvCachePortReject)
-		}
 	}
 }
 

@@ -312,7 +312,7 @@ func TestDefaultConfigs(t *testing.T) {
 	}
 }
 
-func TestPortLimit(t *testing.T) {
+func TestPortsPerCycle(t *testing.T) {
 	m := testMem(1024)
 	cfg := smallConfig(2)
 	cfg.Ports = 1

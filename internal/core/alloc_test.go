@@ -36,6 +36,26 @@ const allocWorkload = `
 	       .word 0, 0, 0, 0
 `
 
+// missBoundWorkload is a single-thread pointer-stride walk over an 8 KB
+// footprint. On a 1 KB L1 its steady state is one cache miss after
+// another: loads retry against a refilling or blocked cache, a path
+// allocWorkload's warm loop never reaches.
+const missBoundWorkload = `
+main: li   r1, data
+      li   r2, 512         ; words to touch (8 KB span at stride 16B)
+loop: lw   r3, 0(r1)
+      add  r4, r4, r3
+      addi r1, r1, 16
+      addi r2, r2, -1
+      bne  r2, r0, loop
+      li   r5, out
+      sw   r4, 0(r5)
+      halt
+.data
+out:  .word 0
+data: .space 8192
+`
+
 // warmMachine builds a machine running allocWorkload and steps it past
 // the cold-start phase (pool growth, predictor training, coverage map
 // population) so that subsequent cycles measure the steady state.
@@ -167,5 +187,48 @@ func TestCycleAllocParanoidBudget(t *testing.T) {
 	t.Logf("paranoid mode: %.2f allocs/cycle", got)
 	if got > 60 {
 		t.Errorf("paranoid Cycle allocates %.2f objects/cycle, budget 60", got)
+	}
+}
+
+// TestRunAllocFreeMissBound asserts that a whole Run of a miss-bound
+// program allocates nothing, from a fresh machine through the final
+// flush and statistics. Machines are built ahead of time so only Run
+// is measured (AllocsPerRun invokes the function runs+1 times: one
+// warm-up plus the measured runs).
+func TestRunAllocFreeMissBound(t *testing.T) {
+	obj, err := asm.Assemble(missBoundWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Threads = 1
+	cfg.Cache.SizeBytes = 1024
+	cfg.Cache.MissPenalty = 40
+	const runs = 5
+	machines := make([]*Machine, 0, runs+1)
+	for i := 0; i <= runs; i++ {
+		m, err := New(obj, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		machines = append(machines, m)
+	}
+	next := 0
+	var runErr error
+	avg := testing.AllocsPerRun(runs, func() {
+		m := machines[next]
+		next++
+		if _, err := m.Run(); err != nil && runErr == nil {
+			runErr = err
+		}
+	})
+	if runErr != nil {
+		t.Fatalf("measured run failed: %v", runErr)
+	}
+	if st := machines[0].Stats(); st.Cache.Misses == 0 {
+		t.Fatal("miss-bound workload never missed")
+	}
+	if avg != 0 {
+		t.Errorf("miss-bound Run allocates %.2f objects/run, want 0", avg)
 	}
 }

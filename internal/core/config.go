@@ -259,18 +259,11 @@ type Config struct {
 	// beyond any legitimate stall); NoWatchdog disables the check.
 	Watchdog uint64
 
-	// NoFastForward disables the idle-cycle fast-forward: by default Run
-	// skips over spans of cycles it can prove inert — no entry can
-	// issue, write back, commit, or drain, and the front end is stalled
-	// — replaying only their per-cycle bookkeeping (see ffwd.go). The
-	// skip is bit-identical by construction; this switch forces every
-	// cycle through the full pipeline, for differential validation.
+	// NoFastForward has no effect: Run steps every cycle through the
+	// full pipeline.
+	//
+	// Deprecated: the idle-cycle fast-forward it disabled was removed.
 	NoFastForward bool
-
-	// FFMinSkip is the smallest inert span the fast-forward bothers to
-	// skip; shorter gaps run normally (the precondition work would
-	// rival just executing them). 0 means the default (4 cycles).
-	FFMinSkip int
 
 	// CheckInvariants enables the per-cycle invariant checker: SU age
 	// ordering, rename-tag uniqueness, register-partition isolation,
@@ -356,9 +349,6 @@ func (c *Config) Validate() error {
 	}
 	if c.CommitPolicy != FlexibleCommit && c.CommitPolicy != LowestOnly {
 		return fmt.Errorf("core: unknown commit policy %v", c.CommitPolicy)
-	}
-	if c.FFMinSkip < 0 {
-		return fmt.Errorf("core: negative fast-forward minimum skip %d", c.FFMinSkip)
 	}
 	if err := c.Cache.Validate(); err != nil {
 		return fmt.Errorf("core: data cache: %w", err)

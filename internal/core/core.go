@@ -67,8 +67,6 @@ type Machine struct {
 	icountOcc   []int                      // ICount policy: per-thread in-flight counts
 	probePCs    [BlockSize]uint32          // fetch: batched BTB probe addresses
 	probeOut    [BlockSize]bpred.BlockPred // fetch: batched BTB probe results
-	ffBlocked   []refusal                  // fast-forward: blocked-entry refusals replayed per cycle
-	ffSkipped   uint64                     // fast-forward: cycles replayed in batch (diagnostic)
 
 	// Bitset scoreboards and incremental counters mirroring the entry
 	// arrays (see soa.go; re-derived by the invariant checker).
@@ -81,8 +79,6 @@ type Machine struct {
 	suOcc       int     // live SU entries
 	waitCnt     int     // live entries in stWaiting
 	doneBlocks  int     // SU blocks with every live entry done
-	sqComp      int     // squashed entries lingering in m.completions
-	sqPend      int     // squashed entries lingering in m.pendingLoads
 	occByThread []int32 // live SU entries per thread
 	syncUndone  []int32 // per thread: live sync-class entries not yet done
 	ctUnres     []int32 // per thread: live CT entries not yet done
@@ -313,17 +309,10 @@ func (m *Machine) Done() bool {
 // thread, PC, and a state dump.
 func (m *Machine) Run() (*Stats, error) {
 	limit := m.cfg.maxCycles()
-	// The fast-forward (ffwd.go) lives here, not in Cycle: hand-clocked
-	// machines always see the exact per-cycle pipeline. Phase timing
-	// measures real stage work, so it forces the full path too.
-	useFF := !m.cfg.NoFastForward && !m.cfg.PhaseTiming
 	for !m.Done() && m.fault == nil {
 		if m.now >= limit {
 			m.failf(FaultRunaway, "run", -1, 0, "exceeded %d cycles without finishing", limit)
 			break
-		}
-		if useFF && m.fastForward(limit) {
-			continue // re-check Done and the limit before the boundary cycle
 		}
 		m.Cycle()
 	}

@@ -24,14 +24,6 @@ type operand struct {
 	readyAt uint64 // earliest cycle the value may feed issue (bypassing)
 }
 
-// Container membership flags (suEntry.where): which lazy-cleanup lists
-// still reference the entry. The fast-forward needs exact counts of
-// squashed entries lingering in these lists (see soa.go).
-const (
-	inCompletions  uint8 = 1 << iota // m.completions holds the entry
-	inPendingLoads                   // m.pendingLoads holds the entry
-)
-
 // suEntry is one instruction's scheduling unit slot. All cross-stage
 // state lives here; stages communicate only through these entries.
 //
@@ -52,7 +44,6 @@ type suEntry struct {
 	blkID    uint64 // owning block's unique id (stable across pooling)
 	idx      int32  // this entry's own arena index
 	slot     int8   // slot within the owning block (bitset position)
-	where    uint8  // lazy-cleanup list membership (inCompletions, ...)
 	refs     int8   // live container references; 0 returns the entry to the pool
 	tag      uint64
 	thread   int

@@ -58,22 +58,6 @@ func (p *fuPool) tryAcquire(now uint64) int {
 	return -1
 }
 
-// freesAt is the first cycle a refused op could take a unit of an
-// exhausted pool without any other event. Held units stay held until
-// their loads' data returns, and pipelined units accept a new op every
-// cycle, so only a busy unpipelined unit frees on a known cycle: its
-// busyUntil. That can fall with no completion in flight, when the op
-// that claimed the unit was squashed after issue.
-func (p *fuPool) freesAt() uint64 {
-	at := ^uint64(0)
-	for i := range p.units {
-		if u := &p.units[i]; u.holder < 0 && !p.pipelined && u.busyUntil < at {
-			at = u.busyUntil
-		}
-	}
-	return at
-}
-
 // issue occupies unit i at cycle now and returns the completion cycle.
 func (p *fuPool) issue(i int, now uint64) uint64 {
 	u := &p.units[i]

@@ -180,17 +180,11 @@ func (m *Machine) CheckInvariants() error {
 		if e.state != stIssued && !e.squashed {
 			return fmt.Errorf("completion queue holds %v in state %d", e, e.state)
 		}
-		if (e.where & inCompletions) == 0 {
-			return fmt.Errorf("completion queue holds %v without its membership flag", e)
-		}
 	}
 	for _, ei := range m.pendingLoads {
 		e := &m.ents[ei]
 		if !e.squashed && (e.state != stIssued || e.inst.Op != isa.LW) {
 			return fmt.Errorf("pending load list holds %v", e)
-		}
-		if (e.where & inPendingLoads) == 0 {
-			return fmt.Errorf("pending load list holds %v without its membership flag", e)
 		}
 	}
 
@@ -341,24 +335,7 @@ func (m *Machine) checkSoA() error {
 		}
 	}
 
-	// Lazily dropped squashed references and held load units.
-	sqComp, sqPend := 0, 0
-	for _, ei := range m.completions {
-		if m.ents[ei].squashed {
-			sqComp++
-		}
-	}
-	for _, ei := range m.pendingLoads {
-		if m.ents[ei].squashed {
-			sqPend++
-		}
-	}
-	if sqComp != m.sqComp {
-		return fmt.Errorf("sqComp counter %d, recount %d", m.sqComp, sqComp)
-	}
-	if sqPend != m.sqPend {
-		return fmt.Errorf("sqPend counter %d, recount %d", m.sqPend, sqPend)
-	}
+	// Every pending load, squashed or not, holds its load unit.
 	held := 0
 	for i := range m.pools[isa.ClassLoad].units {
 		if m.pools[isa.ClassLoad].units[i].holder >= 0 {

@@ -66,14 +66,10 @@ const spuriousWakeupBackoff = 4
 // toCompletions moves an issued entry onto the completion queue.
 func (m *Machine) toCompletions(e *suEntry) {
 	m.retain(e)
-	e.where |= inCompletions
 	m.completions = append(m.completions, e.idx)
 }
 
-// refusal is why a ready waiting entry does not issue. Every refusal
-// is a pure function of state that only issue, writeback, commit, or
-// drain change, which is what lets the fast-forward replay one across
-// an inert span (see noteRefusal).
+// refusal is why a ready waiting entry does not issue.
 type refusal uint8
 
 const (
@@ -122,13 +118,11 @@ type loadPath struct {
 }
 
 // issueVerdict decides whether the ready waiting entry e, of FU class
-// class, would issue at cycle now with held store-buffer slots
-// unavailable: the unit it would take, or the refusal and -1. It
-// changes nothing but *ld, which it fills for loads: tryIssue asks at
-// m.now with m.sbHeld, and the fast-forward asks at m.now+1 with no
-// held slots. The unit check comes last, after every ordering and
-// resource rule of the entry's class.
-func (m *Machine) issueVerdict(e *suEntry, class isa.Class, now uint64, held int, ld *loadPath) (refusal, int) {
+// class, issues this cycle: the unit it would take, or the refusal and
+// -1. It changes nothing but *ld, which it fills for loads. The unit
+// check comes last, after every ordering and resource rule of the
+// entry's class.
+func (m *Machine) issueVerdict(e *suEntry, class isa.Class, ld *loadPath) (refusal, int) {
 	switch class {
 	case isa.ClassLoad:
 		// Acquire ordering: a load may not issue past an older unresolved
@@ -171,10 +165,10 @@ func (m *Machine) issueVerdict(e *suEntry, class isa.Class, now uint64, held int
 		// machine wedges. Reserving per waiting store guarantees the
 		// bottom block can always issue all of its stores (Validate keeps
 		// StoreBuffer >= BlockSize), commit, and drain.
-		// Fault injection may hold some slots for a cycle (held), capped
-		// so the effective buffer never drops below BlockSize and the
-		// reservation argument above still goes through.
-		if m.cfg.StoreBuffer-len(m.storeBuf)-held <= m.waitingStoresBelow(e) {
+		// Fault injection may hold some slots for a cycle (m.sbHeld),
+		// capped so the effective buffer never drops below BlockSize and
+		// the reservation argument above still goes through.
+		if m.cfg.StoreBuffer-len(m.storeBuf)-m.sbHeld <= m.waitingStoresBelow(e) {
 			return refStoreFull, -1
 		}
 	case isa.ClassSync:
@@ -190,7 +184,7 @@ func (m *Machine) issueVerdict(e *suEntry, class isa.Class, now uint64, held int
 			return refFlagFence, -1
 		}
 	}
-	if unit := m.pools[class].tryAcquire(now); unit >= 0 {
+	if unit := m.pools[class].tryAcquire(m.now); unit >= 0 {
 		return refNone, unit
 	}
 	return refFUExhausted, -1
@@ -202,7 +196,7 @@ func (m *Machine) tryIssue(e *suEntry) bool {
 	op := e.inst.Op
 	class := op.FUClass()
 	var ld loadPath
-	ref, unit := m.issueVerdict(e, class, m.now, m.sbHeld, &ld)
+	ref, unit := m.issueVerdict(e, class, &ld)
 	// A sync op that passed its ordering rules asks the controller for
 	// its grant before taking a unit, and fault injection may hold it.
 	if (ref == refNone || ref == refFUExhausted) && class == isa.ClassSync &&
@@ -261,7 +255,6 @@ func (m *Machine) tryIssue(e *suEntry) bool {
 		pool.issue(unit, m.now)
 		pool.hold(unit, e, m.now)
 		m.retain(e)
-		e.where |= inPendingLoads
 		m.pendingLoads = append(m.pendingLoads, e.idx)
 		return true
 
@@ -594,8 +587,6 @@ func (m *Machine) serviceLoads() {
 		e := &m.ents[ei]
 		if e.squashed {
 			pool.release(e.fuUnit, m.now)
-			m.sqPend--
-			e.where &^= inPendingLoads
 			m.release(e)
 			continue
 		}
@@ -614,7 +605,6 @@ func (m *Machine) serviceLoads() {
 		}
 		e.result = reqs[i].Val
 		e.completeAt = m.now + pool.latency
-		e.where = e.where&^inPendingLoads | inCompletions
 		m.completions = append(m.completions, ei)
 		pool.release(e.fuUnit, m.now)
 	}

@@ -79,10 +79,10 @@ func (m *Machine) initSoA() {
 	m.swPend = make([]int32, m.cfg.Threads)
 
 	// Queues and scratch lists, preallocated to their occupancy bounds so
-	// a machine allocates nothing after construction — including its very
-	// first cycles (TestFastForwardAllocFree measures fresh machines, not
-	// warmed ones). Entry-indexed lists are bounded by the entry arena's
-	// initial capacity; the rare arena growth beyond it just reallocates.
+	// a machine allocates nothing after construction, from its very first
+	// cycle on (TestRunAllocFreeMissBound measures fresh machines).
+	// Entry-indexed lists are bounded by the entry arena's initial
+	// capacity; the rare arena growth beyond it just reallocates.
 	entCap := cap(m.ents)
 	m.entryFree = make([]int32, 0, entCap)
 	m.storeOpFree = make([]int32, 0, cap(m.sops))
@@ -94,7 +94,6 @@ func (m *Machine) initSoA() {
 	m.drainQueue = make([]int32, 0, m.cfg.StoreBuffer)
 	m.wbDue = make([]int32, 0, entCap)
 	m.fwdCands = make([]int32, 0, entCap)
-	m.ffBlocked = make([]refusal, 0, m.suCap*BlockSize)
 	for i := range m.regProd {
 		m.regProd[i] = -1
 	}
@@ -202,12 +201,6 @@ func (m *Machine) noteSquashed(e *suEntry) {
 	}
 	m.suOcc--
 	m.occByThread[e.thread]--
-	if (e.where & inCompletions) != 0 {
-		m.sqComp++
-	}
-	if (e.where & inPendingLoads) != 0 {
-		m.sqPend++
-	}
 }
 
 // suExitBlock clears a committed block's scoreboard group and settles

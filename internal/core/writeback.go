@@ -21,8 +21,6 @@ func (m *Machine) writeback() {
 	for _, ei := range m.completions {
 		e := &m.ents[ei]
 		if e.squashed {
-			m.sqComp--
-			e.where &^= inCompletions
 			m.release(e) // dropped; its block slot is a hole
 			continue
 		}
@@ -57,8 +55,6 @@ func (m *Machine) writeback() {
 	for _, ei := range due {
 		e := &m.ents[ei]
 		if e.squashed {
-			m.sqComp--
-			e.where &^= inCompletions
 			m.release(e) // squashed by an older CT written back just before
 			continue
 		}
@@ -78,7 +74,6 @@ func (m *Machine) writeback() {
 			e.resolved = true
 			m.handleResolvedCT(e)
 		}
-		e.where &^= inCompletions
 		m.release(e) // consumed from the completion queue
 	}
 }

@@ -32,15 +32,11 @@ type fuzzCase struct {
 //   - intensity%20 scales the fault rates; bits 16–18 of intensity gate
 //     the memory hierarchy (bit 16 = L2, bit 17 = victim buffer, bit
 //     18 = prefetcher), shrinking the L1 to 1 KB so fuzz-sized programs
-//     actually miss into the backside structures; bits 19–23 drive the
-//     idle-cycle fast-forward (0 = default, 1–30 = FFMinSkip, 31 =
-//     fast-forward disabled), so the fuzzer searches skip-threshold
-//     space — every skip length down to FFMinSkip=1 must stay
-//     bit-identical under Verify's differential.
+//     actually miss into the backside structures; bits 19+ of
+//     intensity are unused.
 //
 // Every pre-existing corpus value is below 2^16 in the high halves, so
-// old entries keep exercising the paper-default single-level machine
-// with the default fast-forward.
+// old entries keep exercising the paper-default single-level machine.
 func buildFuzzCase(t *testing.T, progSeed int64, faultSeed, threads, intensity uint64) fuzzCase {
 	t.Helper()
 	n := int(threads%6) + 1
@@ -66,12 +62,6 @@ func buildFuzzCase(t *testing.T, progSeed int64, faultSeed, threads, intensity u
 		if (hier & 4) != 0 {
 			fc.cfg.Cache.Prefetch = true
 		}
-	}
-	switch ff := (intensity >> 19) % 32; {
-	case ff == 31:
-		fc.cfg.NoFastForward = true
-	case ff > 0:
-		fc.cfg.FFMinSkip = int(ff) // 1..30: aggressive through lazy thresholds
 	}
 	fc.cfg.CheckInvariants = true
 	fc.cfg.Watchdog = 200_000
@@ -158,15 +148,10 @@ func FuzzVerify(f *testing.F) {
 	f.Add(int64(1618), uint64((1<<18)+4), uint64(2), uint64((2<<16)+3))         // heterogeneous pair (equal split) + victim-only hierarchy
 	f.Add(int64(3141), uint64((2<<18)+(1<<16)+2), uint64(5), uint64((5<<16)+7)) // L2+prefetch, gshare, 6-thread mixed pair with a pinned 21-reg slot
 	f.Add(int64(-271), uint64((3<<18)+6), uint64(3), uint64((4<<16)+14))        // prefetch only, both slots on the 21-reg budget, heavy faults
-	// Fast-forward threshold entries (bits 19–23 of intensity) pin the
-	// extremes of the skip-threshold space the fuzzer now searches. The
-	// aggressive entry is asserted to actually batch cycles by
-	// TestFuzzCorpusExercisesFastForward (ffdiff_test.go), so it cannot
-	// silently rot into a no-op.
-	f.Add(int64(2718), uint64(6), uint64(4), uint64((1<<19)+4))           // FFMinSkip=1: every inert gap becomes a skip
-	f.Add(int64(-1414), uint64((1<<16)+9), uint64(2), uint64((30<<19)+7)) // FFMinSkip=30: only long stalls batch, gshare predictor
-	f.Add(int64(161803), uint64(8), uint64(5), uint64((31<<19)+11))       // fast-forward disabled: plain stepping under faults
-	f.Add(int64(2718), uint64(6), uint64(4), uint64((31<<19)+4))          // the FFMinSkip=1 case again with fast-forward off
+	// Plain seeds. The bits they set at 19+ of intensity are unused.
+	f.Add(int64(2718), uint64(6), uint64(4), uint64((1<<19)+4))           // five threads, storm-range faults
+	f.Add(int64(-1414), uint64((1<<16)+9), uint64(2), uint64((30<<19)+7)) // gshare on three threads, medium faults
+	f.Add(int64(161803), uint64(8), uint64(5), uint64((31<<19)+11))       // six threads, the highest fault rates
 	f.Fuzz(func(t *testing.T, progSeed int64, faultSeed, threads, intensity uint64) {
 		fc := buildFuzzCase(t, progSeed, faultSeed, threads, intensity)
 		var err error
