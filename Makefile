@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check check report
+.PHONY: all build vet fmt lint test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check check report
 
 all: check
 
@@ -9,6 +9,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails listing every tracked Go file gofmt would
+# change. Listing tracked files keeps untracked build trees such as
+# .bench_build/ out of the check.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # Repo-local precedence lints (internal/lint): shift-vs-additive and
 # bitand-vs-compare expressions must spell out their grouping.
@@ -145,7 +152,7 @@ bench-check:
 	$(GO) run ./cmd/sdsp-bench -check BENCH_sim.json
 
 # Everything CI runs.
-check: vet lint build test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race determinism-smoke bench-check crash-replay-smoke
+check: vet fmt lint build test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race determinism-smoke bench-check crash-replay-smoke
 
 # Full paper-scale experiment report (several minutes; all cores).
 report:

@@ -1,11 +1,16 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/cover"
+	"repro/internal/kernels"
+	"repro/internal/loader"
 )
 
 // allocWorkload is a never-halting four-thread program that keeps every
@@ -190,13 +195,22 @@ func TestCycleAllocParanoidBudget(t *testing.T) {
 	}
 }
 
-// TestRunAllocFreeMissBound asserts that a whole Run of a miss-bound
-// program allocates nothing, from a fresh machine through the final
-// flush and statistics. Machines are built ahead of time so only Run
-// is measured (AllocsPerRun invokes the function runs+1 times: one
-// warm-up plus the measured runs).
+// TestRunAllocFreeMissBound asserts that a whole Run allocates nothing,
+// from a fresh machine through the final flush and statistics: the
+// miss-bound program, and every paper kernel at Small scale on 1 and 4
+// threads. Loading materializes the pages under every segment a program
+// stores to (flag extents included), and Run returns the stats the
+// machine already holds, so neither costs an allocation mid-run.
+// Machines are built ahead of time so only Run is measured
+// (AllocsPerRun invokes the function runs+1 times: one warm-up plus the
+// measured runs).
 func TestRunAllocFreeMissBound(t *testing.T) {
-	obj, err := asm.Assemble(missBoundWorkload)
+	type runCase struct {
+		name string
+		obj  *loader.Object
+		cfg  Config
+	}
+	missBound, err := asm.Assemble(missBoundWorkload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,31 +218,88 @@ func TestRunAllocFreeMissBound(t *testing.T) {
 	cfg.Threads = 1
 	cfg.Cache.SizeBytes = 1024
 	cfg.Cache.MissPenalty = 40
-	const runs = 5
-	machines := make([]*Machine, 0, runs+1)
-	for i := 0; i <= runs; i++ {
-		m, err := New(obj, cfg)
+	cases := []runCase{{"miss-bound", missBound, cfg}}
+	for _, b := range kernels.All() {
+		for _, threads := range []int{1, 4} {
+			obj, err := b.Build(kernels.Params{Threads: threads, Scale: kernels.Small})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.Threads = threads
+			cases = append(cases, runCase{fmt.Sprintf("%s/t%d", b.Name, threads), obj, cfg})
+		}
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			const runs = 5
+			machines := make([]*Machine, 0, runs+1)
+			for i := 0; i <= runs; i++ {
+				m, err := New(c.obj, c.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				machines = append(machines, m)
+			}
+			next := 0
+			var runErr error
+			avg := testing.AllocsPerRun(runs, func() {
+				m := machines[next]
+				next++
+				if _, err := m.Run(); err != nil && runErr == nil {
+					runErr = err
+				}
+			})
+			if runErr != nil {
+				t.Fatalf("measured run failed: %v", runErr)
+			}
+			if c.name == "miss-bound" && machines[0].Stats().Cache.Misses == 0 {
+				t.Fatal("miss-bound workload never missed")
+			}
+			if avg != 0 {
+				t.Errorf("Run allocates %.2f objects/run, want 0", avg)
+			}
+		})
+	}
+}
+
+// TestRunStatsDoNotPinMachine: a caller that keeps only Run's *Stats —
+// as the experiment runner's memo does for every cell of a sweep — must
+// not keep the machine, and with it the memory image, alive. The
+// machine has no fault injector: the injector's closures form a cycle
+// through the machine, and the runtime need not run a finalizer on a
+// cycle.
+func TestRunStatsDoNotPinMachine(t *testing.T) {
+	obj, err := asm.Assemble(missBoundWorkload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := make(chan struct{})
+	st := func() *Stats {
+		m, err := New(obj, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		machines = append(machines, m)
-	}
-	next := 0
-	var runErr error
-	avg := testing.AllocsPerRun(runs, func() {
-		m := machines[next]
-		next++
-		if _, err := m.Run(); err != nil && runErr == nil {
-			runErr = err
+		runtime.SetFinalizer(m, func(*Machine) { close(collected) })
+		st, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if runErr != nil {
-		t.Fatalf("measured run failed: %v", runErr)
-	}
-	if st := machines[0].Stats(); st.Cache.Misses == 0 {
-		t.Fatal("miss-bound workload never missed")
-	}
-	if avg != 0 {
-		t.Errorf("miss-bound Run allocates %.2f objects/run, want 0", avg)
+		return st
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			if st.Cycles == 0 {
+				t.Error("kept stats are empty")
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("machine still reachable 2s after Run: its *Stats pins it")
+		}
 	}
 }

@@ -111,8 +111,10 @@ type Machine struct {
 	// each physical register, 0 when free.
 	busyReg [isa.NumPhysRegs]uint64
 
-	now   uint64
-	stats Stats
+	now uint64
+	// stats is allocated apart from the machine so that a caller keeping
+	// Run's *Stats does not keep the machine (and its memory) alive.
+	stats *Stats
 
 	// Wall-clock accounting per pipeline phase (Config.PhaseTiming).
 	phaseTime PhaseTimes
@@ -190,6 +192,7 @@ func New(obj *loader.Object, cfg Config) (*Machine, error) {
 		halted:       make([]bool, cfg.Threads),
 		maskedThread: -1,
 		pools:        newPools(cfg.FUs),
+		stats:        &Stats{},
 	}
 	// Each slot's threads get its text, its physical window, a register
 	// partition, and thread ids relative to the slot.
@@ -322,13 +325,13 @@ func (m *Machine) Run() (*Stats, error) {
 	}
 	m.dcache.FlushAll()
 	m.finishStats()
-	return &m.stats, nil
+	return m.stats, nil
 }
 
 // Stats returns the statistics gathered so far.
 func (m *Machine) Stats() *Stats {
 	m.finishStats()
-	return &m.stats
+	return m.stats
 }
 
 // newPredictor builds one predictor instance for cfg. Per-thread-BTB

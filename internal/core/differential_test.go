@@ -76,13 +76,9 @@ func diffOne(t *testing.T, seed int64, cfgName string, cfg Config) {
 	if _, err := m.Run(); err != nil {
 		t.Fatalf("seed %d cfg %s: %v", seed, cfgName, err)
 	}
-	refMem := ref.Memory().Snapshot()
-	gotMem := m.Memory().Snapshot()
-	for i := range refMem {
-		if refMem[i] != gotMem[i] {
-			t.Fatalf("seed %d cfg %s: memory diverges at %#x: pipeline %#x, funcsim %#x",
-				seed, cfgName, i*4, gotMem[i], refMem[i])
-		}
+	if addr, got, want, differ := m.Memory().Diff(ref.Memory()); differ {
+		t.Fatalf("seed %d cfg %s: memory diverges at %#x: pipeline %#x, funcsim %#x",
+			seed, cfgName, addr, got, want)
 	}
 	for tid := 0; tid < cfg.Threads; tid++ {
 		for r := 1; r < ref.RegsPerThread(); r++ {
@@ -162,13 +158,9 @@ func diffKernel(t *testing.T, b *kernels.Benchmark, threads int, cfg Config) {
 	if err := b.Check(m.Memory(), obj, p); err != nil {
 		t.Fatalf("%s (t=%d): pipeline image fails golden check: %v", b.Name, threads, err)
 	}
-	refMem := ref.Memory().Snapshot()
-	gotMem := m.Memory().Snapshot()
-	for i := range refMem {
-		if refMem[i] != gotMem[i] {
-			t.Fatalf("%s (t=%d): memory diverges at %#x: pipeline %#x, funcsim %#x",
-				b.Name, threads, i*4, gotMem[i], refMem[i])
-		}
+	if addr, got, want, differ := m.Memory().Diff(ref.Memory()); differ {
+		t.Fatalf("%s (t=%d): memory diverges at %#x: pipeline %#x, funcsim %#x",
+			b.Name, threads, addr, got, want)
 	}
 }
 
@@ -278,13 +270,8 @@ func TestDifferentialEightThreads(t *testing.T) {
 				if _, err := m.Run(); err != nil {
 					t.Fatalf("pipeline: %v", err)
 				}
-				refMem := ref.Memory().Snapshot()
-				gotMem := m.Memory().Snapshot()
-				for i := range refMem {
-					if refMem[i] != gotMem[i] {
-						t.Fatalf("memory diverges at %#x: pipeline %#x, funcsim %#x",
-							i*4, gotMem[i], refMem[i])
-					}
+				if addr, got, want, differ := m.Memory().Diff(ref.Memory()); differ {
+					t.Fatalf("memory diverges at %#x: pipeline %#x, funcsim %#x", addr, got, want)
 				}
 				// This kernel's register state is interleaving-independent
 				// (the fetch-add result is discarded), so compare it too.

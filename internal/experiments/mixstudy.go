@@ -205,7 +205,7 @@ func (r *Runner) runMixSolo(name string, build func(r *Runner, k int) (*loader.O
 	cfg := r.config(k)
 	cfg.MaxCycles = 100_000_000
 	hier.apply(&cfg.Cache)
-	key := fmt.Sprintf("mixsolo/%s/t%d/%s/s%d", name, k, hier.name, r.Scale)
+	key := fmt.Sprintf("mixsolo/%s/t%d/%s/s%d/bp%v/f%v", name, k, hier.name, r.Scale, cfg.Predictor, cfg.FetchPolicy)
 	run := func() (*core.Stats, error) {
 		obj, err := build(r, k)
 		if err != nil {
@@ -262,12 +262,9 @@ func (r *Runner) runMixCell(p *mixPairing, total int, hier hierVariant) (*core.S
 		if err != nil {
 			return nil, fmt.Errorf("mix %s functional reference: %w", p.name, err)
 		}
-		refMem, gotMem := ref.Memory().Snapshot(), m.Memory().Snapshot()
-		for i := range refMem {
-			if refMem[i] != gotMem[i] {
-				return nil, fmt.Errorf("mix %s (threads=%d+%d %s) diverges from the functional reference at %#x: pipeline %#x, functional %#x",
-					p.name, ka, kb, hier.name, i*4, gotMem[i], refMem[i])
-			}
+		if addr, got, want, differ := m.Memory().Diff(ref.Memory()); differ {
+			return nil, fmt.Errorf("mix %s (threads=%d+%d %s) diverges from the functional reference at %#x: pipeline %#x, functional %#x",
+				p.name, ka, kb, hier.name, addr, got, want)
 		}
 		r.progressf("mix %-12s t%d+%d %-11s: %d cycles (IPC %.2f) [%v]",
 			p.name, ka, kb, hier.name, st.Cycles, st.IPC(), time.Since(start).Round(time.Millisecond))

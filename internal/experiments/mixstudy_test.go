@@ -126,6 +126,39 @@ func TestMixstudyCoversGrid(t *testing.T) {
 	}
 }
 
+// TestMixSoloKeyNamesFrontend: a mix partner's solo baseline simulates
+// under the runner's -bpred and -fetch overrides, so its cell key must
+// name both. A store filled by a default runner must not serve its
+// TrueRR baseline to a runner that overrides the fetch policy.
+func TestMixSoloKeyNamesFrontend(t *testing.T) {
+	s := openStore(t, filepath.Join(t.TempDir(), "store"))
+	prog, l1 := progenProgram(1996), hierVariants()[0]
+	cswitch := func(r *Runner) *Runner {
+		r.HasFetch, r.FetchOverride = true, core.CondSwitch
+		return r
+	}
+	solo := func(r *Runner) uint64 {
+		t.Helper()
+		st, err := prog.solo(r, 2, l1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Cycles
+	}
+	fresh := solo(cswitch(NewRunner(kernels.Small)))
+
+	def := NewRunner(kernels.Small)
+	def.Store = s
+	if got := solo(def); got == fresh {
+		t.Fatalf("default and CondSwitch solos both take %d cycles; the test cannot tell them apart", got)
+	}
+	over := cswitch(NewRunner(kernels.Small))
+	over.Store = s
+	if got := solo(over); got != fresh {
+		t.Errorf("CondSwitch solo from a default-filled store = %d cycles, fresh run %d", got, fresh)
+	}
+}
+
 // TestHierarchyOffBitIdentity is the defaults-off guarantee in
 // executable form: with L2, victim buffer, and prefetcher disabled (the
 // default configuration), every benchmark × thread point in the

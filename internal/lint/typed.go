@@ -215,7 +215,7 @@ func unsignedSubCompares(fset *token.FileSet, f *ast.File, info *types.Info) []D
 				continue // untyped, or a constant that already proved non-negative
 			}
 			basic, ok := tv.Type.Underlying().(*types.Basic)
-			if !ok || (basic.Info() & types.IsUnsigned) == 0 {
+			if !ok || (basic.Info()&types.IsUnsigned) == 0 {
 				continue
 			}
 			diags = append(diags, Diagnostic{

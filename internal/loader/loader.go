@@ -1,12 +1,9 @@
 // Package loader defines the object module produced by the assembler
-// and loads it into a memory image with the SDSP-32 address map.
+// and loads it into a memory image with the SDSP-32 address map (see
+// Mix.Load; a single program is the one-slot SoloMix).
 package loader
 
-import (
-	"fmt"
-
-	"repro/internal/mem"
-)
+import "fmt"
 
 // Address map. The flag segment is reached only through the
 // synchronization controller (FLDW/FSTW/FAI); LW/SW to it are a program
@@ -43,21 +40,6 @@ func (o *Object) Validate() error {
 		return fmt.Errorf("loader: entry point %#x outside text", o.Entry)
 	}
 	return nil
-}
-
-// Load builds a fresh memory image containing the program.
-func (o *Object) Load() (*mem.Memory, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	m := mem.New(MemSize)
-	for i, w := range o.Text {
-		m.StoreWord(TextBase+uint32(i)*4, w)
-	}
-	for i, w := range o.Data {
-		m.StoreWord(DataBase+uint32(i)*4, w)
-	}
-	return m, nil
 }
 
 // Symbol returns the address of a label, with a helpful error when the

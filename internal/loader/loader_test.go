@@ -1,6 +1,10 @@
 package loader
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/mem"
+)
 
 func TestLoadPlacesSegments(t *testing.T) {
 	obj := &Object{
@@ -10,7 +14,7 @@ func TestLoadPlacesSegments(t *testing.T) {
 		Entry:   4,
 		Symbols: map[string]uint32{"a": DataBase},
 	}
-	m, err := obj.Load()
+	m, err := SoloMix(obj, 1).Load()
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
@@ -22,6 +26,32 @@ func TestLoadPlacesSegments(t *testing.T) {
 	}
 	if m.LoadWord(FlagBase) != 0 {
 		t.Error("flag segment not zeroed")
+	}
+}
+
+// TestLoadMaterializesFlagExtent: the flag segment's pages exist from
+// the start, so a sync primitive's first store into them does not
+// allocate in the middle of a run. Each measured store goes to a fresh
+// image (AllocsPerRun makes runs+1 calls: one warm-up, then the
+// measured runs).
+func TestLoadMaterializesFlagExtent(t *testing.T) {
+	obj := &Object{Text: []uint32{1}, FlagLen: 8}
+	const runs = 5
+	images := make([]*mem.Memory, runs+1)
+	for i := range images {
+		m, err := SoloMix(obj, 1).Load()
+		if err != nil {
+			t.Fatalf("Load: %v", err)
+		}
+		images[i] = m
+	}
+	next := 0
+	n := testing.AllocsPerRun(runs, func() {
+		images[next].StoreWord(FlagBase+4, 1)
+		next++
+	})
+	if n != 0 {
+		t.Errorf("first StoreWord into the flag extent allocates %.2f objects, want 0", n)
 	}
 }
 

@@ -80,7 +80,10 @@ func (x *Mix) Validate() error {
 }
 
 // Load builds the combined physical memory image: each slot's text and
-// data at its window's TextBase/DataBase offsets.
+// data at its window's TextBase/DataBase offsets, and its zeroed flag
+// segment at FlagBase. Storing a segment's words materializes the pages
+// under it, so a run's stores inside its text, data (which includes
+// .space) and flag extents never allocate.
 func (x *Mix) Load() (*mem.Memory, error) {
 	if err := x.Validate(); err != nil {
 		return nil, err
@@ -94,6 +97,9 @@ func (x *Mix) Load() (*mem.Memory, error) {
 		}
 		for j, w := range s.Object.Data {
 			m.StoreWord(base+DataBase+uint32(j)*4, w)
+		}
+		for off := uint32(0); off < s.Object.FlagLen; off += 4 {
+			m.StoreWord(base+FlagBase+off, 0)
 		}
 	}
 	return m, nil

@@ -258,17 +258,13 @@ func VerifyMix(mix *Mix, cfg Config) error {
 }
 
 func compareMemory(ref *funcsim.Sim, m *Machine) error {
-	refMem := ref.Memory().Snapshot()
-	gotMem := m.Memory().Snapshot()
-	if len(refMem) != len(gotMem) {
+	refMem, gotMem := ref.Memory(), m.Memory()
+	if refMem.Size() != gotMem.Size() {
 		return fmt.Errorf("memory sizes diverge: pipeline %d words, functional %d words",
-			len(gotMem), len(refMem))
+			gotMem.Size()/4, refMem.Size()/4)
 	}
-	for i := range refMem {
-		if refMem[i] != gotMem[i] {
-			return fmt.Errorf("memory diverges at %#x: pipeline %#x, functional %#x",
-				i*4, gotMem[i], refMem[i])
-		}
+	if addr, got, want, differ := gotMem.Diff(refMem); differ {
+		return fmt.Errorf("memory diverges at %#x: pipeline %#x, functional %#x", addr, got, want)
 	}
 	return nil
 }
