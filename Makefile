@@ -105,10 +105,11 @@ serve-smoke:
 	$(GO) test ./internal/store/chaostest -run TestServeSmoke -count=1 -v
 
 # The store's concurrency claims under the race detector: in-process
-# concurrent Get/Put/TryLock, rival lease claimants (exactly one wins),
-# plus the parallel-runner store properties.
+# concurrent Get/Put/TryLock, two handles on one directory seeing each
+# other's appends, rival lease claimants (exactly one wins), plus the
+# parallel-runner store properties.
 store-race:
-	$(GO) test -race ./internal/store -run TestConcurrentAccess -count=1
+	$(GO) test -race ./internal/store -run 'TestConcurrentAccess|TestTwoHandlesShareOneDirectory' -count=1
 	$(GO) test -race ./internal/store -run TestLeaseConcurrentClaimOneWinner -count=20
 	$(GO) test -race ./internal/experiments -run 'TestStoreColdWarmMixedIdentity|TestStoreCountersIndependentOfWorkers'
 

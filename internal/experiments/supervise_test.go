@@ -79,22 +79,26 @@ func TestStoreColdWarmMixedIdentity(t *testing.T) {
 		t.Errorf("warm stats = %+v, want %d hits and 0 misses", st, len(warmT))
 	}
 
-	// Degrade the store: delete every third cell, corrupt one more.
-	hashes, err := warmStore.CellHashes()
+	// Degrade the store: corrupt every third record in place, by
+	// flipping the closing brace of its envelope.
+	recs, err := store.Records(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, h := range hashes {
-		path := filepath.Join(dir, "cells", h[:2], h+".json")
-		switch {
-		case i%3 == 0:
-			if err := os.Remove(path); err != nil {
-				t.Fatal(err)
-			}
-		case i%3 == 1 && i == 1:
-			if err := os.WriteFile(path, []byte(`{"version":1,"tor`), 0o644); err != nil {
-				t.Fatal(err)
-			}
+	for i, rec := range recs {
+		if i%3 != 0 {
+			continue
+		}
+		f, err := os.OpenFile(filepath.Join(dir, "segments", rec.Segment), os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = f.WriteAt([]byte{'}' ^ 1}, rec.Offset+rec.Size-1)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 

@@ -285,8 +285,8 @@ func readFailures(storeDir, id string) map[string]FailureRecord {
 	return out
 }
 
-// atomicWriteFile is the jobs-plane twin of the store's atomic commit:
-// temp file in the target directory, fsync, rename. A killed writer
+// atomicWriteFile commits a jobs-plane file atomically: temp file in
+// the target directory, fsync, rename. A killed writer
 // leaves only an inert temp file (swept by the store's opener).
 func atomicWriteFile(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
@@ -385,7 +385,7 @@ const (
 
 // CellStatus is the observable state of one cell of a job.
 type CellStatus struct {
-	Hash  string `json:"hash"` // content address (store cell file / lease name)
+	Hash  string `json:"hash"` // content address (store.HashKey of the cell key, lease name)
 	Label string `json:"label"`
 	State string `json:"state"`
 	Owner string `json:"owner,omitempty"` // lease holder, when leased

@@ -137,24 +137,18 @@ func killAfter(t *testing.T, storeDir string, n int) {
 	}
 }
 
-// committedHashes snapshots the store's committed cell hashes by
-// reading the directory tree directly — no store code runs, so the
-// post-kill state reaches the resumed sweep untouched.
+// committedHashes snapshots the store's committed cell hashes with
+// store.Records, which only reads the segments — no store is opened,
+// so the post-kill state reaches the resumed sweep untouched.
 func committedHashes(t *testing.T, storeDir string) map[string]bool {
 	t.Helper()
-	hashes := map[string]bool{}
-	err := filepath.WalkDir(filepath.Join(storeDir, "cells"), func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if !d.IsDir() && strings.HasSuffix(name, ".json") && !strings.Contains(name, ".tmp") {
-			hashes[strings.TrimSuffix(name, ".json")] = true
-		}
-		return nil
-	})
+	recs, err := store.Records(storeDir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	hashes := map[string]bool{}
+	for _, r := range recs {
+		hashes[r.Hash] = true
 	}
 	return hashes
 }

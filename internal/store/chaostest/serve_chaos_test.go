@@ -4,7 +4,7 @@
 //   - the resumed job's tables are byte-identical to an uninterrupted
 //     single-process sdsp-exp run of the same sweep;
 //   - no cell committed before the kill is ever recomputed (proved by
-//     inode + mtime snapshots: commits are new files, never rewrites);
+//     record snapshots: a commit appends a record, never rewrites one);
 //   - every lease is either committed or expired-and-requeued — the
 //     leases directory is empty once the job finishes.
 //
@@ -23,11 +23,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/store"
 )
 
 // Short lease + fast heartbeat so a killed worker's cells requeue
@@ -224,56 +227,30 @@ func fetchTables(t *testing.T, base, id string, timeout time.Duration) []byte {
 	}
 }
 
-// fileID identifies one committed cell file instance: a recompute
-// would replace it (atomic commits rename a fresh temp file into
-// place), changing inode and mtime.
-type fileID struct {
-	ino   uint64
-	mtime time.Time
-	size  int64
-}
-
-// snapshotCells records the identity of every committed cell file.
-func snapshotCells(t *testing.T, storeDir string) map[string]fileID {
+// snapshotCells records where every committed cell's records lie,
+// reading the segments without opening the store. Records are never
+// rewritten, so a recompute can only show up as an extra record.
+func snapshotCells(t *testing.T, storeDir string) map[string][]store.Record {
 	t.Helper()
-	snap := map[string]fileID{}
-	err := filepath.WalkDir(filepath.Join(storeDir, "cells"), func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(d.Name(), ".json") || strings.Contains(d.Name(), ".tmp") {
-			return err
-		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			return err
-		}
-		st, ok := fi.Sys().(*syscall.Stat_t)
-		if !ok {
-			t.Fatal("no syscall.Stat_t on this platform; cannot prove zero recompute")
-		}
-		snap[strings.TrimSuffix(d.Name(), ".json")] = fileID{
-			ino: st.Ino, mtime: fi.ModTime(), size: fi.Size(),
-		}
-		return nil
-	})
+	recs, err := store.Records(storeDir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	snap := map[string][]store.Record{}
+	for _, r := range recs {
+		snap[r.Hash] = append(snap[r.Hash], r)
 	}
 	return snap
 }
 
 // assertUntouched proves zero recompute: every cell committed before
-// the kill is still the same file (inode, mtime, size) afterwards.
-func assertUntouched(t *testing.T, storeDir string, snap map[string]fileID) {
+// the kill still has exactly the records it had, and no new one.
+func assertUntouched(t *testing.T, storeDir string, snap map[string][]store.Record) {
 	t.Helper()
 	now := snapshotCells(t, storeDir)
 	for hash, was := range snap {
-		cur, ok := now[hash]
-		if !ok {
-			t.Errorf("committed cell %s disappeared during resume", hash)
-			continue
-		}
-		if cur != was {
-			t.Errorf("committed cell %s was rewritten (inode %d→%d, mtime %v→%v): recompute of committed work",
-				hash, was.ino, cur.ino, was.mtime, cur.mtime)
+		if cur := now[hash]; !slices.Equal(cur, was) {
+			t.Errorf("committed cell %s has records %+v, had %+v: recompute of committed work", hash, cur, was)
 		}
 	}
 }

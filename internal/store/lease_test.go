@@ -249,6 +249,9 @@ func TestPidStartTimeSelf(t *testing.T) {
 	if _, ok := pidStartTime(1 << 30); ok {
 		t.Error("nonexistent PID reported a start time")
 	}
+	if self := selfIdent(); self.PID != os.Getpid() || self.Start != start {
+		t.Errorf("cached identity %+v, want pid %d start %d", self, os.Getpid(), start)
+	}
 }
 
 func TestForceReadOnlyRefusesWritesAndLeases(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"syscall"
 )
 
@@ -25,11 +26,12 @@ type procIdent struct {
 	Start uint64 `json:"start,omitempty"`
 }
 
-// selfIdent returns the calling process's identity.
-func selfIdent() procIdent {
+// selfIdent returns the calling process's identity, read from procfs
+// once per process.
+var selfIdent = sync.OnceValue(func() procIdent {
 	start, _ := pidStartTime(os.Getpid())
 	return procIdent{PID: os.Getpid(), Start: start}
-}
+})
 
 // alive reports whether the process this identity names still exists.
 // It is the staleness oracle for lock and lease files: a dead PID is

@@ -1,7 +1,7 @@
 // Package store is the content-addressed, crash-safe on-disk cell
-// result store behind `sdsp-exp -store` / `sdsp-report -store`: one
-// checksummed JSON file per completed experiment cell, keyed by the
-// same cache key the experiment runner already folds every
+// result store behind `sdsp-exp -store` / `sdsp-report -store`: a log
+// of checksummed JSON records, one per completed experiment cell, keyed
+// by the same cache key the experiment runner already folds every
 // timing-relevant configuration field (fault spec, predictor, timing
 // mode, ...) into. Repeated sweeps — and concurrent sweeps from
 // several processes — share cells instead of re-simulating them, while
@@ -9,42 +9,66 @@
 // warm cell deserializes to the same Stats the fresh simulation
 // produced.
 //
+// Layout:
+//
+//	VERSION                           layout marker
+//	segments/<pid>-<start>-<nonce>.seg  one append-only record log per writing handle
+//	owners/<pid>-<start>.owner        one identity file per locking process
+//	locks/<sha256>.lock               a hard link to the holder's owner file
+//	leases/<sha256>.lease             worker claims (see lease.go)
+//	quarantine/<sha256>.json          deterministic-failure verdicts
+//
 // Crash-safety contract:
 //
-//   - A cell is committed with write-to-temp + fsync + rename, so a
-//     reader never observes a torn file: a cell either exists complete
-//     or not at all. Killing a sweep at any instant loses at most the
-//     in-flight cells; every committed cell survives and is never
-//     re-simulated (enforced by internal/store/chaostest).
-//   - Every cell file carries a SHA-256 checksum of its payload and
-//     the full cache key. A corrupted, truncated, mis-keyed, or
-//     wrong-version file is treated as a miss: the file is removed
-//     (a "repair"), a diagnostic is logged, and the cell is simply
-//     recomputed — corruption can cost time, never correctness.
-//   - Writers coordinate through per-cell lock files naming the owning
-//     PID. Locks are advisory (they avoid duplicate work, they do not
-//     gate correctness): a live holder makes other processes simulate
-//     the cell themselves and commit idempotently — the simulator is
-//     deterministic, so racing writers produce identical bytes. A lock
-//     whose PID is dead is stale and is broken on sight.
+//   - A cell is committed by appending one framed record (segment.go)
+//     to the handle's own segment with a single write, then fsyncing
+//     the segment; the segment's directory entry is fsynced once, when
+//     the handle creates it. Put returns only after both are durable.
+//     Records are never rewritten, so a killed writer leaves at most
+//     one record cut short at its segment's end, which every reader
+//     skips: that cell was in flight and is recomputed. Every committed
+//     cell survives and is never re-simulated (enforced by
+//     internal/store/chaostest).
+//   - Every record carries its key in the frame and, in its envelope,
+//     the key again and a SHA-256 checksum of the payload. A damaged,
+//     truncated, mis-keyed, or wrong-version record is treated as a
+//     miss: it is dropped from the index (a "repair"), a diagnostic is
+//     logged, and the cell is simply recomputed and appended again —
+//     corruption can cost time, never correctness. A later record for
+//     a key supersedes an earlier one.
+//   - Each handle indexes every segment at Open. A lookup that misses
+//     first reads what other writers appended since: one directory
+//     read, then a stat of each segment whose writer was alive when
+//     last checked. A dead writer's segment is read once and sealed.
+//   - Writers coordinate through per-cell lock files: hard links to the
+//     owning process's owner file, which names its PID and start time.
+//     Locks are advisory (they avoid duplicate work, they do not gate
+//     correctness): a live holder makes other processes simulate the
+//     cell themselves and commit too — the simulator is deterministic,
+//     so racing writers append identical records. A lock whose owner
+//     is gone is stale and is broken on sight, and Open removes the
+//     owner files of dead processes.
 //
 // The store only holds successful, golden-validated results plus the
 // quarantine list (cells that failed deterministically, see
 // QuarantineEntry); transient failures are never persisted. This
-// directory is the substrate the future `sdsp-serve` sweep daemon
-// mounts.
+// directory is the substrate the `sdsp-serve` sweep daemon mounts.
 package store
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 )
@@ -53,7 +77,9 @@ import (
 // v2: coverage-carrying cells persist (cover.Set gained a JSON
 // round-trip); a v1 binary would silently decode their event counters
 // as empty, so the layouts must not mix.
-const Version = 2
+// v3: cells are records in per-writer segment logs instead of one file
+// each, and locks are hard links to per-process owner files.
+const Version = 3
 
 // versionFile marks a directory as an sdsp cell store.
 const versionFile = "VERSION"
@@ -68,7 +94,7 @@ var versionMagic = fmt.Sprintf("sdsp-store v%d\n", Version)
 type Stats struct {
 	Hits              uint64 `json:"hits"`                // cells served from disk
 	Misses            uint64 `json:"misses"`              // lookups that found no usable cell
-	Repairs           uint64 `json:"repairs"`             // corrupt/torn/mis-keyed files removed (each also a miss)
+	Repairs           uint64 `json:"repairs"`             // corrupt/torn/mis-keyed records dropped (each also a miss)
 	Commits           uint64 `json:"commits"`             // cells durably written
 	PutFailures       uint64 `json:"put_failures"`        // commit attempts that failed (e.g. read-only dir)
 	StaleLocksBroken  uint64 `json:"stale_locks_broken"`  // dead-owner lock files removed
@@ -76,8 +102,9 @@ type Stats struct {
 	StaleLeasesBroken uint64 `json:"stale_leases_broken"` // expired/dead-owner leases broken (cells requeued)
 }
 
-// Store is one on-disk cell store. Safe for concurrent use by multiple
-// goroutines and, through the lock-file protocol, multiple processes.
+// Store is one handle on an on-disk cell store. Safe for concurrent use
+// by multiple goroutines and, through its own segment and the lock-file
+// protocol, by multiple handles and processes.
 type Store struct {
 	dir string
 	// logf receives one line per degradation (repair, stale lock break,
@@ -86,14 +113,48 @@ type Store struct {
 	// readOnly marks a store whose directory rejects writes: reads keep
 	// working, commits and repairs degrade to logged no-ops.
 	readOnly bool
+	// owner publishes this process's owner file on first use and
+	// returns its path.
+	owner func() (string, error)
 
-	mu sync.Mutex
-	st Stats
+	mu    sync.Mutex
+	st    Stats
+	index map[[sha256.Size]byte]loc // latest record read for each key hash
+	segs  []segment
+	known map[string]bool // names of segs
+	scan  *bufio.Reader   // fixed-size buffer segments are scanned through
+	key   []byte          // scratch key for scans
+
+	// wmu guards the append side: this handle's own segment. An
+	// abandoned segment's file is left to its finalizer, since a
+	// concurrent Put may still be syncing it.
+	wmu     sync.Mutex
+	out     *os.File // nil until the first Put, and after the segment is abandoned
+	outSeg  int32
+	outSize int64
 }
 
-// envelope is the on-disk cell file format: the payload bytes are
-// checksummed independently of the envelope, so any torn or bit-flipped
-// file fails verification.
+// loc locates one record: its segment (an index into Store.segs) and
+// its frame's offset and length.
+type loc struct {
+	seg int32
+	n   uint32
+	off int64
+}
+
+// segment is what a handle knows of one segment.
+type segment struct {
+	path string
+	size int64 // bytes read into the index: complete frames
+	seen int64 // file size at the last read, -1 before the first
+	// sealed segments are never read again: their writer was dead when
+	// first seen, they are damaged, or they are this handle's own.
+	sealed bool
+}
+
+// envelope is the record body: the payload bytes are checksummed
+// independently of the envelope, so any torn or bit-flipped record
+// fails verification.
 type envelope struct {
 	Version  int             `json:"version"`
 	Key      string          `json:"key"`
@@ -120,10 +181,11 @@ func HashKey(key string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// Open opens (creating if needed) the store at dir. The parent of dir
-// must already exist — a mistyped path should fail loudly, not silently
-// build a directory tree. A dir that exists but rejects writes degrades
-// to a read-only store rather than failing the sweep.
+// Open opens (creating if needed) the store at dir and indexes its
+// segments. The parent of dir must already exist — a mistyped path
+// should fail loudly, not silently build a directory tree. A dir that
+// exists but rejects writes degrades to a read-only store rather than
+// failing the sweep.
 func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
@@ -133,19 +195,21 @@ func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
 	if fi, err := os.Stat(parent); err != nil || !fi.IsDir() {
 		return nil, fmt.Errorf("store: parent directory %s does not exist", parent)
 	}
-	s := &Store{dir: dir, logf: logf}
+	s := &Store{dir: dir, logf: logf,
+		index: map[[sha256.Size]byte]loc{}, known: map[string]bool{}}
+	s.owner = sync.OnceValues(s.publishOwner)
 	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
-	}
-	for _, sub := range []string{"cells", "locks", "leases", "quarantine"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			s.readOnly = true
-		}
 	}
 	if err := s.checkVersion(); err != nil {
 		return nil, err
 	}
 	s.sweepTempFiles()
+	s.removeDeadOwners()
+	s.mu.Lock()
+	notes, _ := s.refresh()
+	s.mu.Unlock()
+	s.note(notes)
 	return s, nil
 }
 
@@ -174,9 +238,10 @@ func (s *Store) Stats() Stats {
 	return s.st
 }
 
-// checkVersion verifies or writes the version marker. A marker from a
-// different layout version refuses to open — silently mixing layouts
-// could serve wrong cells.
+// checkVersion verifies the version marker, or creates the layout and
+// writes the marker in a new store. A marker from a different layout
+// version refuses to open, before anything is created — silently mixing
+// layouts could serve wrong cells.
 func (s *Store) checkVersion() error {
 	path := filepath.Join(s.dir, versionFile)
 	data, err := os.ReadFile(path)
@@ -186,25 +251,31 @@ func (s *Store) checkVersion() error {
 			return fmt.Errorf("store: %s holds layout %q, this build reads %q", s.dir,
 				strings.TrimSpace(string(data)), strings.TrimSpace(versionMagic))
 		}
-		return nil
-	case errors.Is(err, os.ErrNotExist):
-		if werr := atomicWrite(path, []byte(versionMagic)); werr != nil {
-			// Cannot mark the store: degrade to read-only (satisfied by an
-			// empty store) rather than failing the sweep.
-			s.readOnly = true
-			s.logf("store: %s is not writable (%v); continuing without persistence", s.dir, werr)
-		}
-		return nil
-	default:
+	case !errors.Is(err, os.ErrNotExist):
 		return fmt.Errorf("store: %w", err)
 	}
+	for _, sub := range []string{"segments", "owners", "locks", "leases", "quarantine"} {
+		if err := os.MkdirAll(filepath.Join(s.dir, sub), 0o755); err != nil {
+			s.readOnly = true
+		}
+	}
+	if data != nil {
+		return nil
+	}
+	if werr := atomicWrite(path, []byte(versionMagic)); werr != nil {
+		// Cannot mark the store: degrade to read-only (satisfied by an
+		// empty store) rather than failing the sweep.
+		s.readOnly = true
+		s.logf("store: %s is not writable (%v); continuing without persistence", s.dir, werr)
+	}
+	return nil
 }
 
 // sweepTempFiles removes temp files a killed writer left behind. Best
 // effort: a leftover temp file is inert either way (commits are
-// renames), this just keeps the tree tidy.
+// renames and links), this just keeps the tree tidy.
 func (s *Store) sweepTempFiles() {
-	for _, sub := range []string{"cells", "leases", "quarantine"} {
+	for _, sub := range []string{"leases", "quarantine"} {
 		_ = filepath.WalkDir(filepath.Join(s.dir, sub), func(path string, d os.DirEntry, err error) error {
 			if err == nil && !d.IsDir() && strings.Contains(d.Name(), ".tmp") {
 				_ = os.Remove(path)
@@ -214,67 +285,164 @@ func (s *Store) sweepTempFiles() {
 	}
 }
 
-// cellPath shards cells by the first checksum byte to keep directory
-// fan-out bounded on paper-scale sweeps.
-func (s *Store) cellPath(key string) string {
-	h := HashKey(key)
-	return filepath.Join(s.dir, "cells", h[:2], h+".json")
-}
-
 func (s *Store) quarantinePath(key string) string {
 	return filepath.Join(s.dir, "quarantine", HashKey(key)+".json")
 }
 
-// Committed reports whether a committed cell file exists for key,
-// without touching the hit/miss counters or verifying the contents.
-// Callers that already counted a miss use this to decide whether a
-// re-check (after acquiring the cell lock) is worthwhile.
+// refresh indexes the records appended since the last look: segments
+// new since then, in log order, and the tails of segments whose writer
+// was alive when first seen. It costs one directory read plus a stat
+// of each such live segment. It returns a diagnostic per segment found
+// damaged, to be logged once s.mu is released. s.mu must be held.
+func (s *Store) refresh() (notes []string, err error) {
+	names, err := newSegments(s.dir, s.known)
+	for i := range s.segs {
+		if !s.segs[i].sealed {
+			notes = s.readTail(int32(i), notes)
+		}
+	}
+	for _, name := range names {
+		writer, _, _ := parseSegmentName(name)
+		s.known[name] = true
+		// Liveness is checked before the read: a writer dead now appended
+		// everything it ever will, so one read covers the segment.
+		s.segs = append(s.segs, segment{path: filepath.Join(s.dir, "segments", name),
+			seen: -1, sealed: !writer.alive()})
+		notes = s.readTail(int32(len(s.segs)-1), notes)
+	}
+	return notes, err
+}
+
+// readTail indexes the complete records segment i gained since it was
+// last read, appending a diagnostic to notes if the segment turns out
+// damaged. s.mu must be held.
+func (s *Store) readTail(i int32, notes []string) []string {
+	seg := &s.segs[i]
+	fi, err := os.Stat(seg.path)
+	if err != nil || fi.Size() == seg.seen {
+		return notes
+	}
+	seg.seen = fi.Size()
+	f, err := os.Open(seg.path)
+	if err != nil {
+		return notes
+	}
+	defer f.Close()
+	if _, err := f.Seek(seg.size, io.SeekStart); err != nil {
+		return notes
+	}
+	if s.scan == nil {
+		s.scan = bufio.NewReaderSize(f, scanBuffer)
+	} else {
+		s.scan.Reset(f)
+	}
+	end, damaged := scanFrames(s.scan, seg.size, &s.key, func(key []byte, off int64, n uint32) {
+		s.index[sha256.Sum256(key)] = loc{seg: i, n: n, off: off}
+	})
+	seg.size = end
+	if damaged {
+		seg.sealed = true
+		notes = append(notes, fmt.Sprintf("store: segment %s is damaged at offset %d; its later records are ignored (their cells will be recomputed)",
+			filepath.Base(seg.path), end))
+	}
+	return notes
+}
+
+// note logs the diagnostics refresh returned.
+func (s *Store) note(notes []string) {
+	for _, n := range notes {
+		s.logf("%s", n)
+	}
+}
+
+// locate returns the record indexed for key hash h and its segment's
+// path, first reading what the segments gained when h is not indexed.
+func (s *Store) locate(h [sha256.Size]byte) (path string, l loc, ok bool) {
+	var notes []string
+	s.mu.Lock()
+	if l, ok = s.index[h]; !ok {
+		notes, _ = s.refresh()
+		l, ok = s.index[h]
+	}
+	if ok {
+		path = s.segs[l.seg].path
+	}
+	s.mu.Unlock()
+	s.note(notes)
+	return path, l, ok
+}
+
+// Committed reports whether a committed record exists for key, without
+// touching the hit/miss counters or verifying the contents. Callers
+// that already counted a miss use this to decide whether a re-check
+// (after acquiring the cell lock) is worthwhile.
 func (s *Store) Committed(key string) bool {
-	_, err := os.Stat(s.cellPath(key))
-	return err == nil
+	_, _, ok := s.locate(sha256.Sum256([]byte(key)))
+	return ok
 }
 
 // Get loads the committed result for key, or reports a miss. Any form
-// of corruption — torn write, flipped bit, truncated JSON, a file whose
-// embedded key does not match (hash collision or manual tampering) — is
-// repaired (file removed, diagnostic logged) and reported as a miss:
+// of corruption — torn write, flipped bit, truncated JSON, a record
+// whose key does not match (hash collision or manual tampering) — is
+// repaired (record dropped, diagnostic logged) and reported as a miss:
 // the caller recomputes the cell, and the table is still right.
 func (s *Store) Get(key string) (*core.Stats, bool) {
-	path := s.cellPath(key)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			s.repair(path, fmt.Sprintf("unreadable cell file: %v", err))
-		}
+	h := sha256.Sum256([]byte(key))
+	path, l, ok := s.locate(h)
+	if !ok {
 		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false
+	}
+	fkey, body, err := readFrame(path, l.off, l.n)
+	if err != nil {
+		return s.reject(h, path, l, err.Error())
+	}
+	if string(fkey) != key {
+		return s.reject(h, path, l, "record names another key")
 	}
 	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		s.repair(path, fmt.Sprintf("cell file is not valid JSON (truncated or torn): %v", err))
-		s.count(func(st *Stats) { st.Misses++ })
-		return nil, false
+	if err := json.Unmarshal(body, &env); err != nil {
+		return s.reject(h, path, l, fmt.Sprintf("envelope is not valid JSON: %v", err))
 	}
 	if env.Version != Version || env.Key != key || checksum(env.Payload) != env.Checksum {
-		s.repair(path, "cell file failed verification (version/key/checksum mismatch)")
-		s.count(func(st *Stats) { st.Misses++ })
-		return nil, false
+		return s.reject(h, path, l, "envelope failed verification (version/key/checksum mismatch)")
 	}
 	stats := &core.Stats{}
 	if err := json.Unmarshal(env.Payload, stats); err != nil {
-		s.repair(path, fmt.Sprintf("cell payload does not decode: %v", err))
-		s.count(func(st *Stats) { st.Misses++ })
-		return nil, false
+		return s.reject(h, path, l, fmt.Sprintf("payload does not decode: %v", err))
 	}
 	s.count(func(st *Stats) { st.Hits++ })
 	return stats, true
 }
 
-// Put durably commits a successful cell result. The write is atomic
-// (temp file + fsync + rename), so concurrent writers and killed
-// processes can never leave a torn cell. Errors are reported but are
-// expected to be tolerated by the caller: a failed commit only costs a
-// future recomputation.
+// reject repairs a record that failed verification and counts the miss.
+// The record is dropped from the index, so the recomputed cell's record
+// supersedes it; if it lies in this handle's own segment, the segment
+// is abandoned and the next Put starts a new one, since appending
+// behind damage could hide the new record from readers.
+func (s *Store) reject(h [sha256.Size]byte, path string, l loc, why string) (*core.Stats, bool) {
+	s.mu.Lock()
+	if s.index[h] == l {
+		delete(s.index, h)
+	}
+	s.st.Repairs++
+	s.st.Misses++
+	s.mu.Unlock()
+	s.wmu.Lock()
+	if s.out != nil && s.outSeg == l.seg {
+		s.out = nil
+	}
+	s.wmu.Unlock()
+	s.logf("store: repaired %s: record at %s offset %d: %s (cell will be recomputed)",
+		hex.EncodeToString(h[:6]), filepath.Base(path), l.off, why)
+	return nil, false
+}
+
+// Put durably commits a successful cell result: one record appended to
+// this handle's segment with a single write, then an fsync. A killed
+// writer leaves at most that record cut short, which readers skip.
+// Errors are reported but are expected to be tolerated by the caller:
+// a failed commit only costs a future recomputation.
 func (s *Store) Put(key string, stats *core.Stats) error {
 	if s.readOnly {
 		return s.putFailed(key, errors.New("store is read-only"))
@@ -284,19 +452,88 @@ func (s *Store) Put(key string, stats *core.Stats) error {
 		return s.putFailed(key, err)
 	}
 	env := envelope{Version: Version, Key: key, Checksum: checksum(payload), Payload: payload}
-	data, err := json.Marshal(&env)
+	body, err := json.Marshal(&env)
 	if err != nil {
 		return s.putFailed(key, err)
 	}
-	path := s.cellPath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+	l, err := s.append(appendFrame(make([]byte, 0, frameHeader+len(key)+len(body)), key, body))
+	if err != nil {
 		return s.putFailed(key, err)
 	}
-	if err := atomicWrite(path, data); err != nil {
-		return s.putFailed(key, err)
+	h := sha256.Sum256([]byte(key))
+	s.mu.Lock()
+	// A concurrent Put of the same key may have indexed a later record
+	// of this segment first.
+	if cur, ok := s.index[h]; !ok || cur.seg != l.seg || cur.off < l.off {
+		s.index[h] = l
 	}
-	s.count(func(st *Stats) { st.Commits++ })
+	s.st.Commits++
+	s.mu.Unlock()
 	return nil
+}
+
+// append writes frame at the end of this handle's segment, creating the
+// segment on first use, and returns once the record is durable. After a
+// failed write or fsync the segment is abandoned.
+func (s *Store) append(frame []byte) (loc, error) {
+	s.wmu.Lock()
+	if s.out == nil {
+		if err := s.createSegment(); err != nil {
+			s.wmu.Unlock()
+			return loc{}, err
+		}
+	}
+	f, l := s.out, loc{seg: s.outSeg, n: uint32(len(frame)), off: s.outSize}
+	_, err := f.WriteAt(frame, l.off)
+	if err == nil {
+		s.outSize += int64(len(frame))
+	}
+	s.wmu.Unlock()
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		s.wmu.Lock()
+		if s.out == f {
+			s.out = nil
+		}
+		s.wmu.Unlock()
+		return loc{}, err
+	}
+	return l, nil
+}
+
+// createSegment creates this handle's segment and makes its directory
+// entry durable. s.wmu must be held.
+func (s *Store) createSegment() error {
+	dir := filepath.Join(s.dir, "segments")
+	self := selfIdent()
+	for stamp := uint64(time.Now().UnixNano()); ; stamp++ {
+		name := segmentName(self, stamp)
+		path := filepath.Join(dir, name)
+		// Registered under s.mu with the creation, so a concurrent
+		// refresh never mistakes the new segment for a foreign one.
+		s.mu.Lock()
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+		if err == nil {
+			s.known[name] = true
+			s.segs = append(s.segs, segment{path: path, sealed: true})
+			s.outSeg = int32(len(s.segs) - 1)
+		}
+		s.mu.Unlock()
+		if errors.Is(err, os.ErrExist) {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		if err := syncDir(dir); err != nil {
+			f.Close()
+			return err
+		}
+		s.out, s.outSize = f, 0
+		return nil
+	}
 }
 
 func (s *Store) putFailed(key string, err error) error {
@@ -329,60 +566,66 @@ func (s *Store) Quarantined(key string) (QuarantineEntry, bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if !errors.Is(err, os.ErrNotExist) {
-			s.repair(path, fmt.Sprintf("unreadable quarantine entry: %v", err))
+			s.repairFile(path, fmt.Sprintf("unreadable quarantine entry: %v", err))
 		}
 		return QuarantineEntry{}, false
 	}
 	var e QuarantineEntry
 	if err := json.Unmarshal(data, &e); err != nil || e.Version != Version || e.Key != key {
-		s.repair(path, "quarantine entry failed verification")
+		s.repairFile(path, "quarantine entry failed verification")
 		return QuarantineEntry{}, false
 	}
 	return e, true
 }
 
-// CellHashes lists the content addresses of every committed cell —
+// CellHashes lists, sorted, the content addresses of every committed
+// cell, including those other handles appended since the last look —
 // the chaos harness's ground truth for "what survived the kill".
 func (s *Store) CellHashes() ([]string, error) {
-	var hashes []string
-	err := filepath.WalkDir(filepath.Join(s.dir, "cells"), func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				return nil
-			}
-			return err
-		}
-		if !d.IsDir() && strings.HasSuffix(d.Name(), ".json") {
-			hashes = append(hashes, strings.TrimSuffix(d.Name(), ".json"))
-		}
-		return nil
-	})
+	s.mu.Lock()
+	notes, err := s.refresh()
+	hashes := make([]string, 0, len(s.index))
+	for h := range s.index {
+		hashes = append(hashes, hex.EncodeToString(h[:]))
+	}
+	s.mu.Unlock()
+	s.note(notes)
+	slices.Sort(hashes)
 	return hashes, err
 }
 
-// CellByHash returns the raw committed envelope bytes for one content
-// address — the cache-sharing primitive: envelopes are self-verifying
-// (embedded key + payload checksum), so a receiver can install the
-// bytes into its own store and let Get verify them. The hash must be a
-// full lowercase SHA-256 hex string; anything else (notably
-// path-escaping garbage from a URL) is rejected before touching the
-// filesystem.
+// CellByHash returns the committed envelope bytes for one content
+// address, verbatim — the cache-sharing primitive: envelopes are
+// self-verifying (embedded key + payload checksum), so a receiver can
+// verify them itself. The hash must be a full lowercase SHA-256 hex
+// string; anything else (notably path-escaping garbage from a URL) is
+// rejected before touching the filesystem.
 func (s *Store) CellByHash(hash string) ([]byte, error) {
-	if len(hash) != sha256.Size*2 {
+	var h [sha256.Size]byte
+	if len(hash) != 2*sha256.Size || strings.ToLower(hash) != hash {
 		return nil, fmt.Errorf("store: malformed cell hash %q", hash)
 	}
-	for _, r := range hash {
-		if (r < '0' || r > '9') && (r < 'a' || r > 'f') {
-			return nil, fmt.Errorf("store: malformed cell hash %q", hash)
-		}
+	if _, err := hex.Decode(h[:], []byte(hash)); err != nil {
+		return nil, fmt.Errorf("store: malformed cell hash %q", hash)
 	}
-	return os.ReadFile(filepath.Join(s.dir, "cells", hash[:2], hash+".json"))
+	path, l, ok := s.locate(h)
+	if !ok {
+		return nil, fmt.Errorf("store: cell %s: %w", hash, os.ErrNotExist)
+	}
+	key, body, err := readFrame(path, l.off, l.n)
+	if err != nil {
+		return nil, fmt.Errorf("store: cell %s: %w", hash, err)
+	}
+	if sha256.Sum256(key) != h {
+		return nil, fmt.Errorf("store: cell %s: record names another key", hash)
+	}
+	return body, nil
 }
 
-// repair removes a file that failed verification and logs why. On a
-// read-only store the removal fails silently — the file will fail
-// verification again next run, which is still only a miss.
-func (s *Store) repair(path, why string) {
+// repairFile removes a quarantine entry that failed verification and
+// logs why. On a read-only store the removal fails silently — the file
+// will fail verification again next run, which is still only a miss.
+func (s *Store) repairFile(path, why string) {
 	_ = os.Remove(path)
 	s.count(func(st *Stats) { st.Repairs++ })
 	s.logf("store: repaired %s: %s (cell will be recomputed)", filepath.Base(path), why)
@@ -399,8 +642,10 @@ func checksum(payload []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// atomicWrite commits data to path via temp file + fsync + rename: the
-// file is either fully present with exactly these bytes, or absent.
+// atomicWrite commits data to path via temp file + fsync + rename +
+// fsync of the directory: the file is either fully present with
+// exactly these bytes, or absent, and once it returns the name
+// survives power loss.
 func atomicWrite(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -425,7 +670,21 @@ func atomicWrite(path string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs directory dir, making the names created in or renamed
+// into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // transientError marks failures that merit a bounded retry (store I/O,

@@ -81,74 +81,74 @@ func TestReopenSeesCommittedCells(t *testing.T) {
 	}
 }
 
-// Any corruption mode must degrade to a recomputed cell: the Get is a
-// miss, the file is repaired away, and a later Put works again.
+// onlyRecord returns the location of the single record in the store
+// at dir.
+func onlyRecord(t *testing.T, dir string) (path string, rec Record) {
+	t.Helper()
+	recs, err := Records(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 {
+		t.Fatalf("store holds %d records, want 1", len(recs))
+	}
+	return filepath.Join(dir, "segments", recs[0].Segment), recs[0]
+}
+
+// patchSegment rewrites the segment at path through edit.
+func patchSegment(t *testing.T, path string, edit func([]byte) []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, edit(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Any corruption of a committed record must degrade to a recomputed
+// cell: the Get is a miss counted as one repair with a diagnostic, and
+// a later Put is served again, also after reopen.
 func TestCorruptionDegradesToMiss(t *testing.T) {
+	const key = "k"
+	body := func(rec Record) (int, int) { // body extent in the segment
+		start := int(rec.Offset) + frameHeader + len(key)
+		return start, int(rec.Offset + rec.Size)
+	}
 	corruptions := []struct {
 		name    string
-		corrupt func(t *testing.T, path string)
+		corrupt func(t *testing.T, data []byte, rec Record) []byte
 	}{
-		{"flipped-payload-byte", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Flip a byte inside the payload's cycle count digits.
-			i := strings.Index(string(data), `"Cycles"`)
+		{"flipped-payload-byte", func(t *testing.T, data []byte, rec Record) []byte {
+			lo, hi := body(rec)
+			i := strings.Index(string(data[lo:hi]), `"Cycles":`)
 			if i < 0 {
-				// Field names depend on core.Stats JSON casing; fall back to
-				// flipping a byte late in the file.
-				i = len(data) - 10
+				t.Fatal("payload has no Cycles field")
 			}
-			data[i+10] ^= 0x01
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			data[lo+i+len(`"Cycles":`)] ^= 0x01 // a digit of the cycle count
+			return data
 		}},
-		{"truncated-json", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
+		// The frame's key no longer names the cell.
+		{"wrong-key", func(_ *testing.T, data []byte, rec Record) []byte {
+			data[rec.Offset+frameHeader] ^= 0x01
+			return data
 		}},
-		{"empty-file", func(t *testing.T, path string) {
-			if err := os.WriteFile(path, nil, 0o644); err != nil {
-				t.Fatal(err)
-			}
+		// The envelope is cut in half inside a complete-looking segment.
+		{"truncated-json", func(_ *testing.T, data []byte, rec Record) []byte {
+			lo, hi := body(rec)
+			return data[:lo+(hi-lo)/2]
 		}},
-		{"wrong-key", func(t *testing.T, path string) {
-			s := open(t, filepath.Dir(filepath.Dir(filepath.Dir(path))))
-			if err := s.Put("other", sampleStats(1)); err != nil {
-				t.Fatal(err)
+		// The whole segment is gone to zero bytes.
+		{"empty-file", func(*testing.T, []byte, Record) []byte { return nil }},
+		{"wrong-version", func(t *testing.T, data []byte, rec Record) []byte {
+			lo, hi := body(rec)
+			v := fmt.Sprintf(`{"version":%d,`, Version)
+			if !strings.HasPrefix(string(data[lo:hi]), v) {
+				t.Fatal("envelope does not start with its version")
 			}
-			other, err := os.ReadFile(s.cellPath("other"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, other, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"wrong-version", func(t *testing.T, path string) {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var env envelope
-			if err := json.Unmarshal(data, &env); err != nil {
-				t.Fatal(err)
-			}
-			env.Version = Version + 1
-			out, err := json.Marshal(&env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, out, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			data[lo+len(v)-2]++ // the version's last digit
+			return data
 		}},
 	}
 	for _, tc := range corruptions {
@@ -159,12 +159,13 @@ func TestCorruptionDegradesToMiss(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := s.Put("k", sampleStats(777)); err != nil {
+			if err := s.Put(key, sampleStats(777)); err != nil {
 				t.Fatal(err)
 			}
-			tc.corrupt(t, s.cellPath("k"))
-			if st, ok := s.Get("k"); ok {
-				t.Fatalf("corrupt cell served as a hit: %+v", st)
+			path, rec := onlyRecord(t, dir)
+			patchSegment(t, path, func(data []byte) []byte { return tc.corrupt(t, data, rec) })
+			if st, ok := s.Get(key); ok {
+				t.Fatalf("corrupt record served as a hit: %+v", st)
 			}
 			if s.Stats().Repairs != 1 {
 				t.Errorf("repairs = %d, want 1", s.Stats().Repairs)
@@ -172,40 +173,257 @@ func TestCorruptionDegradesToMiss(t *testing.T) {
 			if len(lines) == 0 {
 				t.Error("repair produced no diagnostic")
 			}
-			if _, err := os.Stat(s.cellPath("k")); !os.IsNotExist(err) {
-				t.Error("corrupt file was not removed")
+			if s.Committed(key) {
+				t.Error("repaired record still counts as committed")
 			}
 			// The cell recomputes and commits again.
-			if err := s.Put("k", sampleStats(777)); err != nil {
+			if err := s.Put(key, sampleStats(777)); err != nil {
 				t.Fatal(err)
 			}
-			if got, ok := s.Get("k"); !ok || got.Cycles != 777 {
+			if got, ok := s.Get(key); !ok || got.Cycles != 777 {
 				t.Error("repaired cell did not recommit")
+			}
+			if got, ok := open(t, dir).Get(key); !ok || got.Cycles != 777 {
+				t.Error("recommitted cell lost across reopen")
+			}
+			if s.Stats().Repairs != 1 {
+				t.Errorf("repairs = %d after recommit, want 1", s.Stats().Repairs)
 			}
 		})
 	}
 }
 
+// TestTornTailIsAMissNotARepair: a writer killed mid-append leaves its
+// last record cut short. That cell was never committed, so it is a
+// plain miss; every earlier record is still served.
+func TestTornTailIsAMissNotARepair(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := open(t, dir)
+	for i := range 5 {
+		if err := s.Put(fmt.Sprintf("k%d", i), sampleStats(uint64(i)+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := Records(dir)
+	if err != nil || len(recs) != 5 {
+		t.Fatalf("Records = %d records, %v; want 5", len(recs), err)
+	}
+	last := recs[4]
+	path := filepath.Join(dir, "segments", last.Segment)
+	if err := os.Truncate(path, last.Offset+last.Size-7); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := open(t, dir)
+	for i := range 4 {
+		if got, ok := s2.Get(fmt.Sprintf("k%d", i)); !ok || got.Cycles != uint64(i)+1 {
+			t.Errorf("k%d: record before the torn tail lost (ok=%v)", i, ok)
+		}
+	}
+	if _, ok := s2.Get("k4"); ok {
+		t.Fatal("torn record served")
+	}
+	if st := s2.Stats(); st.Repairs != 0 || st.Misses != 1 {
+		t.Errorf("counters = %+v, want 1 miss and no repair", st)
+	}
+	if err := s2.Put("k4", sampleStats(5)); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []*Store{s2, open(t, dir)} {
+		if got, ok := h.Get("k4"); !ok || got.Cycles != 5 {
+			t.Error("new handle's Put of the torn key not served")
+		}
+	}
+}
+
+// TestDamagedSegmentIsSealed: a frame header that is not one hides
+// the records behind it. They are misses, a diagnostic names the
+// segment, and recomputed cells are served from a new segment.
+func TestDamagedSegmentIsSealed(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := open(t, dir)
+	for i := range 3 {
+		if err := s.Put(fmt.Sprintf("k%d", i), sampleStats(uint64(i)+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := Records(dir)
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("Records = %d records, %v; want 3", len(recs), err)
+	}
+	patchSegment(t, filepath.Join(dir, "segments", recs[1].Segment), func(data []byte) []byte {
+		data[recs[1].Offset] ^= 0xff // k1's magic number
+		return data
+	})
+
+	var lines []string
+	s2, err := Open(dir, logTo(&lines))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lines) != 1 || !strings.Contains(lines[0], recs[1].Segment) {
+		t.Errorf("diagnostics = %q, want one naming the damaged segment", lines)
+	}
+	if _, ok := s2.Get("k0"); !ok {
+		t.Error("record before the damage lost")
+	}
+	for _, k := range []string{"k1", "k2"} {
+		if _, ok := s2.Get(k); ok {
+			t.Errorf("%s behind the damage served", k)
+		}
+		if err := s2.Put(k, sampleStats(9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, k := range []string{"k1", "k2"} {
+		if got, ok := open(t, dir).Get(k); !ok || got.Cycles != 9 {
+			t.Errorf("recomputed %s not served after reopen", k)
+		}
+	}
+}
+
+// TestColdCellsLeaveOneSegment: a cold sweep's cells on one handle go
+// to one segment, its locks link to one owner file, and no lock
+// outlives its cell.
+func TestColdCellsLeaveOneSegment(t *testing.T) {
+	for _, n := range []int{1, 200} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "store")
+			s := open(t, dir)
+			for i := range n {
+				key := fmt.Sprintf("cell%d", i)
+				l, err := s.TryLock(key)
+				if err != nil || l == nil {
+					t.Fatalf("TryLock(%s) = (%v, %v), want acquired", key, l, err)
+				}
+				if err := s.Put(key, sampleStats(uint64(i))); err != nil {
+					t.Fatal(err)
+				}
+				l.Unlock()
+			}
+			for sub, want := range map[string]int{"segments": 1, "owners": 1, "locks": 0} {
+				entries, err := os.ReadDir(filepath.Join(dir, sub))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(entries) != want {
+					t.Errorf("%s/ holds %d entries, want %d", sub, len(entries), want)
+				}
+			}
+			if recs, err := Records(dir); err != nil || len(recs) != n {
+				t.Errorf("Records = %d records, %v; want %d", len(recs), err, n)
+			}
+		})
+	}
+}
+
+// TestTwoHandlesShareOneDirectory: handles on one directory see each
+// other's Puts without reopening, while both write concurrently.
+func TestTwoHandlesShareOneDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	handles := []*Store{open(t, dir), open(t, dir)}
+	const perHandle = 20
+	key := func(h, i int) string { return fmt.Sprintf("h%d-k%d", h, i) }
+	var wg sync.WaitGroup
+	for h, s := range handles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perHandle {
+				if err := s.Put(key(h, i), sampleStats(uint64(100*h+i))); err != nil {
+					t.Error(err)
+				}
+				s.Get(key(1-h, i)) // the peer's cell, committed or not yet
+			}
+		}()
+	}
+	wg.Wait()
+	for h, s := range handles {
+		peer := 1 - h
+		for i := range perHandle {
+			k := key(peer, i)
+			if !s.Committed(k) {
+				t.Errorf("handle %d: peer's %s not committed", h, k)
+			}
+			if got, ok := s.Get(k); !ok || got.Cycles != uint64(100*peer+i) {
+				t.Errorf("handle %d: peer's %s not served (ok=%v)", h, k, ok)
+			}
+		}
+		hs, err := s.CellHashes()
+		if err != nil || len(hs) != 2*perHandle {
+			t.Errorf("handle %d: CellHashes = %d hashes, %v; want %d", h, len(hs), err, 2*perHandle)
+		}
+		if st := s.Stats(); st.Repairs != 0 {
+			t.Errorf("handle %d repaired %d records", h, st.Repairs)
+		}
+	}
+}
+
+// TestOpenRemovesDeadOwners: owner files of dead processes, and the
+// temp files of a publisher killed mid-write, are removed at Open; a
+// live process's owner file stays.
+func TestOpenRemovesDeadOwners(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := open(t, dir)
+	if l, err := s.TryLock("k"); err != nil || l == nil {
+		t.Fatalf("TryLock = (%v, %v), want acquired", l, err)
+	} else {
+		l.Unlock()
+	}
+	owners := filepath.Join(dir, "owners")
+	dead := procIdent{PID: 1 << 30, Start: 7} // beyond pid_max: never alive
+	for _, name := range []string{
+		fmt.Sprintf("%d-%d.owner", dead.PID, dead.Start),
+		fmt.Sprintf("%d-%d.owner.tmp123", dead.PID, dead.Start),
+	} {
+		body, _ := json.Marshal(lockBody{procIdent: dead})
+		if err := os.WriteFile(filepath.Join(owners, name), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open(t, dir)
+	entries, err := os.ReadDir(owners)
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := selfIdent()
+	if len(entries) != 1 || entries[0].Name() != fmt.Sprintf("%d-%d.owner", self.PID, self.Start) {
+		t.Errorf("owners/ after Open = %v, want only this process's owner file", entries)
+	}
+}
+
+// TestTempFilesAreInertAndSwept: a temp file a killed writer leaves
+// next to a quarantine entry or a lease changes nothing, and reopening
+// sweeps it.
 func TestTempFilesAreInertAndSwept(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	s := open(t, dir)
-	if err := s.Put("k", sampleStats(5)); err != nil {
+	if err := s.Quarantine(QuarantineEntry{Key: "k", Reason: "twice"}); err != nil {
 		t.Fatal(err)
 	}
-	// A killed writer leaves a temp file next to a cell.
-	leftover := s.cellPath("k") + ".tmp12345"
-	if err := os.WriteFile(leftover, []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
+	leftovers := []string{
+		s.quarantinePath("k") + ".tmp12345",
+		s.leasePath("k") + ".tmp12345",
 	}
-	if got, ok := s.Get("k"); !ok || got.Cycles != 5 {
-		t.Fatal("temp file disturbed the committed cell")
+	for _, p := range leftovers {
+		if err := os.WriteFile(p, []byte("{torn"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e, ok := s.Quarantined("k"); !ok || e.Reason != "twice" {
+		t.Fatal("temp file disturbed the quarantine entry")
+	}
+	if len(s.Leases()) != 0 {
+		t.Fatal("temp file read as a lease")
 	}
 	s2 := open(t, dir)
-	if _, err := os.Stat(leftover); !os.IsNotExist(err) {
-		t.Error("reopen did not sweep the leftover temp file")
+	for _, p := range leftovers {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("reopen did not sweep %s", filepath.Base(p))
+		}
 	}
-	if got, ok := s2.Get("k"); !ok || got.Cycles != 5 {
-		t.Error("sweep removed a committed cell")
+	if _, ok := s2.Quarantined("k"); !ok {
+		t.Error("sweep removed a committed quarantine entry")
 	}
 }
 
@@ -332,13 +550,17 @@ func TestOpenRejectsMissingParent(t *testing.T) {
 }
 
 func TestOpenRejectsForeignVersion(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	open(t, dir)
-	if err := os.WriteFile(filepath.Join(dir, versionFile), []byte("sdsp-store v999\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(dir, discard); err == nil {
-		t.Fatal("Open accepted a store with a foreign layout version")
+	// v2 is the one-file-per-cell layout this build replaced.
+	for _, marker := range []string{"sdsp-store v2\n", "sdsp-store v999\n"} {
+		dir := filepath.Join(t.TempDir(), "store")
+		open(t, dir)
+		if err := os.WriteFile(filepath.Join(dir, versionFile), []byte(marker), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir, discard)
+		if err == nil || !strings.Contains(err.Error(), strings.TrimSpace(marker)) {
+			t.Fatalf("Open of a %q store = %v, want a refusal naming its layout", marker, err)
+		}
 	}
 }
 
