@@ -132,7 +132,9 @@ crash-replay-smoke:
 	/tmp/sdsp-sim -replay /tmp/crash/sdsp-crash-*
 
 # Regenerate the small-scale golden tables after an intentional change
-# to a kernel, the core, or an experiment.
+# to a kernel, the core, or an experiment. This also rewrites the model
+# digest that every cell ID folds in, so the change renames every cell
+# and warm stores recompute instead of serving stale results.
 golden:
 	$(GO) test ./internal/experiments -run 'TestGoldenSmallTables|TestPredstudyGoldenSmall|TestMixstudyGoldenSmall' -update
 

@@ -210,7 +210,7 @@ func reportTimings(w *os.File, timings []experiments.CellTiming, elapsed time.Du
 		fmt.Fprintf(w, "sdsp-exp: per-cell wall time (%d fresh cells):\n", len(timings))
 	}
 	for _, t := range show {
-		fmt.Fprintf(w, "  %8.3fs  %s\n", t.WallSeconds, t.Key)
+		fmt.Fprintf(w, "  %8.3fs  %-20s %.12s\n", t.WallSeconds, t.Label, t.Key)
 	}
 	if len(timings) == 0 {
 		fmt.Fprintf(w, "sdsp-exp: no fresh cells (all memoized) in %s\n", elapsed.Round(time.Millisecond))

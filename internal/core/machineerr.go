@@ -193,8 +193,8 @@ type FaultInjector interface {
 	// window by that many blocks for the cycle (floor 1 — bottom-block
 	// commit stays available, so only timing can change).
 	CommitWindowShrink(now uint64) int
-	// String identifies the schedule (seed and rates) for cache keys
-	// and diagnostics.
+	// String identifies the schedule (seed and rates) for experiment
+	// cell IDs and diagnostics.
 	String() string
 }
 

@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
-	"repro/internal/minic"
 )
 
 // matrixC is the Matrix benchmark expressed in MiniC (24×24, the paper
@@ -102,7 +100,7 @@ func CompilerStudy(r *Runner) ([]Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			comp, err := r.runMiniC(row.name, row.csrc, n, 128/n)
+			comp, err := r.runMiniC(row.name, row.csrc, r.config(n), 128/n)
 			if err != nil {
 				return nil, err
 			}
@@ -126,14 +124,13 @@ func CompilerStudy(r *Runner) ([]Table, error) {
 					row = append(row, "—") // partition cannot grant this many
 					continue
 				}
-				st, err := r.runMiniC(w.name, w.src, n, regs)
+				st, err := r.runMiniC(w.name, w.src, r.config(n), regs)
 				if err != nil {
 					return nil, err
 				}
 				row = append(row, cycles(st))
 			}
 		}
-		// Reorder: currently [m1, m4, d1, d4] matches headers already.
 		budget.Rows = append(budget.Rows, row)
 	}
 	budget.Notes = append(budget.Notes,
@@ -141,31 +138,11 @@ func CompilerStudy(r *Runner) ([]Table, error) {
 	return []Table{quality, budget}, nil
 }
 
-// runMiniC compiles src with a regs-register budget and simulates it on
-// `threads` threads. It is a runner cell like any benchmark run, so the
+// runMiniC compiles src with a regs-register budget and simulates it
+// under cfg. It is a runner cell like any benchmark run, so the
 // parallel scheduler dedupes and fans it out alongside the kernel cells.
-func (r *Runner) runMiniC(name, src string, threads, regs int) (*core.Stats, error) {
-	cfg := core.DefaultConfig()
-	cfg.Threads = threads
-	cfg.MaxCycles = 100_000_000
-	key := fmt.Sprintf("minic/%s/t%d/r%d", name, threads, regs)
-	run := func() (*core.Stats, error) {
-		start := time.Now()
-		obj, err := minic.CompileToObject(src, minic.Options{Regs: regs})
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.New(obj, cfg)
-		if err != nil {
-			return nil, err
-		}
-		st, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("minic %s (threads=%d regs=%d): %w", name, threads, regs, err)
-		}
-		r.progressf("minic %-8s threads=%d regs=%d: %d cycles (IPC %.2f) [%v]",
-			name, threads, regs, st.Cycles, st.IPC(), time.Since(start).Round(time.Millisecond))
-		return st, nil
-	}
-	return r.runCell(key, "minic/"+name, func() *core.Stats { return placeholderStats(cfg) }, run)
+func (r *Runner) runMiniC(name, src string, cfg core.Config, regs int) (*core.Stats, error) {
+	cfg.MaxCycles = nonKernelMaxCycles
+	return r.runCell(cellSpec{label: "minic/" + name, cfg: cfg,
+		slots: []cellSlot{{Threads: cfg.Threads, Regs: regs, MiniC: src}}})
 }

@@ -32,10 +32,10 @@ var coveragePolicies = []core.FetchPolicy{
 // default; the multi-thread-only events need the latter.
 var coverageThreads = []int{1, defaultThreads}
 
-// coverCell runs one kernel × threads × policy cell with a fresh
-// coverage set attached. The set travels on the returned Stats, so the
-// assemble pass of the pipeline reads the executed cell's coverage, not
-// the (discarded) set this call constructs.
+// coverCell runs one kernel × threads × policy cell with coverage
+// recording on. The set attached here only asks for recording: each
+// simulation records into a fresh set, which travels on the returned
+// Stats, so the assemble pass reads the executed cell's coverage.
 func (r *Runner) coverCell(b *kernels.Benchmark, n int, pol core.FetchPolicy) (*core.Stats, error) {
 	cfg := r.config(n)
 	cfg.FetchPolicy = pol

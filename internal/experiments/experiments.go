@@ -302,7 +302,6 @@ func fuFig(r *Runner, group []*kernels.Benchmark, title string) ([]Table, error)
 				row = append(row, v)
 			}
 		}
-		// Reorder to the paper's column order (4T, 4T++, Base, Base++).
 		t.Rows = append(t.Rows, row)
 	}
 	return []Table{t}, nil

@@ -18,7 +18,7 @@ import (
 // cycle counts move.
 
 // sweepSeed fixes the fault schedules, making every sweep cell (and its
-// cache key) deterministic.
+// ID) deterministic.
 const sweepSeed = 1996
 
 // sweepAxis is one independently swept fault dimension: intensity x in

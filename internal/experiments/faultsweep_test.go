@@ -88,33 +88,44 @@ func TestFaultSweepCurvesPopulated(t *testing.T) {
 }
 
 // A cell that dies with a machine error under CrashDir must leave a
-// replayable bundle behind, and the cell's error must name it.
+// replayable bundle behind, and the cell's error must name it: any
+// one-slot cell, kernel or MiniC.
 func TestRunnerWritesReplayableCrashBundle(t *testing.T) {
-	dir := t.TempDir()
-	r := NewRunner(kernels.Small)
-	r.CrashDir = dir
-	cfg := r.config(2)
-	cfg.MaxCycles = 10 // guaranteed runaway
-	_, err := r.Run(kernels.GroupI()[0], cfg)
-	if err == nil {
-		t.Fatal("10-cycle MaxCycles did not fail")
-	}
-	if !strings.Contains(err.Error(), "crash bundle: ") {
-		t.Fatalf("error does not name the bundle: %v", err)
-	}
-	entries, rerr := os.ReadDir(dir)
-	if rerr != nil || len(entries) != 1 {
-		t.Fatalf("expected exactly one bundle in %s, got %v (%v)", dir, entries, rerr)
-	}
-	b, rerr := crash.Read(filepath.Join(dir, entries[0].Name()))
-	if rerr != nil {
-		t.Fatal(rerr)
-	}
-	got, rerr := b.Replay()
-	if rerr != nil {
-		t.Fatalf("replay: %v", rerr)
-	}
-	if !crash.SameFailure(got, b.Err) {
-		t.Fatalf("replay diverged:\n  recorded:   %v\n  reproduced: %v", b.Err.Summary(), got.Summary())
+	for _, tc := range []struct {
+		name string
+		slot cellSlot
+	}{
+		{"kernel", cellSlot{Threads: 2, Kernel: "LL1", Params: kernels.Params{Threads: 2, Scale: kernels.Small}}},
+		{"minic", cellSlot{Threads: 2, Regs: 12, MiniC: dotC}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := NewRunner(kernels.Small)
+			r.CrashDir = dir
+			cfg := r.config(2)
+			cfg.MaxCycles = 10 // guaranteed runaway
+			_, err := r.runCell(cellSpec{label: tc.name, cfg: cfg, slots: []cellSlot{tc.slot}})
+			if err == nil {
+				t.Fatal("10-cycle MaxCycles did not fail")
+			}
+			if !strings.Contains(err.Error(), "crash bundle: ") {
+				t.Fatalf("error does not name the bundle: %v", err)
+			}
+			entries, rerr := os.ReadDir(dir)
+			if rerr != nil || len(entries) != 1 {
+				t.Fatalf("expected exactly one bundle in %s, got %v (%v)", dir, entries, rerr)
+			}
+			b, rerr := crash.Read(filepath.Join(dir, entries[0].Name()))
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			got, rerr := b.Replay()
+			if rerr != nil {
+				t.Fatalf("replay: %v", rerr)
+			}
+			if !crash.SameFailure(got, b.Err) {
+				t.Fatalf("replay diverged:\n  recorded:   %v\n  reproduced: %v", b.Err.Summary(), got.Summary())
+			}
+		})
 	}
 }

@@ -9,12 +9,17 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the small-scale golden tables")
 
-const goldenPath = "testdata/small_tables.golden"
+const (
+	goldenPath = "testdata/small_tables.golden"
+	digestPath = "testdata/model.digest"
+)
 
 // TestGoldenSmallTables pins the complete `sdsp-exp -scale small`
 // output: every table of every experiment, rendered. Any change to a
 // kernel, the core, or an experiment that shifts a single cycle count
-// shows up as a diff here. Regenerate deliberately with:
+// shows up as a diff here. It also pins the model digest that every
+// cell ID folds in, so a change that moves any Small-scale Stats field
+// renames every cell. Regenerate both deliberately with:
 //
 //	go test ./internal/experiments -run TestGoldenSmallTables -update
 func TestGoldenSmallTables(t *testing.T) {
@@ -26,7 +31,10 @@ func TestGoldenSmallTables(t *testing.T) {
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %s (%d bytes)", goldenPath, len(got))
+		if err := os.WriteFile(digestPath, []byte(digestJ1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s (%d bytes) and %s", goldenPath, len(got), digestPath)
 		return
 	}
 	want, err := os.ReadFile(goldenPath)
@@ -37,5 +45,9 @@ func TestGoldenSmallTables(t *testing.T) {
 		d := firstDiff(got, string(want))
 		t.Errorf("small-scale tables diverge from %s at byte %d:\n  got  %q\n  want %q\n(regenerate with -update if the change is intended)",
 			goldenPath, d, excerpt(got, d), excerpt(string(want), d))
+	}
+	if modelDigest != digestJ1 {
+		t.Errorf("model digest %q (%s) is stale: the Small sweep's Stats hash to %s (regenerate with make golden)",
+			modelDigest, digestPath, digestJ1)
 	}
 }

@@ -2,16 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/asm"
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/funcsim"
 	"repro/internal/kernels"
-	"repro/internal/loader"
-	"repro/internal/minic"
-	"repro/internal/progen"
 )
 
 // The mixstudy opens the dimension the paper's homogeneous-multitasking
@@ -66,70 +60,39 @@ func hierVariants() []hierVariant {
 	}
 }
 
-// mixProgram is one side of a pairing: it can build its object for a
-// k-thread slot group and run its solo baseline as an ordinary runner
-// cell (shared and cached like any other).
+// mixProgram is one side of a pairing: its name in the tables and the
+// slot that runs it (Threads, and a kernel's Params, are set per group).
 type mixProgram struct {
-	name  string
-	regs  int // explicit per-thread budget for the mix slot; 0 = equal share
-	build func(r *Runner, k int) (*loader.Object, error)
-	solo  func(r *Runner, k int, hier hierVariant) (*core.Stats, error)
+	name string
+	slot cellSlot
 }
 
 // kernelProgram wraps a paper kernel as a mix partner.
 func kernelProgram(name string) mixProgram {
-	return mixProgram{
-		name: name,
-		build: func(r *Runner, k int) (*loader.Object, error) {
-			b, err := kernels.Get(name)
-			if err != nil {
-				return nil, err
-			}
-			return b.Build(kernels.Params{Threads: k, Scale: r.Scale})
-		},
-		solo: func(r *Runner, k int, hier hierVariant) (*core.Stats, error) {
-			b, err := kernels.Get(name)
-			if err != nil {
-				return nil, err
-			}
-			cfg := r.config(k)
-			hier.apply(&cfg.Cache)
-			return r.Run(b, cfg)
-		},
-	}
+	return mixProgram{name, cellSlot{Kernel: name}}
 }
 
 // minicProgram wraps a MiniC-compiled program with a lean register
 // budget as a mix partner. The sources are the compiler study's.
 func minicProgram(name, src string, regs int) mixProgram {
-	return mixProgram{
-		name: name,
-		regs: regs,
-		build: func(r *Runner, k int) (*loader.Object, error) {
-			return minic.CompileToObject(src, minic.Options{Regs: regs})
-		},
-		solo: func(r *Runner, k int, hier hierVariant) (*core.Stats, error) {
-			return r.runMiniCHier(name, src, k, regs, hier)
-		},
-	}
+	return mixProgram{name, cellSlot{MiniC: src, Regs: regs}}
 }
 
 // progenProgram wraps a deterministic generated stress program as a mix
-// partner; seed picks the program, regs bounds its register usage (the
-// generator stays at or below r20).
+// partner; seed picks the program, and its 21-register budget covers
+// the generator's r0–r20.
 func progenProgram(seed int64) mixProgram {
-	name := fmt.Sprintf("progen%d", seed)
-	build := func(r *Runner, k int) (*loader.Object, error) {
-		return asm.Assemble(progen.New(seed).Source)
+	return mixProgram{fmt.Sprintf("progen%d", seed), cellSlot{Seed: seed, Regs: 21}}
+}
+
+// group returns prog's slot for a k-thread group.
+func (r *Runner) group(prog mixProgram, k int) cellSlot {
+	s := prog.slot
+	s.Threads = k
+	if s.Kernel != "" {
+		s.Params = kernels.Params{Threads: k, Scale: r.Scale}
 	}
-	return mixProgram{
-		name:  name,
-		regs:  21,
-		build: build,
-		solo: func(r *Runner, k int, hier hierVariant) (*core.Stats, error) {
-			return r.runMixSolo(name, build, k, hier)
-		},
-	}
+	return s
 }
 
 // mixPairing is one row family of the study: two unlike programs and how
@@ -169,126 +132,31 @@ func mixPlanFor(scale kernels.Scale) mixPlan {
 	return mixPlan{pairings: pairings, threads: threads}
 }
 
-// runMiniCHier is runMiniC with a hierarchy variant applied (and folded
-// into the cell key); the baseline variant shares the compiler study's
-// exact cells.
-func (r *Runner) runMiniCHier(name, src string, threads, regs int, hier hierVariant) (*core.Stats, error) {
-	if hier.name == "l1" {
-		return r.runMiniC(name, src, threads, regs)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Threads = threads
-	cfg.MaxCycles = 100_000_000
-	hier.apply(&cfg.Cache)
-	key := fmt.Sprintf("minic/%s/t%d/r%d/%s", name, threads, regs, hier.name)
-	run := func() (*core.Stats, error) {
-		obj, err := minic.CompileToObject(src, minic.Options{Regs: regs})
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.New(obj, cfg)
-		if err != nil {
-			return nil, err
-		}
-		st, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("minic %s (threads=%d regs=%d %s): %w", name, threads, regs, hier.name, err)
-		}
-		return st, nil
-	}
-	return r.runCell(key, "minic/"+name, func() *core.Stats { return placeholderStats(cfg) }, run)
-}
-
-// runMixSolo runs a mix partner's program alone at its group size — the
-// interference baseline for programs that are not kernels or MiniC.
-func (r *Runner) runMixSolo(name string, build func(r *Runner, k int) (*loader.Object, error), k int, hier hierVariant) (*core.Stats, error) {
+// runSolo runs prog alone on a k-thread group under hier: the
+// interference baseline. A kernel's solo is the same cell as its runs
+// in the paper figures.
+func (r *Runner) runSolo(prog mixProgram, k int, hier hierVariant) (*core.Stats, error) {
 	cfg := r.config(k)
-	cfg.MaxCycles = 100_000_000
 	hier.apply(&cfg.Cache)
-	key := fmt.Sprintf("mixsolo/%s/t%d/%s/s%d/bp%v/f%v", name, k, hier.name, r.Scale, cfg.Predictor, cfg.FetchPolicy)
-	run := func() (*core.Stats, error) {
-		obj, err := build(r, k)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.New(obj, cfg)
-		if err != nil {
-			return nil, err
-		}
-		st, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("mix solo %s (threads=%d): %w", name, k, err)
-		}
-		return st, nil
+	label := prog.name
+	if prog.slot.Kernel == "" {
+		cfg.MaxCycles = nonKernelMaxCycles
 	}
-	return r.runCell(key, "mixsolo/"+name, func() *core.Stats { return placeholderStats(cfg) }, run)
+	if prog.slot.MiniC != "" {
+		label = "minic/" + label // as the compiler study labels it
+	}
+	return r.runCell(cellSpec{label: label, cfg: cfg, slots: []cellSlot{r.group(prog, k)}})
 }
 
 // runMixCell simulates one mixed cell: both programs resident, the
-// hierarchy variant applied, validated against the functional reference
-// over the full stacked memory.
+// hierarchy variant applied.
 func (r *Runner) runMixCell(p *mixPairing, total int, hier hierVariant) (*core.Stats, error) {
 	ka, kb := p.split(total)
 	cfg := r.config(total)
-	cfg.MaxCycles = 100_000_000
-	cfg.CheckInvariants = r.Paranoid
-	cfg.Injector = r.Injector
+	cfg.MaxCycles = nonKernelMaxCycles
 	hier.apply(&cfg.Cache)
-	inj := "none"
-	if cfg.Injector != nil {
-		inj = cfg.Injector.String()
-	}
-	key := fmt.Sprintf("mix/%s/t%d+%d/%s/s%d/bp%v/f%v/inj{%s}",
-		p.name, ka, kb, hier.name, r.Scale, cfg.Predictor, cfg.FetchPolicy, inj)
-	run := func() (*core.Stats, error) {
-		start := time.Now()
-		mix, err := buildMix(r, p, ka, kb)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Mix = mix
-		m, err := core.New(nil, cfg)
-		if err != nil {
-			return nil, err
-		}
-		st, err := m.Run()
-		if err != nil {
-			return nil, fmt.Errorf("mix %s (threads=%d+%d %s): %w", p.name, ka, kb, hier.name, err)
-		}
-		// Architectural validation: the pipeline's full stacked memory —
-		// every slot window — must match the in-order reference word for
-		// word, so isolation violations cannot hide in a timing table.
-		ref, err := funcsim.RunMix(mix, 500_000_000)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s functional reference: %w", p.name, err)
-		}
-		if addr, got, want, differ := m.Memory().Diff(ref.Memory()); differ {
-			return nil, fmt.Errorf("mix %s (threads=%d+%d %s) diverges from the functional reference at %#x: pipeline %#x, functional %#x",
-				p.name, ka, kb, hier.name, addr, got, want)
-		}
-		r.progressf("mix %-12s t%d+%d %-11s: %d cycles (IPC %.2f) [%v]",
-			p.name, ka, kb, hier.name, st.Cycles, st.IPC(), time.Since(start).Round(time.Millisecond))
-		return st, nil
-	}
-	return r.runCell(key, "mix/"+p.name, func() *core.Stats { return placeholderStats(cfg) }, run)
-}
-
-// buildMix assembles the loader Mix for a pairing at a ka+kb split. A
-// kb of zero degenerates to the first program alone.
-func buildMix(r *Runner, p *mixPairing, ka, kb int) (*loader.Mix, error) {
-	objA, err := p.a.build(r, ka)
-	if err != nil {
-		return nil, fmt.Errorf("mix %s slot A: %w", p.name, err)
-	}
-	slots := []loader.Slot{{Object: objA, Threads: ka, Regs: p.a.regs}}
-	if kb > 0 {
-		objB, err := p.b.build(r, kb)
-		if err != nil {
-			return nil, fmt.Errorf("mix %s slot B: %w", p.name, err)
-		}
-		slots = append(slots, loader.Slot{Object: objB, Threads: kb, Regs: p.b.regs})
-	}
-	return &loader.Mix{Slots: slots}, nil
+	return r.runCell(cellSpec{label: "mix/" + p.name, cfg: cfg,
+		slots: []cellSlot{r.group(p.a, ka), r.group(p.b, kb)}})
 }
 
 // slotAggregates reduces per-thread stats to per-slot committed counts
@@ -338,11 +206,11 @@ func MixStudy(r *Runner) ([]Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s/t%d/%s: %w", p.name, total, hier.name, err)
 				}
-				soloA, err := p.a.solo(r, ka, hier)
+				soloA, err := r.runSolo(p.a, ka, hier)
 				if err != nil {
 					return nil, fmt.Errorf("%s solo A t%d/%s: %w", p.name, ka, hier.name, err)
 				}
-				soloB, err := p.b.solo(r, kb, hier)
+				soloB, err := r.runSolo(p.b, kb, hier)
 				if err != nil {
 					return nil, fmt.Errorf("%s solo B t%d/%s: %w", p.name, kb, hier.name, err)
 				}

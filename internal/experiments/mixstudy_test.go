@@ -127,7 +127,7 @@ func TestMixstudyCoversGrid(t *testing.T) {
 }
 
 // TestMixSoloKeyNamesFrontend: a mix partner's solo baseline simulates
-// under the runner's -bpred and -fetch overrides, so its cell key must
+// under the runner's -bpred and -fetch overrides, so its cell ID must
 // name both. A store filled by a default runner must not serve its
 // TrueRR baseline to a runner that overrides the fetch policy.
 func TestMixSoloKeyNamesFrontend(t *testing.T) {
@@ -139,7 +139,7 @@ func TestMixSoloKeyNamesFrontend(t *testing.T) {
 	}
 	solo := func(r *Runner) uint64 {
 		t.Helper()
-		st, err := prog.solo(r, 2, l1)
+		st, err := r.runSolo(prog, 2, l1)
 		if err != nil {
 			t.Fatal(err)
 		}

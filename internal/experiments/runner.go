@@ -1,30 +1,17 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"path/filepath"
 	"sync"
 	"text/tabwriter"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/crash"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/store"
 )
-
-// keyHash shortens a cell cache key into a stable bundle-dir suffix, so
-// distinct failing cells of one sweep never collide.
-func keyHash(key string) string {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return fmt.Sprintf("%08x", h.Sum32())
-}
 
 // Table is a rendered experiment result: the rows/series of one paper
 // figure or table.
@@ -66,16 +53,6 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// cell is one declared unit of simulation work: a benchmark ×
-// configuration point identified by its cache key. The run closure is
-// self-contained (build, simulate, validate) and safe to execute
-// concurrently with any other cell.
-type cell struct {
-	key   string
-	label string
-	run   func() (*core.Stats, error)
-}
-
 // cellResult memoizes a completed cell, errors included, so a failing
 // cell surfaces the same error at every experiment that requests it.
 type cellResult struct {
@@ -86,7 +63,7 @@ type cellResult struct {
 // CellTiming records the wall-clock cost and provenance of one
 // scheduled cell.
 type CellTiming struct {
-	Key         string  `json:"key"`
+	Key         string  `json:"key"` // the cell ID (cellID)
 	Label       string  `json:"label"`
 	WallSeconds float64 `json:"wall_seconds"`
 	Cycles      uint64  `json:"cycles"` // simulated cycles; 0 if the cell failed
@@ -105,7 +82,7 @@ type CellTiming struct {
 //     This is the historical sequential behavior.
 //   - Pipelined: RunExperiments first replays the experiments in a
 //     declaration pass that records every requested cell (deduped by
-//     cache key) without simulating, then executes the cells on a
+//     cell ID) without simulating, then executes the cells on a
 //     bounded worker pool, then replays the experiments again to
 //     assemble tables purely from the completed cell map. Because the
 //     assembly pass runs sequentially against final results, the
@@ -124,7 +101,8 @@ type Runner struct {
 	Paranoid bool
 	// Injector applies a deterministic fault schedule to every cell.
 	// Schedules are stateless, so one injector is safely shared by all
-	// parallel workers; its String() is folded into each cache key.
+	// parallel workers; its String() is folded into each cell ID. A
+	// cell that sets its own injector keeps it.
 	Injector core.FaultInjector
 	// CrashDir, when non-empty, makes any cell that fails with a
 	// *core.MachineError write a crash-report bundle (object, config,
@@ -179,7 +157,7 @@ type Runner struct {
 	sup        SupervisionCounts
 	cache      map[string]cellResult
 	declaring  bool
-	pending    []*cell
+	pending    []DeclaredCell
 	pendingBy  map[string]bool
 	phaseTotal core.PhaseTimes
 
@@ -255,43 +233,6 @@ func (r *Runner) config(n int) core.Config {
 	return cfg
 }
 
-// cacheKey folds every timing-relevant configuration field (plus the
-// runaway guard, which decides whether a long run errors out or not,
-// the watchdog, and the fault schedule — injected faults change cycle
-// counts, so two cells differing only in schedule must not share).
-// Coverage recording is timing-neutral but attaches a distinct Stats
-// payload, so coverage cells get their own key bit too: a coverage
-// experiment and a plain one must not race for the same slot. Phase
-// timing is likewise simulated-timing-neutral but changes the Stats
-// payload (and the host cost), so it gets its own bit as well.
-func cacheKey(b *kernels.Benchmark, cfg core.Config, p kernels.Params) string {
-	inj := "none"
-	if cfg.Injector != nil {
-		inj = cfg.Injector.String()
-	}
-	return fmt.Sprintf("%s/s%d/t%d/f%v/c%v/w%d/su%d/i%d/wb%d/sb%d/btb%d/pb%d/bp%v/ptb%v/rn%v/by%v/sf%v/ways%d/ports%d/%s/ic%v/fu%v/al%v/ch%d/mc%d/wd%d/cov%v/pt%v/inj{%s}",
-		b.Name, p.Scale, cfg.Threads, cfg.FetchPolicy, cfg.CommitPolicy, cfg.CommitWindow,
-		cfg.SUEntries, cfg.IssueWidth, cfg.WritebackWidth, cfg.StoreBuffer, cfg.BTBEntries,
-		cfg.PredictorBits, cfg.Predictor, cfg.PerThreadBTB, cfg.Renaming, cfg.Bypassing, cfg.StoreForwarding,
-		cfg.Cache.Ways, cfg.Cache.Ports, hierKey(&cfg.Cache), cfg.ICache != nil, cfg.FUs.Count, p.Align, p.SyncChunk,
-		cfg.MaxCycles, cfg.Watchdog, cfg.Coverage != nil, cfg.PhaseTiming, inj)
-}
-
-// hierKey folds the backside memory-hierarchy knobs (L2 geometry, victim
-// buffer, prefetcher) into a cache-key fragment. The default —
-// everything off — renders a fixed "h{off}" so hierarchy-less cells keep
-// stable keys.
-func hierKey(c *cache.Config) string {
-	l2 := "off"
-	if c.L2 != nil {
-		l2 = fmt.Sprintf("%d.%d.%d.%d", c.L2.SizeBytes, c.L2.Ways, c.L2.HitLatency, c.L2.MissPenalty)
-	}
-	if l2 == "off" && c.VictimEntries == 0 && !c.Prefetch {
-		return "h{off}"
-	}
-	return fmt.Sprintf("h{l1=%d,l2=%s,vb=%d,pf=%v}", c.SizeBytes, l2, c.VictimEntries, c.Prefetch)
-}
-
 // placeholderStats is what a declared-but-not-yet-simulated cell returns
 // during the declaration pass. The values are inert but safe: counters
 // are 1 so no ratio divides by zero, and the slices are sized like a
@@ -307,96 +248,58 @@ func placeholderStats(cfg core.Config) *core.Stats {
 	return st
 }
 
-// runCell is the single entry point for all simulation work. Cached
-// cells return their memoized result; in declaration mode fresh cells
-// are recorded and answered with a placeholder; otherwise the cell runs
-// on the calling goroutine.
-func (r *Runner) runCell(key, label string, placeholder func() *core.Stats, run func() (*core.Stats, error)) (*core.Stats, error) {
+// runCell is the single entry point for all simulation work. It applies
+// the runner's -paranoid, -timing and -fault overrides to c, names it
+// by cellID, and returns the memoized result; in declaration mode a
+// fresh cell is recorded and answered with a placeholder, otherwise it
+// runs on the calling goroutine.
+func (r *Runner) runCell(c cellSpec) (*core.Stats, error) {
+	c.cfg.CheckInvariants = c.cfg.CheckInvariants || r.Paranoid
+	c.cfg.PhaseTiming = c.cfg.PhaseTiming || r.PhaseTiming
+	if c.cfg.Injector == nil {
+		c.cfg.Injector = r.Injector
+	}
+	id := cellID(c)
 	r.mu.Lock()
-	if res, ok := r.cache[key]; ok {
+	if res, ok := r.cache[id]; ok {
 		r.mu.Unlock()
 		return res.stats, res.err
 	}
 	if r.declaring {
-		if !r.pendingBy[key] {
-			r.pending = append(r.pending, &cell{key: key, label: label, run: run})
-			r.pendingBy[key] = true
+		if !r.pendingBy[id] {
+			r.pending = append(r.pending, DeclaredCell{Key: id, Label: c.label, spec: c})
+			r.pendingBy[id] = true
 		}
 		r.mu.Unlock()
-		return placeholder(), nil
+		return placeholderStats(c.cfg), nil
 	}
 	r.mu.Unlock()
-
-	out := r.superviseCell(key, label, run)
-	r.mu.Lock()
-	r.cache[key] = cellResult{out.st, out.err}
-	r.mu.Unlock()
+	out := r.execute(DeclaredCell{Key: id, Label: c.label, spec: c})
 	return out.st, out.err
 }
 
+// execute runs one cell under supervision and memoizes the outcome.
+func (r *Runner) execute(c DeclaredCell) cellOutcome {
+	out := r.superviseCell(c.Key, c.Label, func() (*core.Stats, error) { return r.simulate(c.Key, c.spec) })
+	r.mu.Lock()
+	r.cache[c.Key] = cellResult{out.st, out.err}
+	r.mu.Unlock()
+	return out
+}
+
 // Run simulates benchmark b under cfg (memoized) and validates the
-// result against the benchmark's golden model.
+// result against the benchmark's golden model. b must be a registered
+// benchmark (kernels.Get finds it by name).
 func (r *Runner) Run(b *kernels.Benchmark, cfg core.Config) (*core.Stats, error) {
-	return r.RunWith(b, cfg, kernels.Params{Threads: cfg.Threads, Scale: r.Scale})
+	return r.RunWith(b, cfg, kernels.Params{})
 }
 
 // RunWith is Run with explicit benchmark build parameters (alignment,
 // sync granularity) for the extension experiments.
 func (r *Runner) RunWith(b *kernels.Benchmark, cfg core.Config, p kernels.Params) (*core.Stats, error) {
-	p.Threads = cfg.Threads
-	p.Scale = r.Scale
-	cfg.CheckInvariants = cfg.CheckInvariants || r.Paranoid
-	cfg.PhaseTiming = cfg.PhaseTiming || r.PhaseTiming
-	if cfg.Injector == nil {
-		cfg.Injector = r.Injector
-	}
-	key := cacheKey(b, cfg, p)
-	run := func() (*core.Stats, error) {
-		start := time.Now()
-		obj, err := b.Build(p)
-		if err != nil {
-			return nil, err
-		}
-		m, err := core.New(obj, cfg)
-		if err != nil {
-			return nil, err
-		}
-		st, err := m.Run()
-		if err != nil {
-			err = fmt.Errorf("%s (threads=%d): %w", b.Name, cfg.Threads, err)
-			var me *core.MachineError
-			if errors.As(err, &me) {
-				bundleDir := ""
-				if r.CrashDir != "" {
-					bundle := crash.New(b.Name, obj, cfg, me)
-					dir := filepath.Join(r.CrashDir, bundle.DirName(keyHash(key)))
-					if final, replay, werr := bundle.Write(dir); werr == nil {
-						bundleDir = final
-						err = fmt.Errorf("%w\ncrash bundle: %s (reproduce: %s)", err, final, replay)
-					} else {
-						err = fmt.Errorf("%w\n(crash bundle not written: %v)", err, werr)
-					}
-				}
-				// cellError threads the bundle path to the supervisor, which
-				// attaches it to the quarantine record if the failure confirms.
-				return nil, &cellError{err: err, bundle: bundleDir}
-			}
-			return nil, err
-		}
-		if err := b.Check(m.Memory(), obj, p); err != nil {
-			return nil, fmt.Errorf("%s (threads=%d) failed validation: %w", b.Name, cfg.Threads, err)
-		}
-		if cfg.PhaseTiming {
-			r.mu.Lock()
-			r.phaseTotal.Add(st.PhaseTime)
-			r.mu.Unlock()
-		}
-		r.progressf("%-8s threads=%d ways=%d su=%d policy=%v: %d cycles (IPC %.2f) [%v]",
-			b.Name, cfg.Threads, cfg.Cache.Ways, cfg.SUEntries, cfg.FetchPolicy, st.Cycles, st.IPC(),
-			time.Since(start).Round(time.Millisecond))
-		return st, nil
-	}
-	return r.runCell(key, b.Name, func() *core.Stats { return placeholderStats(cfg) }, run)
+	p.Threads, p.Scale = cfg.Threads, r.Scale
+	return r.runCell(cellSpec{label: b.Name, cfg: cfg,
+		slots: []cellSlot{{Threads: cfg.Threads, Kernel: b.Name, Params: p}}})
 }
 
 // declare replays exps with the runner in declaration mode, recording
@@ -418,16 +321,22 @@ func (r *Runner) declare(exps []Experiment) error {
 	return nil
 }
 
-// executePending simulates every declared cell on a pool of `jobs`
-// workers and returns per-cell timings in declaration order. Results
-// (including failures) land in the cell cache keyed by cache key, so
-// completion order cannot influence anything downstream.
-func (r *Runner) executePending(jobs int) []CellTiming {
+// takePending consumes the declared cell list.
+func (r *Runner) takePending() []DeclaredCell {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	cells := r.pending
 	r.pending = nil
 	r.pendingBy = map[string]bool{}
-	r.mu.Unlock()
+	return cells
+}
+
+// executePending simulates every declared cell on a pool of `jobs`
+// workers and returns per-cell timings in declaration order. Results
+// (including failures) land in the cell cache keyed by cell ID, so
+// completion order cannot influence anything downstream.
+func (r *Runner) executePending(jobs int) []CellTiming {
+	cells := r.takePending()
 	if len(cells) == 0 {
 		return nil
 	}
@@ -445,22 +354,8 @@ func (r *Runner) executePending(jobs int) []CellTiming {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				c := cells[i]
-				start := time.Now()
-				out := r.superviseCell(c.key, c.label, c.run)
-				wall := time.Since(start)
-				r.mu.Lock()
-				r.cache[c.key] = cellResult{out.st, out.err}
-				r.mu.Unlock()
-				tm := CellTiming{Key: c.key, Label: c.label, WallSeconds: wall.Seconds(),
-					Attempts: out.attempts, Source: out.source}
-				if out.st != nil {
-					tm.Cycles = out.st.Cycles
-				}
-				if out.err != nil {
-					tm.Err = out.err.Error()
-				}
-				timings[i] = tm
+				// A failed cell's error is also in its timing's Err.
+				timings[i], _ = r.ExecuteDeclared(cells[i])
 			}
 		}()
 	}

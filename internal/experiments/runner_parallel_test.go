@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -13,8 +16,8 @@ import (
 // renderSweep runs the full registry at Small scale on a fresh runner
 // with the given worker count and returns the concatenation of every
 // rendered table — exactly what `sdsp-exp -scale small` writes to
-// stdout — plus the fresh-cell timings.
-func renderSweep(t *testing.T, jobs int) (string, []CellTiming) {
+// stdout — plus the model digest of the sweep's Stats.
+func renderSweep(t *testing.T, jobs int) (string, string) {
 	t.Helper()
 	r := NewRunner(kernels.Small)
 	tables, timings, err := r.RunExperiments(Registry(), jobs)
@@ -29,23 +32,37 @@ func renderSweep(t *testing.T, jobs int) (string, []CellTiming) {
 			}
 		}
 	}
-	return buf.String(), timings
+	return buf.String(), statsDigest(t, r, timings)
+}
+
+// statsDigest is the model digest: the sha256 of the JSON of every
+// cell's Stats, in declaration order.
+func statsDigest(t *testing.T, r *Runner, timings []CellTiming) string {
+	t.Helper()
+	h := sha256.New()
+	for _, tm := range timings {
+		data, err := json.Marshal(r.cache[tm.Key].stats)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Sweeps are expensive; the determinism and golden tests share one
 // sequential and one 8-way render of the registry.
 var (
-	sweepOnce      sync.Once
-	sweepJ1        string
-	sweepJ8        string
-	sweepJ1Timings []CellTiming
+	sweepOnce          sync.Once
+	sweepJ1, sweepJ8   string
+	digestJ1, digestJ8 string
 )
 
 func sweeps(t *testing.T) (j1, j8 string) {
 	t.Helper()
 	sweepOnce.Do(func() {
-		sweepJ1, sweepJ1Timings = renderSweep(t, 1)
-		sweepJ8, _ = renderSweep(t, 8)
+		sweepJ1, digestJ1 = renderSweep(t, 1)
+		sweepJ8, digestJ8 = renderSweep(t, 8)
 	})
 	if sweepJ1 == "" || sweepJ8 == "" {
 		t.Fatal("sweep rendering failed in an earlier test")
@@ -62,6 +79,9 @@ func TestParallelDeterminism(t *testing.T) {
 		d := firstDiff(j1, j8)
 		t.Fatalf("rendered tables differ between -j 1 and -j 8 (first divergence at byte %d: %q vs %q)",
 			d, excerpt(j1, d), excerpt(j8, d))
+	}
+	if digestJ1 != digestJ8 {
+		t.Errorf("cell Stats differ between -j 1 and -j 8: digests %s vs %s", digestJ1, digestJ8)
 	}
 }
 

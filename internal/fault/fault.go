@@ -212,7 +212,7 @@ func (s *Schedule) CommitWindowShrink(now uint64) int {
 }
 
 // String renders the canonical spec; ParseSpec(s.String()) rebuilds an
-// identical schedule. Experiment cache keys fold this in.
+// identical schedule. Experiment cell IDs fold this in.
 func (s *Schedule) String() string {
 	return fmt.Sprintf("seed=%d,miss=%g,wb=%g,flip=%g,squash=%g,sync=%g,wake=%g,fetch=%g,fblock=%g,sbhold=%g,shrink=%g",
 		s.seed, s.rates.CacheMiss, s.rates.Writeback, s.rates.FlipBTB, s.rates.Squash,

@@ -34,8 +34,8 @@ import (
 // flags — a job is nothing more than a durable, addressable sdsp-exp
 // invocation — and it is small enough that every worker rebuilds the
 // full runner configuration from it instead of receiving serialized
-// work items: canonical cache keys make independently declared cell
-// lists identical across the fleet.
+// work items: cell IDs derived from what each cell simulates make
+// independently declared cell lists identical across the fleet.
 type JobSpec struct {
 	Experiments []string `json:"experiments"`        // registry names, in output order; ["all"] expands
 	Scale       string   `json:"scale"`              // "paper" or "small"
@@ -313,9 +313,9 @@ func atomicWriteFile(path string, data []byte) error {
 }
 
 // jobPlan is a process-local cache of one job's declared cell list
-// (and the runner whose closures execute those cells). Plans are
-// derived state: every process rebuilds them from the durable spec,
-// and canonical cache keys guarantee all rebuilds agree.
+// (and the runner that executes those cells). Plans are derived state:
+// every process rebuilds them from the durable spec, and cell IDs
+// guarantee all rebuilds agree.
 type jobPlan struct {
 	spec   *JobSpec
 	runner *experiments.Runner

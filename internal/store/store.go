@@ -1,13 +1,13 @@
 // Package store is the content-addressed, crash-safe on-disk cell
 // result store behind `sdsp-exp -store` / `sdsp-report -store`: a log
 // of checksummed JSON records, one per completed experiment cell, keyed
-// by the same cache key the experiment runner already folds every
-// timing-relevant configuration field (fault spec, predictor, timing
-// mode, ...) into. Repeated sweeps — and concurrent sweeps from
-// several processes — share cells instead of re-simulating them, while
-// the runner's byte-identical `-j` output contract is preserved: a
-// warm cell deserializes to the same Stats the fresh simulation
-// produced.
+// by the experiment runner's cell ID, which is derived from the cell's
+// complete machine configuration (fault spec, predictor, timing mode,
+// ...), its programs and the model digest. Repeated sweeps — and
+// concurrent sweeps from several processes — share cells instead of
+// re-simulating them, while the runner's byte-identical `-j` output
+// contract is preserved: a warm cell deserializes to the same Stats
+// the fresh simulation produced.
 //
 // Layout:
 //
