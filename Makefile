@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check check report
+.PHONY: all build vet fmt lint test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check check report
 
 all: check
 
@@ -52,12 +52,6 @@ fault-smoke:
 	done
 	$(GO) run ./cmd/sdsp-sim -bench LL5 -threads 2 -paranoid -functional -fault seed=13,miss=0.05,wb=0.05,flip=0.05,squash=0.01,sync=0.05,wake=0.02,fetch=0.05,fblock=0.02 > /dev/null
 
-# Tiny fault-sweep grid through the CLI: every axis must complete and
-# render deterministically (the in-process j1-vs-j8 byte comparison
-# lives in the experiments tests; this exercises the sdsp-exp path).
-fault-sweep-smoke:
-	$(GO) run ./cmd/sdsp-exp -faultsweep -scale small -j 8 > /dev/null
-
 # Coverage smoke: the event table over the four scheduled kernels
 # through the CLI, plus the coverage-floor tests (kernel floor and the
 # guided-generator must-hit check against the committed gap golden).
@@ -71,22 +65,6 @@ cover-smoke:
 	done > /tmp/coverage-tables.txt
 	$(GO) test ./sdsp -run 'TestKernelCoverage|TestCoverageFloor' -v > /tmp/coverage-floor.txt 2>&1; \
 		status=$$?; cat /tmp/coverage-floor.txt; exit $$status
-
-# Frontend-study smoke: the small-scale predictor × fetch-policy study
-# through the CLI must match its committed golden byte for byte (the
-# in-process j1-vs-j8 and golden checks live in predstudy_test.go).
-predstudy-smoke:
-	$(GO) run ./cmd/sdsp-exp -exp predstudy -scale small -j 8 > /tmp/predstudy.out
-	cmp /tmp/predstudy.out internal/experiments/testdata/predstudy_small.golden
-
-# Heterogeneous-study smoke: the small-scale multiprogramming ×
-# memory-hierarchy study through the CLI must match its committed
-# golden byte for byte (the in-process j1-vs-j8 and golden checks live
-# in mixstudy_test.go, the hierarchy-off bit-identity guard next to
-# them).
-mixstudy-smoke:
-	$(GO) run ./cmd/sdsp-exp -mixstudy -scale small -j 8 > /tmp/mixstudy.out
-	cmp /tmp/mixstudy.out internal/experiments/testdata/mixstudy_small.golden
 
 # Crash-safety chaos harness: kill real sdsp-exp sweeps at seeded
 # mid-flight points, resume against the same store, and require
@@ -115,6 +93,8 @@ store-race:
 
 # Parallel determinism through the CLI: the small-scale sweep at -j 1
 # and -j 8 must be byte-identical, and equal to the committed golden.
+# The sweep is the whole registry, the studies (faultsweep, predstudy,
+# mixstudy) included; CI uploads both outputs when this fails.
 determinism-smoke:
 	$(GO) build -o /tmp/sdsp-exp ./cmd/sdsp-exp
 	/tmp/sdsp-exp -scale small -j 1 > /tmp/j1.txt
@@ -136,7 +116,7 @@ crash-replay-smoke:
 # digest that every cell ID folds in, so the change renames every cell
 # and warm stores recompute instead of serving stale results.
 golden:
-	$(GO) test ./internal/experiments -run 'TestGoldenSmallTables|TestPredstudyGoldenSmall|TestMixstudyGoldenSmall' -update
+	$(GO) test ./internal/experiments -run TestGoldenSmallTables -update
 
 # Regenerate the committed unguided coverage-gap list after an
 # intentional change to the event model or the generator.
@@ -155,7 +135,7 @@ bench-check:
 	$(GO) run ./cmd/sdsp-bench -check BENCH_sim.json
 
 # Everything CI runs.
-check: vet fmt lint build test race fuzz-seeds paranoid fault-smoke fault-sweep-smoke cover-smoke predstudy-smoke mixstudy-smoke chaos-smoke serve-smoke store-race determinism-smoke bench-check crash-replay-smoke
+check: vet fmt lint build test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke bench-check crash-replay-smoke
 
 # Full paper-scale experiment report (several minutes; all cores).
 report:

@@ -7,7 +7,6 @@
 package repro_test
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -38,27 +37,21 @@ type expTable struct {
 	scale kernels.Scale
 }
 
-// runExperiment executes one experiment per iteration and returns the
-// final tables for metric extraction. A registered experiment that
-// reports experiments.ErrScaleUnsupported at the benchmark scale skips
-// instead of failing: the suite stays green while such an experiment
-// simply has no Small-scale data to report.
+// runExperiment executes one experiment per iteration, sequentially on
+// a fresh runner, and returns the final tables for metric extraction.
 func runExperiment(b *testing.B, name string) []expTable {
 	b.Helper()
+	e, err := experiments.Get(name)
+	if err != nil {
+		b.Fatalf("experiment %s (scale %s): %v", name, scaleName(benchScale), err)
+	}
 	var tables []experiments.Table
 	for i := 0; i < b.N; i++ {
-		r := experiments.NewRunner(benchScale)
-		e, err := experiments.Get(name)
+		all, _, err := experiments.NewRunner(benchScale).RunExperiments([]experiments.Experiment{e}, 1)
 		if err != nil {
 			b.Fatalf("experiment %s (scale %s): %v", name, scaleName(benchScale), err)
 		}
-		tables, err = e.Run(r)
-		if errors.Is(err, experiments.ErrScaleUnsupported) {
-			b.Skipf("experiment %s is unavailable at scale %s: %v", name, scaleName(benchScale), err)
-		}
-		if err != nil {
-			b.Fatalf("experiment %s (scale %s): %v", name, scaleName(benchScale), err)
-		}
+		tables = all[0]
 	}
 	out := make([]expTable, len(tables))
 	for i, t := range tables {

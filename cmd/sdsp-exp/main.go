@@ -6,7 +6,7 @@
 //	sdsp-exp -exp fig3,fig4   # selected experiments
 //	sdsp-exp -scale small     # quick problem sizes
 //	sdsp-exp -j 8             # simulate up to 8 cells in parallel
-//	sdsp-exp -json t.json     # export per-cell wall times as JSON
+//	sdsp-exp -json t.json     # export per-cell wall times and study rows as JSON
 //	sdsp-exp -store .cells    # persist cells; resumed runs skip committed work
 //	sdsp-exp -v               # per-simulation progress on stderr
 //
@@ -32,20 +32,19 @@ import (
 	"repro/sdsp"
 )
 
-// timingExport is the machine-readable -json payload.
+// timingExport is the machine-readable -json payload. Exports holds
+// each selected experiment's Export rows, keyed by experiment name.
 type timingExport struct {
-	Scale            string                         `json:"scale"`
-	Jobs             int                            `json:"jobs"`
-	Experiments      []string                       `json:"experiments"`
-	Cells            []experiments.CellTiming       `json:"cells"`
-	Degradation      []experiments.DegradationCurve `json:"degradation,omitempty"`
-	Predstudy        []experiments.PredCell         `json:"predstudy,omitempty"`
-	Mixstudy         []experiments.MixCell          `json:"mixstudy,omitempty"`
-	Store            experiments.StoreReport        `json:"store"`
-	TotalWallSeconds float64                        `json:"total_wall_seconds"`
-	CellWallSeconds  float64                        `json:"cell_wall_seconds"`
-	SimulatedCycles  uint64                         `json:"simulated_cycles"`
-	CyclesPerSecond  float64                        `json:"cycles_per_second"`
+	Scale            string                   `json:"scale"`
+	Jobs             int                      `json:"jobs"`
+	Experiments      []string                 `json:"experiments"`
+	Cells            []experiments.CellTiming `json:"cells"`
+	Exports          map[string]any           `json:"exports,omitempty"`
+	Store            experiments.StoreReport  `json:"store"`
+	TotalWallSeconds float64                  `json:"total_wall_seconds"`
+	CellWallSeconds  float64                  `json:"cell_wall_seconds"`
+	SimulatedCycles  uint64                   `json:"simulated_cycles"`
+	CyclesPerSecond  float64                  `json:"cycles_per_second"`
 }
 
 func main() {
@@ -55,11 +54,9 @@ func main() {
 		list     = flag.Bool("list", false, "list experiment names and exit")
 		verbose  = flag.Bool("v", false, "log each fresh simulation (with wall time) to stderr")
 		jobs     = flag.Int("j", runtime.GOMAXPROCS(0), "max cells simulated in parallel (1 = sequential)")
-		jsonOut  = flag.String("json", "", "write per-cell timing JSON to this file ('-' for stdout)")
+		jsonOut  = flag.String("json", "", "write per-cell timings and study exports as JSON to this file ('-' for stdout)")
 		paranoid = flag.Bool("paranoid", false, "check machine invariants every cycle in every cell")
 		fault    = flag.String("fault", "", "apply a deterministic fault schedule to every cell (preset or seed=N,miss=R,...)")
-		sweep    = flag.Bool("faultsweep", false, "run the fault-sweep experiment (shorthand for -exp faultsweep)")
-		mix      = flag.Bool("mixstudy", false, "run the heterogeneous multiprogramming study (shorthand for -exp mixstudy)")
 		crashDir = flag.String("crashdir", "", "write a crash-report bundle here when a cell fails with a machine error")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
 		memprof  = flag.String("memprofile", "", "write a pprof live-heap profile to this file after the run")
@@ -126,12 +123,6 @@ func main() {
 	}
 
 	var selected []experiments.Experiment
-	if *sweep {
-		*expNames = "faultsweep"
-	}
-	if *mix {
-		*expNames = "mixstudy"
-	}
 	if *expNames == "all" {
 		selected = experiments.Registry()
 	} else {
@@ -183,7 +174,11 @@ func main() {
 	}
 
 	if *jsonOut != "" {
-		if err := writeJSON(*jsonOut, *scale, *jobs, selected, runner.Curves, runner.PredCells, runner.MixCells, storeRep, timings, elapsed); err != nil {
+		exports, err := runner.Exports(selected)
+		if err == nil {
+			err = writeJSON(*jsonOut, *scale, *jobs, selected, exports, storeRep, timings, elapsed)
+		}
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "sdsp-exp:", err)
 			os.Exit(1)
 		}
@@ -223,7 +218,7 @@ func reportTimings(w *os.File, timings []experiments.CellTiming, elapsed time.Du
 		cellWall, cellWall/elapsed.Seconds())
 }
 
-func writeJSON(path, scale string, jobs int, selected []experiments.Experiment, curves []experiments.DegradationCurve, predCells []experiments.PredCell, mixCells []experiments.MixCell, storeRep experiments.StoreReport, timings []experiments.CellTiming, elapsed time.Duration) error {
+func writeJSON(path, scale string, jobs int, selected []experiments.Experiment, exports map[string]any, storeRep experiments.StoreReport, timings []experiments.CellTiming, elapsed time.Duration) error {
 	var cellWall float64
 	var cycles uint64
 	for _, t := range timings {
@@ -239,9 +234,7 @@ func writeJSON(path, scale string, jobs int, selected []experiments.Experiment, 
 		Jobs:             jobs,
 		Experiments:      names,
 		Cells:            timings,
-		Degradation:      curves,
-		Predstudy:        predCells,
-		Mixstudy:         mixCells,
+		Exports:          exports,
 		Store:            storeRep,
 		TotalWallSeconds: elapsed.Seconds(),
 		CellWallSeconds:  cellWall,

@@ -159,7 +159,7 @@ func TestParanoidRunnerSimulatesItsCells(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cells")
 	exps := []Experiment{{Name: "two", Run: func(r *Runner) ([]Table, error) {
 		for _, b := range kernels.GroupI()[:2] {
-			if _, err := r.Run(b, r.config(2)); err != nil {
+			if _, err := r.run(b, r.config(2)); err != nil {
 				return nil, err
 			}
 		}
@@ -221,8 +221,11 @@ func TestMiniCSoloHonoursPredictor(t *testing.T) {
 	}
 	r := NewRunner(kernels.Small)
 	r.Predictor = core.PredTAGE
-	got, err := r.runSolo(lean, k, hierVariants()[0])
-	if err != nil {
+	var got *core.Stats
+	if _, err := probe(r, 1, func(r *Runner) (err error) {
+		got, err = r.runSolo(lean, k, hierVariants()[0])
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, tage) {

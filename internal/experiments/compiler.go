@@ -96,7 +96,7 @@ func CompilerStudy(r *Runner) ([]Table, error) {
 		{"Inner product", handDot, dotC},
 	} {
 		for _, n := range []int{1, 4} {
-			hand, err := r.Run(row.hand, r.config(n))
+			hand, err := r.run(row.hand, r.config(n))
 			if err != nil {
 				return nil, err
 			}

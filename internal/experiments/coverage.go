@@ -40,7 +40,7 @@ func (r *Runner) coverCell(b *kernels.Benchmark, n int, pol core.FetchPolicy) (*
 	cfg := r.config(n)
 	cfg.FetchPolicy = pol
 	cfg.Coverage = cover.NewSet()
-	return r.Run(b, cfg)
+	return r.run(b, cfg)
 }
 
 // mergeCover folds src into *dst with the clone-first pattern: merging

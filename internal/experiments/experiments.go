@@ -14,7 +14,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -28,42 +27,57 @@ type Experiment struct {
 	Name  string // e.g. "fig3"
 	Title string
 	Run   func(r *Runner) ([]Table, error)
+	// Export, when non-nil, returns the rows Run renders its tables
+	// from, for sdsp-exp -json. It serves memoized cells only, so call
+	// it after RunExperiments (see Runner.Exports).
+	Export func(r *Runner) (any, error)
 }
 
-// ErrScaleUnsupported is returned (wrapped) by an experiment that
-// cannot run at the Runner's problem scale — e.g. a future sweep whose
-// working set only exists at Paper scale. Benchmark and smoke harnesses
-// check for it with errors.Is and skip rather than fail.
-var ErrScaleUnsupported = errors.New("experiment unavailable at this scale")
+// exportOf adapts a study's grid function to Experiment.Export.
+func exportOf[T any](grid func(*Runner) (T, error)) func(*Runner) (any, error) {
+	return func(r *Runner) (any, error) { return grid(r) }
+}
 
 // Registry returns all experiments in paper order.
 func Registry() []Experiment {
 	return []Experiment{
-		{"table1", "Functional unit configuration", Table1},
-		{"table2", "Hardware configuration", Table2},
-		{"fig3", "Fetch policies, Group I (cycles)", Fig3},
-		{"fig4", "Fetch policies, Group II (cycles)", Fig4},
-		{"fig5", "Number of threads, Group I (cycles)", Fig5},
-		{"fig6", "Number of threads, Group II (cycles)", Fig6},
-		{"fig7", "Direct vs associative cache, Group I (average cycles)", Fig7},
-		{"fig8", "Direct vs associative cache, Group II (average cycles)", Fig8},
-		{"table3", "Cache hit rates, direct vs 2-way associative", Table3},
-		{"fig9", "Scheduling unit depth, Group I (cycles)", Fig9},
-		{"fig10", "Scheduling unit depth, Group II (cycles)", Fig10},
-		{"fig11", "Functional unit configurations, Group I (cycles)", Fig11},
-		{"fig12", "Functional unit configurations, Group II (cycles)", Fig12},
-		{"table4", "Usage of extra functional units (% of cycles)", Table4},
-		{"fig13", "Result commit from one vs four blocks, Group I (cycles)", Fig13},
-		{"fig14", "Result commit from one vs four blocks, Group II (cycles)", Fig14},
-		{"summary", "Speedup summary (paper §5.2 prose)", Summary},
-		{"ablations", "Extension ablations: bypassing, renaming, fetch waste", Ablations},
-		{"improvements", "Paper §6.1: all four proposed improvements, implemented", Improvements},
-		{"hwablations", "Extension ablations: predictor, BTB sharing, I-cache, forwarding", HardwareAblations},
-		{"compiler", "Toolchain study: MiniC vs hand-written asm; register budget sweep", CompilerStudy},
-		{"faultsweep", "Fault sweep: IPC degradation under injected faults, per mechanism", FaultSweep},
-		{"coverage", "Microarchitectural event coverage across kernels, threads, and policies", Coverage},
-		{"predstudy", "Frontend study: predictor family × fetch policy IPC and accuracy matrix", PredStudy},
-		{"mixstudy", "Heterogeneous study: multiprogrammed pairings × threads × memory hierarchy", MixStudy},
+		{"table1", "Functional unit configuration", Table1, nil},
+		{"table2", "Hardware configuration", Table2, nil},
+		{"fig3", "Fetch policies, Group I (cycles)", cycleFig(kernels.GroupI, fetchColumns,
+			"Figure 3: cycles of execution, Livermore loops, by fetch policy (4 threads)"), nil},
+		{"fig4", "Fetch policies, Group II (cycles)", cycleFig(kernels.GroupII, fetchColumns,
+			"Figure 4: cycles of execution, Group II, by fetch policy (4 threads)"), nil},
+		{"fig5", "Number of threads, Group I (cycles)", cycleFig(kernels.GroupI, threadColumns,
+			"Figure 5: cycles of execution, Livermore loops, 1-6 threads"), nil},
+		{"fig6", "Number of threads, Group II (cycles)", cycleFig(kernels.GroupII, threadColumns,
+			"Figure 6: cycles of execution, Group II, 1-6 threads"), nil},
+		{"fig7", "Direct vs associative cache, Group I (average cycles)", cacheFig(kernels.GroupI,
+			"Figure 7: average cycles, Livermore loops, direct vs associative cache"), nil},
+		{"fig8", "Direct vs associative cache, Group II (average cycles)", cacheFig(kernels.GroupII,
+			"Figure 8: average cycles, Group II, direct vs associative cache"), nil},
+		{"table3", "Cache hit rates, direct vs 2-way associative", Table3, nil},
+		{"fig9", "Scheduling unit depth, Group I (cycles)", cycleFig(kernels.GroupI, suColumns(),
+			"Figure 9: cycles by scheduling unit depth, Livermore loops"), nil},
+		{"fig10", "Scheduling unit depth, Group II (cycles)", cycleFig(kernels.GroupII, suColumns(),
+			"Figure 10: cycles by scheduling unit depth, Group II"), nil},
+		{"fig11", "Functional unit configurations, Group I (cycles)", cycleFig(kernels.GroupI, fuColumns,
+			"Figure 11: cycles by FU configuration, Livermore loops"), nil},
+		{"fig12", "Functional unit configurations, Group II (cycles)", cycleFig(kernels.GroupII, fuColumns,
+			"Figure 12: cycles by FU configuration, Group II"), nil},
+		{"table4", "Usage of extra functional units (% of cycles)", Table4, nil},
+		{"fig13", "Result commit from one vs four blocks, Group I (cycles)", commitFig(kernels.GroupI,
+			"Figure 13: commit from one vs multiple blocks, Livermore loops"), nil},
+		{"fig14", "Result commit from one vs four blocks, Group II (cycles)", commitFig(kernels.GroupII,
+			"Figure 14: commit from one vs multiple blocks, Group II"), nil},
+		{"summary", "Speedup summary (paper §5.2 prose)", Summary, nil},
+		{"ablations", "Extension ablations: bypassing, renaming, fetch waste", Ablations, nil},
+		{"improvements", "Paper §6.1: all four proposed improvements, implemented", Improvements, nil},
+		{"hwablations", "Extension ablations: predictor, BTB sharing, I-cache, forwarding", HardwareAblations, nil},
+		{"compiler", "Toolchain study: MiniC vs hand-written asm; register budget sweep", CompilerStudy, nil},
+		{"faultsweep", "Fault sweep: IPC degradation under injected faults, per mechanism", FaultSweep, exportOf(faultCurves)},
+		{"coverage", "Microarchitectural event coverage across kernels, threads, and policies", Coverage, nil},
+		{"predstudy", "Frontend study: predictor family × fetch policy IPC and accuracy matrix", PredStudy, exportOf(predGrid)},
+		{"mixstudy", "Heterogeneous study: multiprogrammed pairings × threads × memory hierarchy", MixStudy, exportOf(mixGrid)},
 	}
 }
 
@@ -130,96 +144,110 @@ func Table2(r *Runner) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// fetchPolicyFig builds Fig 3/4: cycles under the three fetch policies
+// cycleColumn is one column of a per-kernel cycle figure: its header
+// and the configuration its cells run, r.config(threads) with set
+// applied.
+type cycleColumn struct {
+	header  string
+	threads int
+	set     func(*core.Config) // nil keeps the default
+}
+
+// fetchColumns are Fig 3/4's: the three fetch policies at 4 threads,
 // plus the single-threaded base case.
-func fetchPolicyFig(r *Runner, group []*kernels.Benchmark, title string) ([]Table, error) {
-	t := Table{
-		Title:   title,
-		Headers: []string{"Benchmark", "TrueRR", "MaskedRR", "CSwitch", "BaseCase"},
-	}
-	for _, b := range group {
-		row := []string{b.Name}
-		for _, pol := range []core.FetchPolicy{core.TrueRR, core.MaskedRR, core.CondSwitch} {
-			cfg := r.config(defaultThreads)
-			cfg.FetchPolicy = pol
-			v, err := cycleCell(r, b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
+var fetchColumns = []cycleColumn{
+	{"TrueRR", defaultThreads, fetchPolicy(core.TrueRR)},
+	{"MaskedRR", defaultThreads, fetchPolicy(core.MaskedRR)},
+	{"CSwitch", defaultThreads, fetchPolicy(core.CondSwitch)},
+	{"BaseCase", 1, nil},
+}
+
+func fetchPolicy(p core.FetchPolicy) func(*core.Config) {
+	return func(c *core.Config) { c.FetchPolicy = p }
+}
+
+// threadColumns are Fig 5/6's: 1..6 threads.
+var threadColumns = []cycleColumn{
+	{"One", 1, nil}, {"Two", 2, nil}, {"Three", 3, nil},
+	{"Four", 4, nil}, {"Five", 5, nil}, {"Six", 6, nil},
+}
+
+// suDepths is the paper's scheduling unit sweep.
+var suDepths = []int{16, 32, 48, 64}
+
+// suColumns are Fig 9/10's: every SU depth at 4 threads, then at 1.
+func suColumns() []cycleColumn {
+	var cols []cycleColumn
+	for _, n := range []int{defaultThreads, 1} {
+		for _, depth := range suDepths {
+			cols = append(cols, cycleColumn{fmt.Sprintf("%dT SU%d", n, depth), n,
+				func(c *core.Config) { c.SUEntries = depth }})
 		}
-		v, err := cycleCell(r, b, r.config(1))
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
-		t.Rows = append(t.Rows, row)
 	}
-	return []Table{t}, nil
+	return cols
 }
 
-func Fig3(r *Runner) ([]Table, error) {
-	return fetchPolicyFig(r, kernels.GroupI(), "Figure 3: cycles of execution, Livermore loops, by fetch policy (4 threads)")
+// fuColumns are Fig 11/12's: default vs enhanced FUs, 4 threads and base.
+var fuColumns = []cycleColumn{
+	{"4 Threads", defaultThreads, nil},
+	{"4 Threads++", defaultThreads, enhancedFUs},
+	{"Base", 1, nil},
+	{"Base++", 1, enhancedFUs},
 }
 
-func Fig4(r *Runner) ([]Table, error) {
-	return fetchPolicyFig(r, kernels.GroupII(), "Figure 4: cycles of execution, Group II, by fetch policy (4 threads)")
-}
+func enhancedFUs(c *core.Config) { c.FUs = core.EnhancedFUs() }
 
-// threadsFig builds Fig 5/6: cycles for 1..6 threads under TrueRR.
-func threadsFig(r *Runner, group []*kernels.Benchmark, title string) ([]Table, error) {
-	t := Table{Title: title, Headers: []string{"Benchmark", "One", "Two", "Three", "Four", "Five", "Six"}}
-	for _, b := range group {
-		row := []string{b.Name}
-		for _, n := range threadSweep {
-			v, err := cycleCell(r, b, r.config(n))
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
+// cycleFig builds a per-kernel cycle figure: a row per benchmark of the
+// group and a column per configuration, its cells requested row by row.
+func cycleFig(group func() []*kernels.Benchmark, cols []cycleColumn, title string) func(*Runner) ([]Table, error) {
+	return func(r *Runner) ([]Table, error) {
+		t := Table{Title: title, Headers: []string{"Benchmark"}}
+		for _, c := range cols {
+			t.Headers = append(t.Headers, c.header)
 		}
-		t.Rows = append(t.Rows, row)
-	}
-	return []Table{t}, nil
-}
-
-func Fig5(r *Runner) ([]Table, error) {
-	return threadsFig(r, kernels.GroupI(), "Figure 5: cycles of execution, Livermore loops, 1-6 threads")
-}
-
-func Fig6(r *Runner) ([]Table, error) {
-	return threadsFig(r, kernels.GroupII(), "Figure 6: cycles of execution, Group II, 1-6 threads")
-}
-
-// cacheFig builds Fig 7/8: group-average cycles, direct vs associative.
-func cacheFig(r *Runner, group []*kernels.Benchmark, title string) ([]Table, error) {
-	t := Table{Title: title, Headers: []string{"Threads", "Direct", "Associative"}}
-	for _, n := range threadSweep {
-		row := []string{fmt.Sprint(n)}
-		for _, ways := range []int{1, 2} {
-			var sum float64
-			for _, b := range group {
-				cfg := r.config(n)
-				cfg.Cache.Ways = ways
-				st, err := r.Run(b, cfg)
+		for _, b := range group() {
+			row := []string{b.Name}
+			for _, c := range cols {
+				cfg := r.config(c.threads)
+				if c.set != nil {
+					c.set(&cfg)
+				}
+				v, err := cycleCell(r, b, cfg)
 				if err != nil {
 					return nil, err
 				}
-				sum += float64(st.Cycles)
+				row = append(row, v)
 			}
-			row = append(row, fmt.Sprintf("%.0f", sum/float64(len(group))))
+			t.Rows = append(t.Rows, row)
 		}
-		t.Rows = append(t.Rows, row)
+		return []Table{t}, nil
 	}
-	return []Table{t}, nil
 }
 
-func Fig7(r *Runner) ([]Table, error) {
-	return cacheFig(r, kernels.GroupI(), "Figure 7: average cycles, Livermore loops, direct vs associative cache")
-}
-
-func Fig8(r *Runner) ([]Table, error) {
-	return cacheFig(r, kernels.GroupII(), "Figure 8: average cycles, Group II, direct vs associative cache")
+// cacheFig builds Fig 7/8: group-average cycles, direct vs associative.
+func cacheFig(group func() []*kernels.Benchmark, title string) func(*Runner) ([]Table, error) {
+	return func(r *Runner) ([]Table, error) {
+		g := group()
+		t := Table{Title: title, Headers: []string{"Threads", "Direct", "Associative"}}
+		for _, n := range threadSweep {
+			row := []string{fmt.Sprint(n)}
+			for _, ways := range []int{1, 2} {
+				var sum float64
+				for _, b := range g {
+					cfg := r.config(n)
+					cfg.Cache.Ways = ways
+					st, err := r.run(b, cfg)
+					if err != nil {
+						return nil, err
+					}
+					sum += float64(st.Cycles)
+				}
+				row = append(row, fmt.Sprintf("%.0f", sum/float64(len(g))))
+			}
+			t.Rows = append(t.Rows, row)
+		}
+		return []Table{t}, nil
+	}
 }
 
 // Table3 reports average hit rates per group/threads/cache type.
@@ -236,7 +264,7 @@ func Table3(r *Runner) ([]Table, error) {
 				for _, b := range group {
 					cfg := r.config(n)
 					cfg.Cache.Ways = ways
-					st, err := r.Run(b, cfg)
+					st, err := r.run(b, cfg)
 					if err != nil {
 						return nil, err
 					}
@@ -248,71 +276,6 @@ func Table3(r *Runner) ([]Table, error) {
 		}
 	}
 	return []Table{t}, nil
-}
-
-// suDepths is the paper's scheduling unit sweep.
-var suDepths = []int{16, 32, 48, 64}
-
-// suFig builds Fig 9/10: cycles by SU depth for 4 and 1 threads.
-func suFig(r *Runner, group []*kernels.Benchmark, title string) ([]Table, error) {
-	t := Table{Title: title, Headers: []string{"Benchmark",
-		"4T SU16", "4T SU32", "4T SU48", "4T SU64",
-		"1T SU16", "1T SU32", "1T SU48", "1T SU64"}}
-	for _, b := range group {
-		row := []string{b.Name}
-		for _, n := range []int{defaultThreads, 1} {
-			for _, depth := range suDepths {
-				cfg := r.config(n)
-				cfg.SUEntries = depth
-				v, err := cycleCell(r, b, cfg)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return []Table{t}, nil
-}
-
-func Fig9(r *Runner) ([]Table, error) {
-	return suFig(r, kernels.GroupI(), "Figure 9: cycles by scheduling unit depth, Livermore loops")
-}
-
-func Fig10(r *Runner) ([]Table, error) {
-	return suFig(r, kernels.GroupII(), "Figure 10: cycles by scheduling unit depth, Group II")
-}
-
-// fuFig builds Fig 11/12: default vs enhanced FUs, 4 threads and base.
-func fuFig(r *Runner, group []*kernels.Benchmark, title string) ([]Table, error) {
-	t := Table{Title: title, Headers: []string{"Benchmark", "4 Threads", "4 Threads++", "Base", "Base++"}}
-	for _, b := range group {
-		row := []string{b.Name}
-		for _, n := range []int{defaultThreads, 1} {
-			for _, enhanced := range []bool{false, true} {
-				cfg := r.config(n)
-				if enhanced {
-					cfg.FUs = core.EnhancedFUs()
-				}
-				v, err := cycleCell(r, b, cfg)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return []Table{t}, nil
-}
-
-func Fig11(r *Runner) ([]Table, error) {
-	return fuFig(r, kernels.GroupI(), "Figure 11: cycles by FU configuration, Livermore loops")
-}
-
-func Fig12(r *Runner) ([]Table, error) {
-	return fuFig(r, kernels.GroupII(), "Figure 12: cycles by FU configuration, Group II")
 }
 
 // Table4 reports the utilization of each extra FU (enhanced config, 4
@@ -333,7 +296,7 @@ func Table4(r *Runner) ([]Table, error) {
 		for _, b := range group {
 			cfg := r.config(defaultThreads)
 			cfg.FUs = enh
-			st, err := r.Run(b, cfg)
+			st, err := r.run(b, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -374,32 +337,26 @@ func Table4(r *Runner) ([]Table, error) {
 }
 
 // commitFig builds Fig 13/14: lowest-only vs flexible commit, 4 threads.
-func commitFig(r *Runner, group []*kernels.Benchmark, title string) ([]Table, error) {
-	t := Table{Title: title, Headers: []string{"Benchmark", "Multiple (4 blocks)", "Lowest only", "SU stalls (multi)", "SU stalls (lowest)"}}
-	for _, b := range group {
-		multi, err := r.Run(b, r.config(defaultThreads))
-		if err != nil {
-			return nil, err
+func commitFig(group func() []*kernels.Benchmark, title string) func(*Runner) ([]Table, error) {
+	return func(r *Runner) ([]Table, error) {
+		t := Table{Title: title, Headers: []string{"Benchmark", "Multiple (4 blocks)", "Lowest only", "SU stalls (multi)", "SU stalls (lowest)"}}
+		for _, b := range group() {
+			multi, err := r.run(b, r.config(defaultThreads))
+			if err != nil {
+				return nil, err
+			}
+			cfg := r.config(defaultThreads)
+			cfg.CommitPolicy = core.LowestOnly
+			cfg.CommitWindow = 1
+			low, err := r.run(b, cfg)
+			if err != nil {
+				return nil, err
+			}
+			t.Rows = append(t.Rows, []string{b.Name, cycles(multi), cycles(low),
+				fmt.Sprint(multi.SUStalls), fmt.Sprint(low.SUStalls)})
 		}
-		cfg := r.config(defaultThreads)
-		cfg.CommitPolicy = core.LowestOnly
-		cfg.CommitWindow = 1
-		low, err := r.Run(b, cfg)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{b.Name, cycles(multi), cycles(low),
-			fmt.Sprint(multi.SUStalls), fmt.Sprint(low.SUStalls)})
+		return []Table{t}, nil
 	}
-	return []Table{t}, nil
-}
-
-func Fig13(r *Runner) ([]Table, error) {
-	return commitFig(r, kernels.GroupI(), "Figure 13: commit from one vs multiple blocks, Livermore loops")
-}
-
-func Fig14(r *Runner) ([]Table, error) {
-	return commitFig(r, kernels.GroupII(), "Figure 14: commit from one vs multiple blocks, Group II")
 }
 
 // Summary reproduces the prose numbers of §5.2: peak improvement per
@@ -411,14 +368,14 @@ func Summary(r *Runner) ([]Table, error) {
 	}
 	groupPeaks := map[int][]float64{}
 	for _, b := range kernels.All() {
-		base, err := r.Run(b, r.config(1))
+		base, err := r.run(b, r.config(1))
 		if err != nil {
 			return nil, err
 		}
 		bestN, bestSpeedup := 1, 0.0
 		first := true
 		for _, n := range threadSweep[1:] {
-			st, err := r.Run(b, r.config(n))
+			st, err := r.run(b, r.config(n))
 			if err != nil {
 				return nil, err
 			}
@@ -454,13 +411,13 @@ func Ablations(r *Runner) ([]Table, error) {
 	waste := Table{Title: "Fetch-block utilization (4 threads, TrueRR)",
 		Headers: []string{"Benchmark", "Valid insts per fetched block (of 4)"}}
 	for _, b := range kernels.All() {
-		basis, err := r.Run(b, r.config(defaultThreads))
+		basis, err := r.run(b, r.config(defaultThreads))
 		if err != nil {
 			return nil, err
 		}
 		cfg := r.config(defaultThreads)
 		cfg.Bypassing = false
-		noByp, err := r.Run(b, cfg)
+		noByp, err := r.run(b, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -469,7 +426,7 @@ func Ablations(r *Runner) ([]Table, error) {
 
 		cfg = r.config(defaultThreads)
 		cfg.Renaming = false
-		sb, err := r.Run(b, cfg)
+		sb, err := r.run(b, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -490,7 +447,7 @@ func cycles(st *core.Stats) string { return fmt.Sprint(st.Cycles) }
 // intentionally do not use this: an average over a poisoned cell would
 // be silently wrong, so those propagate the error and fail the sweep.
 func cycleCell(r *Runner, b *kernels.Benchmark, cfg core.Config) (string, error) {
-	st, err := r.Run(b, cfg)
+	st, err := r.run(b, cfg)
 	return CellValue(st, err, cycles)
 }
 

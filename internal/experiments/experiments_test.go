@@ -10,10 +10,6 @@ import (
 	"repro/internal/kernels"
 )
 
-// Experiments run at Small scale in tests; the runner memoizes across
-// experiments, so sharing one runner keeps this package's tests fast.
-var sharedRunner = NewRunner(kernels.Small)
-
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table1", "table2", "fig3", "fig4", "fig5", "fig6",
 		"fig7", "fig8", "table3", "fig9", "fig10", "fig11", "fig12",
@@ -40,12 +36,8 @@ func TestRegistryComplete(t *testing.T) {
 // Every experiment must run and produce well-formed tables.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, e := range Registry() {
-		e := e
 		t.Run(e.Name, func(t *testing.T) {
-			tables, err := e.Run(sharedRunner)
-			if err != nil {
-				t.Fatalf("%s: %v", e.Name, err)
-			}
+			tables := tablesOf(t, e.Name)
 			if len(tables) == 0 {
 				t.Fatal("no tables produced")
 			}
@@ -72,19 +64,11 @@ func TestAllExperimentsRun(t *testing.T) {
 
 // The figures must cover all benchmarks of their group.
 func TestFigureCoverage(t *testing.T) {
-	tabs, err := Fig3(sharedRunner)
-	if err != nil {
-		t.Fatal(err)
+	if rows := tablesOf(t, "fig3")[0].Rows; len(rows) != len(kernels.GroupI()) {
+		t.Errorf("fig3 covers %d benchmarks, want %d", len(rows), len(kernels.GroupI()))
 	}
-	if len(tabs[0].Rows) != len(kernels.GroupI()) {
-		t.Errorf("fig3 covers %d benchmarks, want %d", len(tabs[0].Rows), len(kernels.GroupI()))
-	}
-	tabs, err = Fig4(sharedRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tabs[0].Rows) != len(kernels.GroupII()) {
-		t.Errorf("fig4 covers %d benchmarks, want %d", len(tabs[0].Rows), len(kernels.GroupII()))
+	if rows := tablesOf(t, "fig4")[0].Rows; len(rows) != len(kernels.GroupII()) {
+		t.Errorf("fig4 covers %d benchmarks, want %d", len(rows), len(kernels.GroupII()))
 	}
 }
 
@@ -92,11 +76,7 @@ func TestFigureCoverage(t *testing.T) {
 // scale: flexible commit never loses, and the commit-stall counter
 // drops with it.
 func TestFlexibleCommitClaim(t *testing.T) {
-	tabs, err := Fig13(sharedRunner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range tabs[0].Rows {
+	for _, row := range tablesOf(t, "fig13")[0].Rows {
 		multi, _ := strconv.Atoi(row[1])
 		lowest, _ := strconv.Atoi(row[2])
 		if multi > lowest {
@@ -108,41 +88,45 @@ func TestFlexibleCommitClaim(t *testing.T) {
 // The runner memoizes: the same cell twice must hit the cache (same
 // pointer back).
 func TestRunnerMemoization(t *testing.T) {
-	r := NewRunner(kernels.Small)
 	b := kernels.GroupI()[0]
-	cfg := r.config(2)
-	st1, err := r.Run(b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st2, err := r.Run(b, cfg)
+	var st1, st2, st3 *core.Stats
+	timings, err := probe(NewRunner(kernels.Small), 1, func(r *Runner) (err error) {
+		cfg := r.config(2)
+		if st1, err = r.run(b, cfg); err != nil {
+			return err
+		}
+		if st2, err = r.run(b, cfg); err != nil {
+			return err
+		}
+		// A different config must be a different cell.
+		cfg.Cache.Ways = 1
+		st3, err = r.run(b, cfg)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st1 != st2 {
 		t.Error("identical cells were simulated twice")
 	}
-	// A different config must be a different cell.
-	cfg.Cache.Ways = 1
-	st3, err := r.Run(b, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st3 == st1 {
-		t.Error("different configs shared a cache entry")
+	if st3 == st1 || len(timings) != 2 {
+		t.Errorf("different configs shared a cache entry (%d cells simulated)", len(timings))
 	}
 }
 
 // Experiments must be deterministic run to run.
 func TestExperimentDeterminism(t *testing.T) {
+	e, err := Get("fig5")
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func() string {
-		r := NewRunner(kernels.Small)
-		tabs, err := Fig5(r)
+		tables, _, err := NewRunner(kernels.Small).RunExperiments([]Experiment{e}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		for _, tab := range tabs {
+		for _, tab := range tables[0] {
 			tab.Render(&buf)
 		}
 		return buf.String()

@@ -1,6 +1,10 @@
 package experiments
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/core"
+)
 
 // External cell execution: the hooks the sdsp-serve worker plane uses
 // to run a sweep's cells out of process. A worker rebuilds the same
@@ -44,7 +48,10 @@ func (r *Runner) DeclareCells(exps []Experiment) ([]DeclaredCell, error) {
 // reports for the same cell.
 func (r *Runner) ExecuteDeclared(c DeclaredCell) (CellTiming, error) {
 	start := time.Now()
-	out := r.execute(c)
+	out := r.superviseCell(c.Key, c.Label, func() (*core.Stats, error) { return r.simulate(c.Key, c.spec) })
+	r.mu.Lock()
+	r.cache[c.Key] = cellResult{out.st, out.err}
+	r.mu.Unlock()
 	tm := CellTiming{Key: c.Key, Label: c.Label, WallSeconds: time.Since(start).Seconds(),
 		Attempts: out.attempts, Source: out.source}
 	if out.st != nil {

@@ -15,26 +15,20 @@ import (
 func faultCellCounts(t *testing.T, jobs int) map[string]core.FaultCounts {
 	t.Helper()
 	got := map[string]core.FaultCounts{}
-	exp := Experiment{
-		Name:  "fault-cell-probe",
-		Title: "per-channel fault accounting probe",
-		Run: func(r *Runner) ([]Table, error) {
-			b := kernels.LL1()
-			for _, ax := range sweepAxes {
-				if ax.name != "store-slot" && ax.name != "commit-window" {
-					continue
-				}
-				st, err := r.sweepCell(b, 2, core.TrueRR, ax, 0.5)
-				if err != nil {
-					return nil, err
-				}
-				got[ax.name] = st.Faults
+	_, err := probe(NewRunner(kernels.Small), jobs, func(r *Runner) error {
+		for _, ax := range sweepAxes {
+			if ax.name != "store-slot" && ax.name != "commit-window" {
+				continue
 			}
-			return nil, nil
-		},
-	}
-	r := NewRunner(kernels.Small)
-	if _, _, err := r.RunExperiments([]Experiment{exp}, jobs); err != nil {
+			st, err := r.sweepCell(kernels.LL1(), 2, core.TrueRR, ax, 0.5)
+			if err != nil {
+				return err
+			}
+			got[ax.name] = st.Faults
+		}
+		return nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return got

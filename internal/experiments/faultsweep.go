@@ -59,7 +59,7 @@ type DegradationPoint struct {
 }
 
 // DegradationCurve is one kernel × threads × policy × axis series,
-// exported by sdsp-exp -json.
+// faultsweep's export.
 type DegradationCurve struct {
 	Kernel         string             `json:"kernel"`
 	Threads        int                `json:"threads"`
@@ -109,7 +109,7 @@ func (r *Runner) sweepCell(b *kernels.Benchmark, n int, pol core.FetchPolicy, ax
 	cfg := r.config(n)
 	cfg.FetchPolicy = pol
 	cfg.Injector = fault.New(sweepSeed, ax.rates(x))
-	return r.Run(b, cfg)
+	return r.run(b, cfg)
 }
 
 // degradation is the percentage slowdown of a faulted run vs its
@@ -118,40 +118,20 @@ func degradation(st, base *core.Stats) float64 {
 	return 100 * (float64(st.Cycles)/float64(base.Cycles) - 1)
 }
 
-// FaultSweep runs the full grid and renders three tables; the raw
-// degradation curves accumulate on Runner.Curves for the JSON export.
-func FaultSweep(r *Runner) ([]Table, error) {
+// faultCurves simulates the full grid: one curve per kernel × threads ×
+// policy × axis, the fault-free baseline first.
+func faultCurves(r *Runner) ([]DegradationCurve, error) {
 	plan, err := planFor(r.Scale)
 	if err != nil {
 		return nil, err
 	}
-
-	byAxis := Table{
-		Title:   "Fault sweep: IPC degradation by axis (4 threads, TrueRR, % slowdown vs fault-free)",
-		Headers: []string{"Benchmark", "Axis"},
-	}
-	byPolicy := Table{
-		Title:   "Fault sweep: combined-axis degradation by fetch policy (4 threads, % slowdown)",
-		Headers: []string{"Benchmark", "Policy"},
-	}
-	counts := Table{
-		Title:   "Fault sweep: injected events (4 threads, TrueRR, summed across benchmarks)",
-		Headers: []string{"Axis"},
-	}
-	for _, x := range plan.intensities {
-		col := fmt.Sprintf("x=%g", x)
-		byAxis.Headers = append(byAxis.Headers, col)
-		byPolicy.Headers = append(byPolicy.Headers, col)
-		counts.Headers = append(counts.Headers, col)
-	}
-
-	// The full grid: every curve is recorded; the tables below slice it.
+	var curves []DegradationCurve
 	for _, b := range plan.kernels {
 		for _, n := range plan.threads {
 			for _, pol := range plan.policies {
 				cfg := r.config(n)
 				cfg.FetchPolicy = pol
-				base, err := r.Run(b, cfg)
+				base, err := r.run(b, cfg)
 				if err != nil {
 					return nil, err
 				}
@@ -173,33 +153,60 @@ func FaultSweep(r *Runner) ([]Table, error) {
 							Injected:       st.Faults.Total(),
 						})
 					}
-					r.recordCurve(curve)
+					curves = append(curves, curve)
 				}
 			}
 		}
 	}
+	return curves, nil
+}
+
+// FaultSweep renders three slices of the grid's curves, all at the
+// paper's 4 threads.
+func FaultSweep(r *Runner) ([]Table, error) {
+	plan, err := planFor(r.Scale)
+	if err != nil {
+		return nil, err
+	}
+	curves, err := faultCurves(r)
+	if err != nil {
+		return nil, err
+	}
+	points := func(b *kernels.Benchmark, pol core.FetchPolicy, axis string) []DegradationPoint {
+		for _, c := range curves {
+			if c.Kernel == b.Name && c.Threads == defaultThreads && c.Policy == pol.String() && c.Axis == axis {
+				return c.Points
+			}
+		}
+		return nil
+	}
+
+	byAxis := Table{
+		Title:   "Fault sweep: IPC degradation by axis (4 threads, TrueRR, % slowdown vs fault-free)",
+		Headers: []string{"Benchmark", "Axis"},
+	}
+	byPolicy := Table{
+		Title:   "Fault sweep: combined-axis degradation by fetch policy (4 threads, % slowdown)",
+		Headers: []string{"Benchmark", "Policy"},
+	}
+	counts := Table{
+		Title:   "Fault sweep: injected events (4 threads, TrueRR, summed across benchmarks)",
+		Headers: []string{"Axis"},
+	}
+	for _, x := range plan.intensities {
+		col := fmt.Sprintf("x=%g", x)
+		byAxis.Headers = append(byAxis.Headers, col)
+		byPolicy.Headers = append(byPolicy.Headers, col)
+		counts.Headers = append(counts.Headers, col)
+	}
 
 	// Table 1: per-kernel degradation along each axis at the paper's
-	// default operating point (4 threads, TrueRR).
-	injectedByAxis := map[string][]uint64{}
+	// default operating point.
 	for _, b := range plan.kernels {
-		cfg := r.config(defaultThreads)
-		base, err := r.Run(b, cfg)
-		if err != nil {
-			return nil, err
-		}
 		for _, ax := range sweepAxes {
 			row := []string{b.Name, ax.name}
-			for i, x := range plan.intensities {
-				st, err := r.sweepCell(b, defaultThreads, core.TrueRR, ax, x)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%+.1f%%", degradation(st, base)))
-				if len(injectedByAxis[ax.name]) <= i {
-					injectedByAxis[ax.name] = append(injectedByAxis[ax.name], 0)
-				}
-				injectedByAxis[ax.name][i] += st.Faults.Total()
+			for _, p := range points(b, core.TrueRR, ax.name) {
+				row = append(row, fmt.Sprintf("%+.1f%%", p.DegradationPct))
 			}
 			byAxis.Rows = append(byAxis.Rows, row)
 		}
@@ -211,19 +218,9 @@ func FaultSweep(r *Runner) ([]Table, error) {
 	combined := sweepAxes[len(sweepAxes)-1]
 	for _, b := range plan.kernels {
 		for _, pol := range plan.policies {
-			cfg := r.config(defaultThreads)
-			cfg.FetchPolicy = pol
-			base, err := r.Run(b, cfg)
-			if err != nil {
-				return nil, err
-			}
 			row := []string{b.Name, pol.String()}
-			for _, x := range plan.intensities {
-				st, err := r.sweepCell(b, defaultThreads, pol, combined, x)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%+.1f%%", degradation(st, base)))
+			for _, p := range points(b, pol, combined.name) {
+				row = append(row, fmt.Sprintf("%+.1f%%", p.DegradationPct))
 			}
 			byPolicy.Rows = append(byPolicy.Rows, row)
 		}
@@ -231,9 +228,15 @@ func FaultSweep(r *Runner) ([]Table, error) {
 
 	// Table 3: raw injection volume, confirming every axis actually fired.
 	for _, ax := range sweepAxes {
+		injected := make([]uint64, len(plan.intensities))
+		for _, b := range plan.kernels {
+			for i, p := range points(b, core.TrueRR, ax.name) {
+				injected[i] += p.Injected
+			}
+		}
 		row := []string{ax.name}
-		for i := range plan.intensities {
-			row = append(row, fmt.Sprint(injectedByAxis[ax.name][i]))
+		for _, n := range injected {
+			row = append(row, fmt.Sprint(n))
 		}
 		counts.Rows = append(counts.Rows, row)
 	}

@@ -1,69 +1,30 @@
 package experiments
 
 import (
-	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/kernels"
 )
-
-// renderFaultSweep runs only the fault-sweep experiment on a fresh
-// runner and returns its rendered tables plus the recorded curves.
-func renderFaultSweep(t *testing.T, jobs int) (string, []DegradationCurve) {
-	t.Helper()
-	e, err := Get("faultsweep")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRunner(kernels.Small)
-	tables, _, err := r.RunExperiments([]Experiment{e}, jobs)
-	if err != nil {
-		t.Fatalf("faultsweep (j=%d): %v", jobs, err)
-	}
-	var buf bytes.Buffer
-	for _, ts := range tables {
-		for _, tab := range ts {
-			if err := tab.Render(&buf); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	return buf.String(), r.Curves
-}
-
-// The sweep's tables AND its exported degradation curves must be
-// byte-identical between sequential and 8-way execution — the -json
-// payload is part of the determinism contract, not just stdout.
-func TestFaultSweepParallelDeterminism(t *testing.T) {
-	t1, c1 := renderFaultSweep(t, 1)
-	t8, c8 := renderFaultSweep(t, 8)
-	if t1 != t8 {
-		d := firstDiff(t1, t8)
-		t.Fatalf("tables differ between -j 1 and -j 8 at byte %d: %q vs %q",
-			d, excerpt(t1, d), excerpt(t8, d))
-	}
-	if !reflect.DeepEqual(c1, c8) {
-		t.Fatal("degradation curves differ between -j 1 and -j 8")
-	}
-}
 
 // Every curve in the small sweep must be fully populated, and every
 // axis must demonstrably inject: a sweep whose injectors never fire
 // would render plausible-looking all-zero degradation tables.
 func TestFaultSweepCurvesPopulated(t *testing.T) {
-	_, curves := renderFaultSweep(t, 8)
+	j1, _ := sweeps(t)
+	curves := j1.exports["faultsweep"].([]DegradationCurve)
 	plan, err := planFor(kernels.Small)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := len(plan.kernels) * len(plan.threads) * len(plan.policies) * len(sweepAxes)
 	if len(curves) != want {
-		t.Fatalf("recorded %d curves, want %d", len(curves), want)
+		t.Fatalf("exported %d curves, want %d", len(curves), want)
 	}
 	injectedByAxis := map[string]uint64{}
 	for _, c := range curves {
@@ -87,6 +48,43 @@ func TestFaultSweepCurvesPopulated(t *testing.T) {
 	}
 }
 
+// TestFaultSweepByAxisMatchesCurves: the by-axis table is the 4-thread
+// TrueRR slice of the exported curves under any -fetch override, so
+// every one of its cells equals its curve's DegradationPct.
+func TestFaultSweepByAxisMatchesCurves(t *testing.T) {
+	e, err := Get("faultsweep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(kernels.Small)
+	r.FetchOverride, r.HasFetch = core.ICount, true
+	tables, _, err := r.RunExperiments([]Experiment{e}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exports, err := r.Exports([]Experiment{e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	curves := exports["faultsweep"].([]DegradationCurve)
+	for _, row := range tables[0][0].Rows {
+		var points []DegradationPoint
+		for _, c := range curves {
+			if c.Kernel == row[0] && c.Axis == row[1] && c.Threads == defaultThreads && c.Policy == core.TrueRR.String() {
+				points = c.Points
+			}
+		}
+		if len(points) != len(row)-2 {
+			t.Fatalf("%s/%s: %d table cells, %d curve points", row[0], row[1], len(row)-2, len(points))
+		}
+		for i, p := range points {
+			if want := fmt.Sprintf("%+.1f%%", p.DegradationPct); row[2+i] != want {
+				t.Errorf("%s/%s x=%g: table says %s, curve %s", row[0], row[1], p.Intensity, row[2+i], want)
+			}
+		}
+	}
+}
+
 // A cell that dies with a machine error under CrashDir must leave a
 // replayable bundle behind, and the cell's error must name it: any
 // one-slot cell, kernel or MiniC.
@@ -102,9 +100,12 @@ func TestRunnerWritesReplayableCrashBundle(t *testing.T) {
 			dir := t.TempDir()
 			r := NewRunner(kernels.Small)
 			r.CrashDir = dir
-			cfg := r.config(2)
-			cfg.MaxCycles = 10 // guaranteed runaway
-			_, err := r.runCell(cellSpec{label: tc.name, cfg: cfg, slots: []cellSlot{tc.slot}})
+			_, err := probe(r, 1, func(r *Runner) error {
+				cfg := r.config(2)
+				cfg.MaxCycles = 10 // guaranteed runaway
+				_, err := r.runCell(cellSpec{label: tc.name, cfg: cfg, slots: []cellSlot{tc.slot}})
+				return err
+			})
 			if err == nil {
 				t.Fatal("10-cycle MaxCycles did not fail")
 			}

@@ -23,7 +23,8 @@ const (
 //
 //	go test ./internal/experiments -run TestGoldenSmallTables -update
 func TestGoldenSmallTables(t *testing.T) {
-	got, _ := sweeps(t)
+	j1, _ := sweeps(t)
+	got := j1.out
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
 			t.Fatal(err)
@@ -31,7 +32,7 @@ func TestGoldenSmallTables(t *testing.T) {
 		if err := os.WriteFile(goldenPath, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(digestPath, []byte(digestJ1), 0o644); err != nil {
+		if err := os.WriteFile(digestPath, []byte(j1.digest), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s (%d bytes) and %s", goldenPath, len(got), digestPath)
@@ -46,8 +47,8 @@ func TestGoldenSmallTables(t *testing.T) {
 		t.Errorf("small-scale tables diverge from %s at byte %d:\n  got  %q\n  want %q\n(regenerate with -update if the change is intended)",
 			goldenPath, d, excerpt(got, d), excerpt(string(want), d))
 	}
-	if modelDigest != digestJ1 {
+	if modelDigest != j1.digest {
 		t.Errorf("model digest %q (%s) is stale: the Small sweep's Stats hash to %s (regenerate with make golden)",
-			modelDigest, digestPath, digestJ1)
+			modelDigest, digestPath, j1.digest)
 	}
 }

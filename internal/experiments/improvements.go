@@ -45,7 +45,7 @@ func improvementPorts(r *Runner) (Table, error) {
 	for _, b := range kernels.All() {
 		row := []string{b.Name}
 		base := r.config(defaultThreads)
-		st, err := r.Run(b, base)
+		st, err := r.run(b, base)
 		if err != nil {
 			return t, err
 		}
@@ -54,7 +54,7 @@ func improvementPorts(r *Runner) (Table, error) {
 			cfg := r.config(defaultThreads)
 			cfg.FUs = core.EnhancedFUs()
 			cfg.Cache.Ports = p
-			st, err := r.Run(b, cfg)
+			st, err := r.run(b, cfg)
 			if err != nil {
 				return t, err
 			}
@@ -76,11 +76,11 @@ func improvementAlignment(r *Runner) (Table, error) {
 	}
 	for _, b := range kernels.All() {
 		cfg := r.config(defaultThreads)
-		plain, err := r.Run(b, cfg)
+		plain, err := r.run(b, cfg)
 		if err != nil {
 			return t, err
 		}
-		aligned, err := r.RunWith(b, cfg, kernels.Params{Align: true})
+		aligned, err := r.runWith(b, cfg, kernels.Params{Align: true})
 		if err != nil {
 			return t, err
 		}
@@ -106,7 +106,7 @@ func improvementICount(r *Runner) (Table, error) {
 			for _, pol := range []core.FetchPolicy{core.TrueRR, core.ICount} {
 				cfg := r.config(n)
 				cfg.FetchPolicy = pol
-				st, err := r.Run(b, cfg)
+				st, err := r.run(b, cfg)
 				if err != nil {
 					return t, err
 				}
@@ -133,7 +133,7 @@ func improvementChunks(r *Runner) (Table, error) {
 	for _, chunk := range []int{4, 8, 16, 32, 64} {
 		row := []string{fmt.Sprint(chunk)}
 		for _, n := range []int{1, 2, 4} {
-			st, err := r.RunWith(b, r.config(n), kernels.Params{SyncChunk: chunk})
+			st, err := r.runWith(b, r.config(n), kernels.Params{SyncChunk: chunk})
 			if err != nil {
 				return t, err
 			}
@@ -162,20 +162,20 @@ func HardwareAblations(r *Runner) ([]Table, error) {
 		Headers: []string{"Benchmark", "Restricted", "Forwarding", "Loads forwarded"},
 	}
 	for _, b := range kernels.All() {
-		base, err := r.Run(b, r.config(defaultThreads))
+		base, err := r.run(b, r.config(defaultThreads))
 		if err != nil {
 			return nil, err
 		}
 
 		cfg := r.config(defaultThreads)
 		cfg.PredictorBits = 1
-		oneBit, err := r.Run(b, cfg)
+		oneBit, err := r.run(b, cfg)
 		if err != nil {
 			return nil, err
 		}
 		cfg = r.config(defaultThreads)
 		cfg.PerThreadBTB = true
-		private, err := r.Run(b, cfg)
+		private, err := r.run(b, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -187,7 +187,7 @@ func HardwareAblations(r *Runner) ([]Table, error) {
 			cfg = r.config(defaultThreads)
 			ic := cache.Config{SizeBytes: size, LineBytes: 32, Ways: 2, MissPenalty: 12}
 			cfg.ICache = &ic
-			st, err := r.Run(b, cfg)
+			st, err := r.run(b, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -198,7 +198,7 @@ func HardwareAblations(r *Runner) ([]Table, error) {
 
 		cfg = r.config(defaultThreads)
 		cfg.StoreForwarding = true
-		fw, err := r.Run(b, cfg)
+		fw, err := r.run(b, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -21,7 +21,7 @@ import (
 // stacked memory, so cross-slot leakage fails the sweep rather than
 // skewing a table. See docs/MEMORY.md.
 
-// MixCell is one mixstudy grid cell, exported by sdsp-exp -json.
+// MixCell is one mixstudy grid cell, mixstudy's export.
 type MixCell struct {
 	Pairing      string    `json:"pairing"`
 	Threads      int       `json:"threads"`
@@ -35,7 +35,8 @@ type MixCell struct {
 	SlotSolo     []uint64  `json:"slot_solo_cycles"`
 	SlotSlowdown []float64 `json:"slot_slowdown"`
 	L1HitRate    float64   `json:"l1_hit_rate"`
-	L2HitRate    float64   `json:"l2_hit_rate"`
+	L2HitRate    float64   `json:"l2_hit_rate"` // 1 when L2Accesses is 0
+	L2Accesses   uint64    `json:"l2_accesses"`
 	VictimHits   uint64    `json:"victim_hits"`
 	PrefetchHits uint64    `json:"prefetch_hits"`
 }
@@ -177,30 +178,15 @@ func slotAggregates(st *core.Stats, ka, kb int) (committed [2]uint64, finish [2]
 	return committed, finish
 }
 
-// MixStudy runs the heterogeneous pairing × threads × hierarchy grid
-// and renders three tables; the raw cells accumulate on Runner.MixCells
-// for the JSON export.
-func MixStudy(r *Runner) ([]Table, error) {
+// mixGrid simulates the pairing × threads × hierarchy grid: each mixed
+// cell, then the solo baselines of its two slots.
+func mixGrid(r *Runner) ([]MixCell, error) {
 	plan := mixPlanFor(r.Scale)
-	variants := hierVariants()
-
-	ipcTab := Table{
-		Title:   "Mixstudy: per-slot IPC under multiprogramming",
-		Headers: []string{"Pairing", "Threads", "Hierarchy", "IPC A", "IPC B", "IPC total"},
-	}
-	slowTab := Table{
-		Title:   "Mixstudy: interference slowdown vs solo (finish cycles / solo cycles)",
-		Headers: []string{"Pairing", "Threads", "Hierarchy", "Slot A", "Slot B"},
-	}
-	hitTab := Table{
-		Title:   "Mixstudy: memory hierarchy hit breakdown (mixed runs)",
-		Headers: []string{"Pairing", "Threads", "Hierarchy", "L1 hit %", "L2 hit %", "Victim hits", "Prefetch hits"},
-	}
-
+	var cells []MixCell
 	for _, pairing := range plan.pairings {
 		p := pairing
 		for _, total := range plan.threads {
-			for _, hier := range variants {
+			for _, hier := range hierVariants() {
 				ka, kb := p.split(total)
 				st, err := r.runMixCell(&p, total, hier)
 				if err != nil {
@@ -214,43 +200,14 @@ func MixStudy(r *Runner) ([]Table, error) {
 				if err != nil {
 					return nil, fmt.Errorf("%s solo B t%d/%s: %w", p.name, kb, hier.name, err)
 				}
-
 				committed, finish := slotAggregates(st, ka, kb)
-				cyc := st.Cycles
-				if cyc == 0 {
-					cyc = 1
-				}
-				ipcA := float64(committed[0]) / float64(cyc)
-				ipcB := float64(committed[1]) / float64(cyc)
-				slowA := slowdown(finish[0], soloA.Cycles)
-				slowB := slowdown(finish[1], soloB.Cycles)
-
-				label := fmt.Sprintf("%d+%d", ka, kb)
-				ipcTab.Rows = append(ipcTab.Rows, []string{
-					p.name, label, hier.name,
-					fmt.Sprintf("%.3f", ipcA), fmt.Sprintf("%.3f", ipcB),
-					fmt.Sprintf("%.3f", st.IPC()),
-				})
-				slowTab.Rows = append(slowTab.Rows, []string{
-					p.name, label, hier.name, slowA, slowB,
-				})
-				l2Col := "—"
-				if st.Cache.L2Hits+st.Cache.L2Misses > 0 {
-					l2Col = fmt.Sprintf("%.1f", 100*st.Cache.L2HitRate())
-				}
-				hitTab.Rows = append(hitTab.Rows, []string{
-					p.name, label, hier.name,
-					fmt.Sprintf("%.1f", 100*st.Cache.HitRate()),
-					l2Col,
-					fmt.Sprint(st.Cache.VictimHits),
-					fmt.Sprint(st.Cache.PrefetchHits),
-				})
-				r.recordMixCell(MixCell{
+				cyc := float64(max(st.Cycles, 1))
+				cells = append(cells, MixCell{
 					Pairing: p.name, Threads: total, Hierarchy: hier.name,
 					Cycles: st.Cycles, IPC: st.IPC(),
 					SlotNames:   []string{p.a.name, p.b.name},
 					SlotThreads: []int{ka, kb},
-					SlotIPC:     []float64{ipcA, ipcB},
+					SlotIPC:     []float64{float64(committed[0]) / cyc, float64(committed[1]) / cyc},
 					SlotFinish:  []uint64{finish[0], finish[1]},
 					SlotSolo:    []uint64{soloA.Cycles, soloB.Cycles},
 					SlotSlowdown: []float64{
@@ -258,10 +215,54 @@ func MixStudy(r *Runner) ([]Table, error) {
 						slowdownRatio(finish[1], soloB.Cycles),
 					},
 					L1HitRate: st.Cache.HitRate(), L2HitRate: st.Cache.L2HitRate(),
+					L2Accesses: st.Cache.L2Hits + st.Cache.L2Misses,
 					VictimHits: st.Cache.VictimHits, PrefetchHits: st.Cache.PrefetchHits,
 				})
 			}
 		}
+	}
+	return cells, nil
+}
+
+// MixStudy renders the grid as three tables, a row per mixed cell.
+func MixStudy(r *Runner) ([]Table, error) {
+	cells, err := mixGrid(r)
+	if err != nil {
+		return nil, err
+	}
+	ipcTab := Table{
+		Title:   "Mixstudy: per-slot IPC under multiprogramming",
+		Headers: []string{"Pairing", "Threads", "Hierarchy", "IPC A", "IPC B", "IPC total"},
+	}
+	slowTab := Table{
+		Title:   "Mixstudy: interference slowdown vs solo (finish cycles / solo cycles)",
+		Headers: []string{"Pairing", "Threads", "Hierarchy", "Slot A", "Slot B"},
+	}
+	hitTab := Table{
+		Title:   "Mixstudy: memory hierarchy hit breakdown (mixed runs)",
+		Headers: []string{"Pairing", "Threads", "Hierarchy", "L1 hit %", "L2 hit %", "Victim hits", "Prefetch hits"},
+	}
+	for _, c := range cells {
+		label := fmt.Sprintf("%d+%d", c.SlotThreads[0], c.SlotThreads[1])
+		ipcTab.Rows = append(ipcTab.Rows, []string{
+			c.Pairing, label, c.Hierarchy,
+			fmt.Sprintf("%.3f", c.SlotIPC[0]), fmt.Sprintf("%.3f", c.SlotIPC[1]),
+			fmt.Sprintf("%.3f", c.IPC),
+		})
+		slowTab.Rows = append(slowTab.Rows, []string{
+			c.Pairing, label, c.Hierarchy, slowdown(c.SlotSlowdown[0]), slowdown(c.SlotSlowdown[1]),
+		})
+		l2Col := "—"
+		if c.L2Accesses > 0 {
+			l2Col = fmt.Sprintf("%.1f", 100*c.L2HitRate)
+		}
+		hitTab.Rows = append(hitTab.Rows, []string{
+			c.Pairing, label, c.Hierarchy,
+			fmt.Sprintf("%.1f", 100*c.L1HitRate),
+			l2Col,
+			fmt.Sprint(c.VictimHits),
+			fmt.Sprint(c.PrefetchHits),
+		})
 	}
 
 	ipcTab.Notes = append(ipcTab.Notes,
@@ -275,13 +276,15 @@ func MixStudy(r *Runner) ([]Table, error) {
 
 // slowdown renders a mixed-vs-solo finish-time ratio, or a dash when a
 // slot is empty (the degenerate single-program mix).
-func slowdown(finish, solo uint64) string {
-	if finish == 0 || solo == 0 {
+func slowdown(ratio float64) string {
+	if ratio == 0 {
 		return "—"
 	}
-	return fmt.Sprintf("%.2fx", float64(finish)/float64(solo))
+	return fmt.Sprintf("%.2fx", ratio)
 }
 
+// slowdownRatio is a slot's mixed finish time over its solo run, or 0
+// when either is empty.
 func slowdownRatio(finish, solo uint64) float64 {
 	if finish == 0 || solo == 0 {
 		return 0

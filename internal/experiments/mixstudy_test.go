@@ -1,116 +1,25 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
 )
 
-const mixGoldenPath = "testdata/mixstudy_small.golden"
-
-// renderMixStudy runs just the mixstudy at Small scale with the given
-// worker count and returns the rendered tables plus the raw cell export.
-func renderMixStudy(t *testing.T, jobs int) (string, []MixCell) {
-	t.Helper()
-	r := NewRunner(kernels.Small)
-	e, err := Get("mixstudy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, _, err := r.RunExperiments([]Experiment{e}, jobs)
-	if err != nil {
-		t.Fatalf("RunExperiments(j=%d): %v", jobs, err)
-	}
-	var buf bytes.Buffer
-	for _, ts := range tables {
-		for _, tab := range ts {
-			if err := tab.Render(&buf); err != nil {
-				t.Fatalf("render: %v", err)
-			}
-		}
-	}
-	return buf.String(), r.MixCells
-}
-
-// TestMixstudyGoldenSmall pins the small-scale mixstudy tables byte for
-// byte — the same check `make mixstudy-smoke` runs in CI. Heterogeneous
-// layout, slot accounting, and the L2/victim/prefetch hierarchy stay
-// frozen: any change that moves a mixed cycle count shows up here.
-// Regenerate with:
-//
-//	go test ./internal/experiments -run TestMixstudyGoldenSmall -update
-func TestMixstudyGoldenSmall(t *testing.T) {
-	got, _ := renderMixStudy(t, 8)
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(mixGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(mixGoldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", mixGoldenPath, len(got))
-		return
-	}
-	want, err := os.ReadFile(mixGoldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		d := firstDiff(got, string(want))
-		t.Errorf("mixstudy tables diverge from %s at byte %d:\n  got  %q\n  want %q\n(regenerate with -update if the change is intended)",
-			mixGoldenPath, d, excerpt(got, d), excerpt(string(want), d))
-	}
-}
-
-// TestMixstudyParallelIdentity: the rendered tables AND the raw
-// per-cell export must be identical between a sequential and an 8-way
-// run, so the declare/schedule/assemble pipeline's byte-identity
-// guarantee extends to heterogeneous cells.
-func TestMixstudyParallelIdentity(t *testing.T) {
-	out1, cells1 := renderMixStudy(t, 1)
-	out8, cells8 := renderMixStudy(t, 8)
-	if out1 != out8 {
-		d := firstDiff(out1, out8)
-		t.Errorf("tables differ between -j 1 and -j 8 at byte %d: %q vs %q",
-			d, excerpt(out1, d), excerpt(out8, d))
-	}
-	if len(cells1) == 0 {
-		t.Fatal("mixstudy recorded no cells")
-	}
-	if !reflect.DeepEqual(cells1, cells8) {
-		t.Errorf("MixCells differ between -j 1 and -j 8:\n j1: %+v\n j8: %+v", cells1, cells8)
-	}
-	for _, c := range cells1 {
-		if c.Cycles == 0 {
-			t.Errorf("cell %+v has zero cycles", c)
-		}
-		for i, sd := range c.SlotSlowdown {
-			// Multiprogramming shares every pipeline resource: a slot can
-			// never finish faster than its solo run to within rounding.
-			if sd != 0 && sd < 0.99 {
-				t.Errorf("cell %s/%s t%d slot %d finished faster mixed than solo (%.3fx)",
-					c.Pairing, c.Hierarchy, c.Threads, i, sd)
-			}
-		}
-		if c.Hierarchy == "l1" && (c.L2HitRate != 0 && c.L2HitRate != 1 || c.VictimHits != 0 || c.PrefetchHits != 0) {
-			if c.VictimHits != 0 || c.PrefetchHits != 0 {
-				t.Errorf("cell %+v reports backside hierarchy hits with the hierarchy off", c)
-			}
-		}
-	}
-}
-
 // TestMixstudyCoversGrid: the small-scale export must contain exactly
 // the declared grid — every pairing crossed with every thread count and
-// hierarchy variant, no duplicates.
+// hierarchy variant, no duplicates — and every row must be plausible:
+// no slot finishes faster mixed than solo, and an l1 row, whose
+// backside hierarchy is off, sees no L2 traffic and no victim or
+// prefetch hits.
 func TestMixstudyCoversGrid(t *testing.T) {
-	_, cells := renderMixStudy(t, 8)
+	j1, _ := sweeps(t)
+	cells := j1.exports["mixstudy"].([]MixCell)
 	plan := mixPlanFor(kernels.Small)
 	want := len(plan.pairings) * len(plan.threads) * len(hierVariants())
 	if len(cells) != want {
@@ -118,11 +27,24 @@ func TestMixstudyCoversGrid(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
-		key := c.Pairing + "/" + c.Hierarchy + "/" + string(rune('0'+c.Threads))
+		key := fmt.Sprintf("%s/%s/%d", c.Pairing, c.Hierarchy, c.Threads)
 		if seen[key] {
 			t.Errorf("duplicate cell %s", key)
 		}
 		seen[key] = true
+		if c.Cycles == 0 {
+			t.Errorf("cell %+v has zero cycles", c)
+		}
+		for i, sd := range c.SlotSlowdown {
+			// Multiprogramming shares every pipeline resource: a slot can
+			// never finish faster than its solo run to within rounding.
+			if sd != 0 && sd < 0.99 {
+				t.Errorf("cell %s finished slot %d faster mixed than solo (%.3fx)", key, i, sd)
+			}
+		}
+		if c.Hierarchy == "l1" && (c.L2HitRate != 1 || c.L2Accesses != 0 || c.VictimHits != 0 || c.PrefetchHits != 0) {
+			t.Errorf("cell %s reports backside hierarchy activity with the hierarchy off: %+v", key, c)
+		}
 	}
 }
 
@@ -139,8 +61,11 @@ func TestMixSoloKeyNamesFrontend(t *testing.T) {
 	}
 	solo := func(r *Runner) uint64 {
 		t.Helper()
-		st, err := r.runSolo(prog, 2, l1)
-		if err != nil {
+		var st *core.Stats
+		if _, err := probe(r, 1, func(r *Runner) (err error) {
+			st, err = r.runSolo(prog, 2, l1)
+			return err
+		}); err != nil {
 			t.Fatal(err)
 		}
 		return st.Cycles

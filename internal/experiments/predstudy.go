@@ -21,7 +21,7 @@ var studyPredictors = []core.PredictorKind{
 	core.PredTwoBit, core.PredGshare, core.PredGshareThread, core.PredTAGE,
 }
 
-// PredCell is one predictor-study grid cell, exported by sdsp-exp -json.
+// PredCell is one predictor-study grid cell, predstudy's export.
 type PredCell struct {
 	Kernel      string  `json:"kernel"`
 	Predictor   string  `json:"predictor"`
@@ -31,6 +31,7 @@ type PredCell struct {
 	IPC         float64 `json:"ipc"`
 	Accuracy    float64 `json:"accuracy"`
 	Confidence  float64 `json:"confidence"`
+	BTBHitRate  float64 `json:"btb_hit_rate"` // 1 when the BTB saw no lookups
 	Mispredicts uint64  `json:"mispredicts"`
 	Throttled   uint64  `json:"throttled"`
 }
@@ -67,41 +68,58 @@ func predPlanFor(scale kernels.Scale) (predPlan, error) {
 	return predPlan{kernels: ks, threads: threads, policies: policies}, nil
 }
 
-// predCell runs one (kernel, predictor, policy, threads) cell.
-func (r *Runner) predCell(b *kernels.Benchmark, pred core.PredictorKind, pol core.FetchPolicy, n int) (*core.Stats, error) {
-	cfg := r.config(n)
-	cfg.Predictor = pred
-	cfg.FetchPolicy = pol
-	return r.Run(b, cfg)
+// predGrid simulates the full predictor × policy × kernel × threads
+// grid.
+func predGrid(r *Runner) ([]PredCell, error) {
+	plan, err := predPlanFor(r.Scale)
+	if err != nil {
+		return nil, err
+	}
+	var cells []PredCell
+	for _, b := range plan.kernels {
+		for _, pred := range studyPredictors {
+			for _, pol := range plan.policies {
+				for _, n := range plan.threads {
+					cfg := r.config(n)
+					cfg.Predictor, cfg.FetchPolicy = pred, pol
+					st, err := r.run(b, cfg)
+					if err != nil {
+						return nil, fmt.Errorf("%s/%v/%v/t%d: %w", b.Name, pred, pol, n, err)
+					}
+					btbHit := 1.0
+					if st.Branch.Lookups > 0 {
+						btbHit = float64(st.Branch.BTBHits) / float64(st.Branch.Lookups)
+					}
+					cells = append(cells, PredCell{
+						Kernel: b.Name, Predictor: pred.String(), Policy: pol.String(),
+						Threads: n, Cycles: st.Cycles, IPC: st.IPC(),
+						Accuracy: st.Branch.Accuracy(), Confidence: st.Branch.Confidence(),
+						BTBHitRate: btbHit, Mispredicts: st.Mispredicts, Throttled: st.FetchThrottled,
+					})
+				}
+			}
+		}
+	}
+	return cells, nil
 }
 
-// PredStudy runs the predictor × fetch-policy grid and renders three
-// tables; the raw cells accumulate on Runner.PredCells for the JSON
-// export.
+// PredStudy renders three slices of the grid.
 func PredStudy(r *Runner) ([]Table, error) {
 	plan, err := predPlanFor(r.Scale)
 	if err != nil {
 		return nil, err
 	}
-
-	// The full grid: every cell is recorded; the tables below slice it.
-	for _, b := range plan.kernels {
-		for _, pred := range studyPredictors {
-			for _, pol := range plan.policies {
-				for _, n := range plan.threads {
-					st, err := r.predCell(b, pred, pol, n)
-					if err != nil {
-						return nil, fmt.Errorf("%s/%v/%v/t%d: %w", b.Name, pred, pol, n, err)
-					}
-					r.recordPredCell(PredCell{
-						Kernel: b.Name, Predictor: pred.String(), Policy: pol.String(),
-						Threads: n, Cycles: st.Cycles, IPC: st.IPC(),
-						Accuracy: st.Branch.Accuracy(), Confidence: st.Branch.Confidence(),
-						Mispredicts: st.Mispredicts, Throttled: st.FetchThrottled,
-					})
-				}
+	cells, err := predGrid(r)
+	if err != nil {
+		return nil, err
+	}
+	cell := func(b *kernels.Benchmark, pred core.PredictorKind, pol core.FetchPolicy, n int) PredCell {
+		for _, c := range cells {
+			if c.Kernel == b.Name && c.Predictor == pred.String() && c.Policy == pol.String() && c.Threads == n {
+				return c
 			}
 		}
+		return PredCell{}
 	}
 
 	// Table 1: predictor quality at the paper's operating point.
@@ -112,20 +130,13 @@ func PredStudy(r *Runner) ([]Table, error) {
 	}
 	for _, b := range plan.kernels {
 		for _, pred := range studyPredictors {
-			st, err := r.predCell(b, pred, core.TrueRR, defaultThreads)
-			if err != nil {
-				return nil, err
-			}
-			btbHit := 1.0
-			if st.Branch.Lookups > 0 {
-				btbHit = float64(st.Branch.BTBHits) / float64(st.Branch.Lookups)
-			}
+			c := cell(b, pred, core.TrueRR, defaultThreads)
 			quality.Rows = append(quality.Rows, []string{
 				b.Name, pred.String(),
-				fmt.Sprintf("%.1f%%", 100*st.Branch.Accuracy()),
-				fmt.Sprintf("%.1f%%", 100*st.Branch.Confidence()),
-				fmt.Sprintf("%.1f%%", 100*btbHit),
-				fmt.Sprint(st.Mispredicts),
+				fmt.Sprintf("%.1f%%", 100*c.Accuracy),
+				fmt.Sprintf("%.1f%%", 100*c.Confidence),
+				fmt.Sprintf("%.1f%%", 100*c.BTBHitRate),
+				fmt.Sprint(c.Mispredicts),
 			})
 		}
 	}
@@ -144,11 +155,7 @@ func PredStudy(r *Runner) ([]Table, error) {
 		for _, pred := range studyPredictors {
 			row := []string{b.Name, pred.String()}
 			for _, pol := range plan.policies {
-				st, err := r.predCell(b, pred, pol, defaultThreads)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.3f", st.IPC()))
+				row = append(row, fmt.Sprintf("%.3f", cell(b, pred, pol, defaultThreads).IPC))
 			}
 			matrix.Rows = append(matrix.Rows, row)
 		}
@@ -168,11 +175,7 @@ func PredStudy(r *Runner) ([]Table, error) {
 		for _, pred := range studyPredictors {
 			row := []string{b.Name, pred.String()}
 			for _, n := range plan.threads {
-				st, err := r.predCell(b, pred, core.TrueRR, n)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, cycles(st))
+				row = append(row, fmt.Sprint(cell(b, pred, core.TrueRR, n).Cycles))
 			}
 			scaling.Rows = append(scaling.Rows, row)
 		}

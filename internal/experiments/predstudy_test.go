@@ -1,110 +1,20 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"reflect"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
 )
 
-const predGoldenPath = "testdata/predstudy_small.golden"
-
-// renderPredStudy runs just the predictor study at Small scale with the
-// given worker count and returns the rendered tables plus the raw cell
-// export.
-func renderPredStudy(t *testing.T, jobs int) (string, []PredCell) {
-	t.Helper()
-	r := NewRunner(kernels.Small)
-	e, err := Get("predstudy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables, _, err := r.RunExperiments([]Experiment{e}, jobs)
-	if err != nil {
-		t.Fatalf("RunExperiments(j=%d): %v", jobs, err)
-	}
-	var buf bytes.Buffer
-	for _, ts := range tables {
-		for _, tab := range ts {
-			if err := tab.Render(&buf); err != nil {
-				t.Fatalf("render: %v", err)
-			}
-		}
-	}
-	return buf.String(), r.PredCells
-}
-
-// TestPredstudyGoldenSmall pins the small-scale predictor-study tables
-// byte for byte — the same check `make predstudy-smoke` runs in CI. The
-// frontend design space stays frozen: any predictor or fetch-policy
-// change that moves a cycle count shows up here. Regenerate with:
-//
-//	go test ./internal/experiments -run TestPredstudyGoldenSmall -update
-func TestPredstudyGoldenSmall(t *testing.T) {
-	got, _ := renderPredStudy(t, 8)
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(predGoldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(predGoldenPath, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s (%d bytes)", predGoldenPath, len(got))
-		return
-	}
-	want, err := os.ReadFile(predGoldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		d := firstDiff(got, string(want))
-		t.Errorf("predictor-study tables diverge from %s at byte %d:\n  got  %q\n  want %q\n(regenerate with -update if the change is intended)",
-			predGoldenPath, d, excerpt(got, d), excerpt(string(want), d))
-	}
-}
-
-// TestPredstudyParallelIdentity: the rendered tables AND the raw
-// per-cell export (cycles, IPC, accuracy, confidence, mispredict and
-// throttle counters per cell) must be identical between a sequential
-// and an 8-way run — the accounting identity that makes the -json
-// export trustworthy under any -j.
-func TestPredstudyParallelIdentity(t *testing.T) {
-	out1, cells1 := renderPredStudy(t, 1)
-	out8, cells8 := renderPredStudy(t, 8)
-	if out1 != out8 {
-		d := firstDiff(out1, out8)
-		t.Errorf("tables differ between -j 1 and -j 8 at byte %d: %q vs %q",
-			d, excerpt(out1, d), excerpt(out8, d))
-	}
-	if len(cells1) == 0 {
-		t.Fatal("predstudy recorded no cells")
-	}
-	if !reflect.DeepEqual(cells1, cells8) {
-		t.Errorf("PredCells differ between -j 1 and -j 8:\n j1: %+v\n j8: %+v", cells1, cells8)
-	}
-	// Every cell must carry internally consistent accounting.
-	for _, c := range cells1 {
-		if c.Cycles == 0 {
-			t.Errorf("cell %+v has zero cycles", c)
-		}
-		if c.Accuracy < 0 || c.Accuracy > 1 || c.Confidence < 0 || c.Confidence > 1 {
-			t.Errorf("cell %+v has out-of-range rates", c)
-		}
-		if c.Policy == core.TrueRR.String() && c.Throttled != 0 {
-			t.Errorf("TrueRR cell %+v reports throttled fetch cycles", c)
-		}
-	}
-}
-
 // TestPredstudyCoversGrid: the small-scale export must contain exactly
 // the declared grid — every predictor crossed with every policy, kernel,
-// and thread count, no duplicates.
+// and thread count, no duplicates — and every cell must carry
+// internally consistent accounting.
 func TestPredstudyCoversGrid(t *testing.T) {
-	_, cells := renderPredStudy(t, 8)
+	j1, _ := sweeps(t)
+	cells := j1.exports["predstudy"].([]PredCell)
 	plan, err := predPlanFor(kernels.Small)
 	if err != nil {
 		t.Fatal(err)
@@ -115,10 +25,21 @@ func TestPredstudyCoversGrid(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, c := range cells {
-		key := c.Kernel + "/" + c.Predictor + "/" + c.Policy + "/" + string(rune('0'+c.Threads))
+		key := fmt.Sprintf("%s/%s/%s/%d", c.Kernel, c.Predictor, c.Policy, c.Threads)
 		if seen[key] {
 			t.Errorf("duplicate cell %s", key)
 		}
 		seen[key] = true
+		if c.Cycles == 0 {
+			t.Errorf("cell %+v has zero cycles", c)
+		}
+		for _, rate := range []float64{c.Accuracy, c.Confidence, c.BTBHitRate} {
+			if rate < 0 || rate > 1 {
+				t.Errorf("cell %+v has out-of-range rates", c)
+			}
+		}
+		if c.Policy == core.TrueRR.String() && c.Throttled != 0 {
+			t.Errorf("TrueRR cell %+v reports throttled fetch cycles", c)
+		}
 	}
 }

@@ -76,18 +76,14 @@ type CellTiming struct {
 // figures share cells, e.g. the 4-thread TrueRR default run) and golden
 // validation of every simulated run.
 //
-// A Runner has two modes of operation:
-//
-//   - Direct: Run/RunWith simulate on the calling goroutine, memoized.
-//     This is the historical sequential behavior.
-//   - Pipelined: RunExperiments first replays the experiments in a
-//     declaration pass that records every requested cell (deduped by
-//     cell ID) without simulating, then executes the cells on a
-//     bounded worker pool, then replays the experiments again to
-//     assemble tables purely from the completed cell map. Because the
-//     assembly pass runs sequentially against final results, the
-//     rendered tables are byte-identical to the direct mode regardless
-//     of worker count or completion order.
+// RunExperiments first replays the experiments in a declaration pass
+// that records every requested cell (deduped by cell ID) without
+// simulating, then executes the cells on a bounded worker pool, then
+// replays the experiments again to assemble tables purely from the
+// completed cell map. Assembly only serves memoized cells: a cell the
+// declaration pass did not list fails the sweep. Because the assembly
+// pass runs sequentially against final results, the rendered tables are
+// byte-identical regardless of worker count or completion order.
 type Runner struct {
 	Scale kernels.Scale
 	// Progress, when non-nil, receives a line per fresh simulation. It
@@ -130,11 +126,6 @@ type Runner struct {
 	// and the aggregate is available from PhaseTotal after the run.
 	PhaseTiming bool
 
-	// Curves accumulates the degradation curves of the fault-sweep
-	// experiment during table assembly, for the -json export. Read after
-	// RunExperiments returns.
-	Curves []DegradationCurve
-
 	// Predictor overrides the branch predictor for every cell the
 	// experiments request through config() (sdsp-exp -bpred). The zero
 	// value is the paper's 2-bit counter, so the default is a no-op.
@@ -144,14 +135,6 @@ type Runner struct {
 	// gate rather than a sentinel: TrueRR is a legitimate override.
 	FetchOverride core.FetchPolicy
 	HasFetch      bool
-
-	// PredCells accumulates the predictor-study matrix during table
-	// assembly, for the -json export. Read after RunExperiments returns.
-	PredCells []PredCell
-
-	// MixCells accumulates the mixstudy grid during table assembly, for
-	// the -json export. Read after RunExperiments returns.
-	MixCells []MixCell
 
 	mu         sync.Mutex
 	sup        SupervisionCounts
@@ -172,16 +155,6 @@ func (r *Runner) PhaseTotal() core.PhaseTimes {
 	return r.phaseTotal
 }
 
-// recordCurve appends a degradation curve unless the runner is in the
-// declaration pass (whose tables — and curves — are discarded).
-func (r *Runner) recordCurve(c DegradationCurve) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.declaring {
-		r.Curves = append(r.Curves, c)
-	}
-}
-
 // NewRunner builds a runner at the given problem scale.
 func NewRunner(scale kernels.Scale) *Runner {
 	return &Runner{
@@ -199,26 +172,6 @@ func (r *Runner) progressf(format string, args ...any) {
 	r.progressMu.Lock()
 	defer r.progressMu.Unlock()
 	r.Progress(format, args...)
-}
-
-// recordPredCell appends a predictor-study cell unless the runner is in
-// the declaration pass (whose tables — and cells — are discarded).
-func (r *Runner) recordPredCell(c PredCell) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.declaring {
-		r.PredCells = append(r.PredCells, c)
-	}
-}
-
-// recordMixCell appends a mixstudy cell unless the runner is in the
-// declaration pass (whose tables — and cells — are discarded).
-func (r *Runner) recordMixCell(c MixCell) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.declaring {
-		r.MixCells = append(r.MixCells, c)
-	}
 }
 
 // config returns the paper-default configuration for n threads, with
@@ -248,11 +201,11 @@ func placeholderStats(cfg core.Config) *core.Stats {
 	return st
 }
 
-// runCell is the single entry point for all simulation work. It applies
-// the runner's -paranoid, -timing and -fault overrides to c, names it
-// by cellID, and returns the memoized result; in declaration mode a
-// fresh cell is recorded and answered with a placeholder, otherwise it
-// runs on the calling goroutine.
+// runCell is how every experiment requests a cell. It applies the
+// runner's -paranoid, -timing and -fault overrides to c, names it by
+// cellID, and returns the memoized result. In the declaration pass a
+// fresh cell is recorded and answered with a placeholder; outside it a
+// cell that was never declared is an error.
 func (r *Runner) runCell(c cellSpec) (*core.Stats, error) {
 	c.cfg.CheckInvariants = c.cfg.CheckInvariants || r.Paranoid
 	c.cfg.PhaseTiming = c.cfg.PhaseTiming || r.PhaseTiming
@@ -261,42 +214,30 @@ func (r *Runner) runCell(c cellSpec) (*core.Stats, error) {
 	}
 	id := cellID(c)
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if res, ok := r.cache[id]; ok {
-		r.mu.Unlock()
 		return res.stats, res.err
 	}
-	if r.declaring {
-		if !r.pendingBy[id] {
-			r.pending = append(r.pending, DeclaredCell{Key: id, Label: c.label, spec: c})
-			r.pendingBy[id] = true
-		}
-		r.mu.Unlock()
-		return placeholderStats(c.cfg), nil
+	if !r.declaring {
+		return nil, fmt.Errorf("cell %s (%.12s) was requested but never declared", c.label, id)
 	}
-	r.mu.Unlock()
-	out := r.execute(DeclaredCell{Key: id, Label: c.label, spec: c})
-	return out.st, out.err
+	if !r.pendingBy[id] {
+		r.pending = append(r.pending, DeclaredCell{Key: id, Label: c.label, spec: c})
+		r.pendingBy[id] = true
+	}
+	return placeholderStats(c.cfg), nil
 }
 
-// execute runs one cell under supervision and memoizes the outcome.
-func (r *Runner) execute(c DeclaredCell) cellOutcome {
-	out := r.superviseCell(c.Key, c.Label, func() (*core.Stats, error) { return r.simulate(c.Key, c.spec) })
-	r.mu.Lock()
-	r.cache[c.Key] = cellResult{out.st, out.err}
-	r.mu.Unlock()
-	return out
+// run requests benchmark b under cfg, validated against the benchmark's
+// golden model. b must be a registered benchmark (kernels.Get finds it
+// by name).
+func (r *Runner) run(b *kernels.Benchmark, cfg core.Config) (*core.Stats, error) {
+	return r.runWith(b, cfg, kernels.Params{})
 }
 
-// Run simulates benchmark b under cfg (memoized) and validates the
-// result against the benchmark's golden model. b must be a registered
-// benchmark (kernels.Get finds it by name).
-func (r *Runner) Run(b *kernels.Benchmark, cfg core.Config) (*core.Stats, error) {
-	return r.RunWith(b, cfg, kernels.Params{})
-}
-
-// RunWith is Run with explicit benchmark build parameters (alignment,
+// runWith is run with explicit benchmark build parameters (alignment,
 // sync granularity) for the extension experiments.
-func (r *Runner) RunWith(b *kernels.Benchmark, cfg core.Config, p kernels.Params) (*core.Stats, error) {
+func (r *Runner) runWith(b *kernels.Benchmark, cfg core.Config, p kernels.Params) (*core.Stats, error) {
 	p.Threads, p.Scale = cfg.Threads, r.Scale
 	return r.runCell(cellSpec{label: b.Name, cfg: cfg,
 		slots: []cellSlot{{Threads: cfg.Threads, Kernel: b.Name, Params: p}}})
@@ -373,11 +314,9 @@ func (r *Runner) executePending(jobs int) []CellTiming {
 // tables are then assembled sequentially from the completed cell map.
 //
 // Determinism guarantee: the returned tables are byte-identical (once
-// rendered) to running each experiment directly on a fresh sequential
-// runner, for any jobs >= 1. Should an experiment's control flow
-// request a cell that the declaration pass did not predict, the cell is
-// simulated synchronously during assembly — a performance fallback,
-// never a correctness one.
+// rendered) for any jobs >= 1. An experiment whose assembly requests a
+// cell its declaration pass did not list fails with an error naming the
+// experiment and the cell.
 //
 // The timings cover the freshly simulated cells in declaration order.
 func (r *Runner) RunExperiments(exps []Experiment, jobs int) ([][]Table, []CellTiming, error) {
@@ -394,6 +333,24 @@ func (r *Runner) RunExperiments(exps []Experiment, jobs int) ([][]Table, []CellT
 		tables[i] = ts
 	}
 	return tables, timings, nil
+}
+
+// Exports returns the export of each experiment in exps that has one,
+// keyed by experiment name. Call it after RunExperiments(exps): the
+// rows are rebuilt from the memoized cells.
+func (r *Runner) Exports(exps []Experiment) (map[string]any, error) {
+	out := map[string]any{}
+	for _, e := range exps {
+		if e.Export == nil {
+			continue
+		}
+		v, err := e.Export(r)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.Name, err)
+		}
+		out[e.Name] = v
+	}
+	return out, nil
 }
 
 func classOf(cl int) isa.Class { return isa.Class(cl) }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,26 +14,39 @@ import (
 	"repro/internal/kernels"
 )
 
-// renderSweep runs the full registry at Small scale on a fresh runner
-// with the given worker count and returns the concatenation of every
-// rendered table — exactly what `sdsp-exp -scale small` writes to
-// stdout — plus the model digest of the sweep's Stats.
-func renderSweep(t *testing.T, jobs int) (string, string) {
+// sweep is one render of the full registry at Small scale on a fresh
+// runner: exactly what `sdsp-exp -scale small` writes to stdout, with
+// the runner, tables, timings and exports behind it.
+type sweep struct {
+	r       *Runner
+	tables  [][]Table
+	timings []CellTiming
+	exports map[string]any
+	out     string // every table, rendered
+	digest  string // the model digest of the sweep's Stats
+}
+
+func renderSweep(t *testing.T, jobs int) sweep {
 	t.Helper()
-	r := NewRunner(kernels.Small)
-	tables, timings, err := r.RunExperiments(Registry(), jobs)
+	s := sweep{r: NewRunner(kernels.Small)}
+	var err error
+	s.tables, s.timings, err = s.r.RunExperiments(Registry(), jobs)
 	if err != nil {
 		t.Fatalf("RunExperiments(j=%d): %v", jobs, err)
 	}
+	if s.exports, err = s.r.Exports(Registry()); err != nil {
+		t.Fatalf("Exports(j=%d): %v", jobs, err)
+	}
 	var buf bytes.Buffer
-	for _, ts := range tables {
+	for _, ts := range s.tables {
 		for _, tab := range ts {
 			if err := tab.Render(&buf); err != nil {
 				t.Fatalf("render: %v", err)
 			}
 		}
 	}
-	return buf.String(), statsDigest(t, r, timings)
+	s.out, s.digest = buf.String(), statsDigest(t, s.r, s.timings)
+	return s
 }
 
 // statsDigest is the model digest: the sha256 of the JSON of every
@@ -50,24 +64,46 @@ func statsDigest(t *testing.T, r *Runner, timings []CellTiming) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Sweeps are expensive; the determinism and golden tests share one
-// sequential and one 8-way render of the registry.
+// Sweeps are expensive; the tests share one sequential and one 8-way
+// render of the registry.
 var (
-	sweepOnce          sync.Once
-	sweepJ1, sweepJ8   string
-	digestJ1, digestJ8 string
+	sweepOnce        sync.Once
+	sweepJ1, sweepJ8 sweep
 )
 
-func sweeps(t *testing.T) (j1, j8 string) {
+func sweeps(t *testing.T) (j1, j8 sweep) {
 	t.Helper()
 	sweepOnce.Do(func() {
-		sweepJ1, digestJ1 = renderSweep(t, 1)
-		sweepJ8, digestJ8 = renderSweep(t, 8)
+		sweepJ1 = renderSweep(t, 1)
+		sweepJ8 = renderSweep(t, 8)
 	})
-	if sweepJ1 == "" || sweepJ8 == "" {
+	if sweepJ1.out == "" || sweepJ8.out == "" {
 		t.Fatal("sweep rendering failed in an earlier test")
 	}
 	return sweepJ1, sweepJ8
+}
+
+// tablesOf returns the named experiment's tables from the sequential
+// sweep.
+func tablesOf(t *testing.T, name string) []Table {
+	t.Helper()
+	j1, _ := sweeps(t)
+	for i, e := range Registry() {
+		if e.Name == name {
+			return j1.tables[i]
+		}
+	}
+	t.Fatalf("no experiment %q", name)
+	return nil
+}
+
+// probe runs fn as a one-off experiment through RunExperiments: the
+// cells fn requests are declared, executed on jobs workers, and served
+// to its assembly pass, whose results stay in whatever fn captured.
+func probe(r *Runner, jobs int, fn func(r *Runner) error) ([]CellTiming, error) {
+	e := Experiment{Name: "probe", Run: func(r *Runner) ([]Table, error) { return nil, fn(r) }}
+	_, timings, err := r.RunExperiments([]Experiment{e}, jobs)
+	return timings, err
 }
 
 // TestParallelDeterminism is the headline property of the parallel
@@ -75,38 +111,39 @@ func sweeps(t *testing.T) (j1, j8 string) {
 // byte-identical, regardless of worker scheduling or completion order.
 func TestParallelDeterminism(t *testing.T) {
 	j1, j8 := sweeps(t)
-	if j1 != j8 {
-		d := firstDiff(j1, j8)
+	if j1.out != j8.out {
+		d := firstDiff(j1.out, j8.out)
 		t.Fatalf("rendered tables differ between -j 1 and -j 8 (first divergence at byte %d: %q vs %q)",
-			d, excerpt(j1, d), excerpt(j8, d))
+			d, excerpt(j1.out, d), excerpt(j8.out, d))
 	}
-	if digestJ1 != digestJ8 {
-		t.Errorf("cell Stats differ between -j 1 and -j 8: digests %s vs %s", digestJ1, digestJ8)
+	if j1.digest != j8.digest {
+		t.Errorf("cell Stats differ between -j 1 and -j 8: digests %s vs %s", j1.digest, j8.digest)
 	}
 }
 
-// TestPipelineMatchesDirectMode: the declare/schedule/assemble pipeline
-// must reproduce the historical sequential path (direct e.Run calls on
-// a fresh runner) byte for byte.
-func TestPipelineMatchesDirectMode(t *testing.T) {
-	j1, _ := sweeps(t)
-	r := NewRunner(kernels.Small)
-	var buf bytes.Buffer
+// TestExportsParallelIdentity: every experiment's export, the rows
+// sdsp-exp -json writes, must be non-empty and identical between the
+// -j 1 and -j 8 sweeps.
+func TestExportsParallelIdentity(t *testing.T) {
+	j1, j8 := sweeps(t)
+	n := 0
 	for _, e := range Registry() {
-		tables, err := e.Run(r)
-		if err != nil {
-			t.Fatalf("%s: %v", e.Name, err)
+		if e.Export == nil {
+			continue
 		}
-		for _, tab := range tables {
-			if err := tab.Render(&buf); err != nil {
-				t.Fatalf("render: %v", err)
+		n++
+		t.Run(e.Name, func(t *testing.T) {
+			x1, x8 := j1.exports[e.Name], j8.exports[e.Name]
+			if v := reflect.ValueOf(x1); v.Kind() != reflect.Slice || v.Len() == 0 {
+				t.Fatalf("export is %T with no rows", x1)
 			}
-		}
+			if !reflect.DeepEqual(x1, x8) {
+				t.Errorf("export differs between -j 1 and -j 8:\n j1: %+v\n j8: %+v", x1, x8)
+			}
+		})
 	}
-	if buf.String() != j1 {
-		d := firstDiff(buf.String(), j1)
-		t.Fatalf("pipeline output diverges from direct sequential output at byte %d: %q vs %q",
-			d, excerpt(buf.String(), d), excerpt(j1, d))
+	if n == 0 || len(j1.exports) != n {
+		t.Errorf("%d experiments export, but the sweep exported %d", n, len(j1.exports))
 	}
 }
 
@@ -114,15 +151,11 @@ func TestPipelineMatchesDirectMode(t *testing.T) {
 // full cell set, and a second sweep on the same runner must be fully
 // memoized (zero fresh cells).
 func TestDeclarationCoversAssembly(t *testing.T) {
-	r := NewRunner(kernels.Small)
-	_, timings, err := r.RunExperiments(Registry(), 4)
-	if err != nil {
-		t.Fatal(err)
+	_, j8 := sweeps(t)
+	if len(j8.timings) < 100 {
+		t.Errorf("declaration pass found only %d cells; the registry needs hundreds", len(j8.timings))
 	}
-	if len(timings) < 100 {
-		t.Errorf("declaration pass found only %d cells; the registry needs hundreds", len(timings))
-	}
-	for _, tm := range timings {
+	for _, tm := range j8.timings {
 		if tm.Err != "" {
 			t.Errorf("cell %s failed: %s", tm.Key, tm.Err)
 		}
@@ -133,12 +166,48 @@ func TestDeclarationCoversAssembly(t *testing.T) {
 			t.Errorf("cell %s has negative wall time", tm.Key)
 		}
 	}
-	_, again, err := r.RunExperiments(Registry(), 4)
+	_, again, err := j8.r.RunExperiments(Registry(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(again) != 0 {
 		t.Errorf("second sweep re-simulated %d cells; all should be memoized", len(again))
+	}
+}
+
+// TestUndeclaredCellFailsTheSweep: assembly serves declared cells only.
+// An experiment whose assembly requests a cell its declaration pass did
+// not list (here a placeholder steers a branch) fails RunExperiments
+// with an error naming the experiment and the cell, which is never
+// simulated.
+func TestUndeclaredCellFailsTheSweep(t *testing.T) {
+	b := kernels.LL1()
+	late := Experiment{Name: "late", Run: func(r *Runner) ([]Table, error) {
+		st, err := r.run(b, r.config(1))
+		if err != nil {
+			return nil, err
+		}
+		if st.Cycles > 1 { // a real result: the placeholder has 1 cycle
+			if _, err := r.run(b, r.config(2)); err != nil {
+				return nil, err
+			}
+		}
+		return nil, nil
+	}}
+	r := NewRunner(kernels.Small)
+	_, timings, err := r.RunExperiments([]Experiment{late}, 2)
+	if err == nil {
+		t.Fatal("assembly was served a cell the declaration pass never listed")
+	}
+	undeclared := cellSpec{label: b.Name, cfg: r.config(2), slots: []cellSlot{{Threads: 2, Kernel: b.Name,
+		Params: kernels.Params{Threads: 2, Scale: kernels.Small}}}}
+	for _, want := range []string{"late: ", b.Name, cellID(undeclared)[:12], "never declared"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if len(timings) != 1 {
+		t.Errorf("simulated %d cells, want only the declared one", len(timings))
 	}
 }
 
@@ -152,7 +221,7 @@ func TestParallelErrorDeterminism(t *testing.T) {
 		Run: func(r *Runner) ([]Table, error) {
 			cfg := r.config(2)
 			cfg.MaxCycles = 10 // guaranteed "exceeded 10 cycles" error
-			if _, err := r.Run(kernels.GroupI()[0], cfg); err != nil {
+			if _, err := r.run(kernels.GroupI()[0], cfg); err != nil {
 				return nil, err
 			}
 			return []Table{{Title: "unreachable", Headers: []string{"x"}, Rows: [][]string{{"y"}}}}, nil

@@ -86,7 +86,7 @@ type StoreReport struct {
 }
 
 // StoreReport snapshots the persistence + supervision counters. Valid
-// after RunExperiments (or any set of Run calls) returns.
+// after RunExperiments returns.
 func (r *Runner) StoreReport() StoreReport {
 	rep := StoreReport{}
 	if r.Store != nil {
@@ -102,9 +102,11 @@ func (r *Runner) StoreReport() StoreReport {
 // CellValue renders one table cell from a completed cell's result: the
 // supplied rendering on success, the explicit QUARANTINED marker for a
 // quarantined cell, or the error itself (failing the sweep) for
-// anything else. Every per-benchmark figure builder routes through
-// this, so a poisoned cell is a visible table entry — never a silent
-// hole, never a hung sweep.
+// anything else. The per-kernel cycle figures (Figs 3–6, 9–12) route
+// through it via cycleCell, so a poisoned cell there is a visible table
+// entry. Every other builder (group averages, figs 13/14, the
+// ablations, improvements, hwablations, compiler and the studies)
+// propagates a quarantined cell's error and fails the sweep instead.
 func CellValue(st *core.Stats, err error, render func(*core.Stats) string) (string, error) {
 	var qe *QuarantinedError
 	if errors.As(err, &qe) {
@@ -144,8 +146,8 @@ func retryBackoff(n int) time.Duration {
 }
 
 // superviseCell executes one cell under the full supervision contract.
-// It is called exactly once per deduplicated cell (from the worker pool
-// or the direct-mode fallback); the caller memoizes the outcome.
+// It is called exactly once per deduplicated cell, by ExecuteDeclared,
+// which memoizes the outcome.
 func (r *Runner) superviseCell(key, label string, run func() (*core.Stats, error)) cellOutcome {
 	if r.Store != nil {
 		if q, ok := r.Store.Quarantined(key); ok {

@@ -239,11 +239,17 @@ func TestQuarantinePersistsAcrossRunners(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cells")
 	b := kernels.GroupI()[0]
 
+	// runaway requests b with a 10-cycle budget: a deterministic machine
+	// error.
+	runaway := func(r *Runner) error {
+		cfg := r.config(2)
+		cfg.MaxCycles = 10
+		_, err := r.run(b, cfg)
+		return err
+	}
 	r1 := NewRunner(kernels.Small)
 	r1.Store = openStore(t, dir)
-	cfg := r1.config(2)
-	cfg.MaxCycles = 10 // deterministic runaway machine error
-	_, err := r1.Run(b, cfg)
+	_, err := probe(r1, 1, runaway)
 	var qe *QuarantinedError
 	if !errors.As(err, &qe) {
 		t.Fatalf("first run returned %v, want QuarantinedError", err)
@@ -257,9 +263,7 @@ func TestQuarantinePersistsAcrossRunners(t *testing.T) {
 
 	r2 := NewRunner(kernels.Small)
 	r2.Store = openStore(t, dir)
-	cfg2 := r2.config(2)
-	cfg2.MaxCycles = 10
-	_, err2 := r2.Run(b, cfg2)
+	_, err2 := probe(r2, 1, runaway)
 	if !errors.As(err2, &qe) {
 		t.Fatalf("second runner returned %v, want the stored QuarantinedError", err2)
 	}
@@ -273,9 +277,12 @@ func TestQuarantinePersistsAcrossRunners(t *testing.T) {
 func TestQuarantineCarriesBundle(t *testing.T) {
 	r := NewRunner(kernels.Small)
 	r.CrashDir = t.TempDir()
-	cfg := r.config(2)
-	cfg.MaxCycles = 10
-	_, err := r.Run(kernels.GroupI()[0], cfg)
+	_, err := probe(r, 1, func(r *Runner) error {
+		cfg := r.config(2)
+		cfg.MaxCycles = 10
+		_, err := r.run(kernels.GroupI()[0], cfg)
+		return err
+	})
 	var qe *QuarantinedError
 	if !errors.As(err, &qe) {
 		t.Fatalf("got %v, want QuarantinedError", err)

@@ -474,9 +474,10 @@ func (p *planner) status(id string, withCells bool) (*JobStatus, error) {
 
 // assemble renders the job's tables from the (now fully committed)
 // cell set, byte-identically to sdsp-exp: each experiment's tables in
-// order, each rendered by Table.Render. All cells are store hits; a
-// missing cell would be simulated locally — a correctness-preserving
-// fallback, never the plan.
+// order, each rendered by Table.Render. Every planned cell is committed
+// or quarantined by now, so RunExperiments serves each from the store.
+// A cell the declaration did not list fails assembly: there is no local
+// fallback that simulates it.
 func (pl *jobPlan) assemble(p *planner) ([]byte, error) {
 	r, exps, err := pl.spec.NewRunner()
 	if err != nil {
