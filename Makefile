@@ -36,6 +36,7 @@ race:
 fuzz-seeds:
 	$(GO) test -run=Fuzz ./internal/asm
 	$(GO) test -run=FuzzVerify ./sdsp
+	$(GO) test -run=FuzzDecodeStats ./internal/store
 
 # Every paper kernel under full per-cycle invariant checking, and the
 # experiment pipeline in paranoid mode at small scale.

@@ -150,14 +150,16 @@ func retryBackoff(n int) time.Duration {
 // which memoizes the outcome.
 func (r *Runner) superviseCell(key, label string, run func() (*core.Stats, error)) cellOutcome {
 	if r.Store != nil {
+		// A verified record is a successful run of this exact cell, so it
+		// outranks a quarantine verdict, and a hit costs no quarantine probe.
+		if st, ok := r.Store.Get(key); ok {
+			return cellOutcome{st: st, source: "store"}
+		}
 		if q, ok := r.Store.Quarantined(key); ok {
 			return cellOutcome{
 				err:    &QuarantinedError{Key: key, Label: q.Label, Reason: q.Reason, Bundle: q.Bundle},
 				source: "quarantined",
 			}
-		}
-		if st, ok := r.Store.Get(key); ok {
-			return cellOutcome{st: st, source: "store"}
 		}
 		if l, err := r.Store.TryLock(key); err == nil && l != nil {
 			defer l.Unlock()

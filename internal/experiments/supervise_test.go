@@ -272,6 +272,28 @@ func TestQuarantinePersistsAcrossRunners(t *testing.T) {
 	}
 }
 
+// TestStoredRecordOutranksQuarantine: a verified record is a successful
+// run of its exact cell, so the runner serves it even when a quarantine
+// verdict names the same key.
+func TestStoredRecordOutranksQuarantine(t *testing.T) {
+	s := openStore(t, filepath.Join(t.TempDir(), "cells"))
+	if err := s.Put("k", &core.Stats{Cycles: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Quarantine(store.QuarantineEntry{Key: "k", Label: "cell", Reason: "machine error twice"}); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(kernels.Small)
+	r.Store = s
+	out := r.superviseCell("k", "cell", func() (*core.Stats, error) {
+		t.Error("simulated a cell the store holds")
+		return nil, errors.New("not reached")
+	})
+	if out.err != nil || out.source != "store" || out.st.Cycles != 7 {
+		t.Errorf("outcome = %+v, want the stored record (source store)", out)
+	}
+}
+
 // TestQuarantineCarriesBundle: with a crash dir configured, the
 // quarantine verdict names a replayable crash bundle.
 func TestQuarantineCarriesBundle(t *testing.T) {

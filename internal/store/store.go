@@ -30,12 +30,15 @@
 //     cell survives and is never re-simulated (enforced by
 //     internal/store/chaostest).
 //   - Every record carries its key in the frame and, in its envelope,
-//     the key again and a SHA-256 checksum of the payload. A damaged,
-//     truncated, mis-keyed, or wrong-version record is treated as a
-//     miss: it is dropped from the index (a "repair"), a diagnostic is
-//     logged, and the cell is simply recomputed and appended again —
-//     corruption can cost time, never correctness. A later record for
-//     a key supersedes an earlier one.
+//     the key again and a SHA-256 checksum of the payload. A record is
+//     served only when its bytes are exactly what Put writes: the
+//     envelope's fixed layout (envelope.go) around a payload that
+//     decodes as the compact JSON json.Marshal writes for core.Stats
+//     (decode.go). A damaged, truncated, mis-keyed, wrong-version or
+//     re-encoded record is treated as a miss: it is dropped from the
+//     index (a "repair"), a diagnostic is logged, and the cell is simply
+//     recomputed and appended again — corruption can cost time, never
+//     correctness. A later record for a key supersedes an earlier one.
 //   - Each handle indexes every segment at Open. A lookup that misses
 //     first reads what other writers appended since: one directory
 //     read, then a stat of each segment whose writer was alive when
@@ -150,16 +153,6 @@ type segment struct {
 	// sealed segments are never read again: their writer was dead when
 	// first seen, they are damaged, or they are this handle's own.
 	sealed bool
-}
-
-// envelope is the record body: the payload bytes are checksummed
-// independently of the envelope, so any torn or bit-flipped record
-// fails verification.
-type envelope struct {
-	Version  int             `json:"version"`
-	Key      string          `json:"key"`
-	Checksum string          `json:"checksum"` // sha256 hex of Payload
-	Payload  json.RawMessage `json:"payload"`  // core.Stats
 }
 
 // QuarantineEntry records one cell that failed deterministically (two
@@ -381,11 +374,13 @@ func (s *Store) Committed(key string) bool {
 	return ok
 }
 
-// Get loads the committed result for key, or reports a miss. Any form
-// of corruption — torn write, flipped bit, truncated JSON, a record
-// whose key does not match (hash collision or manual tampering) — is
-// repaired (record dropped, diagnostic logged) and reported as a miss:
-// the caller recomputes the cell, and the table is still right.
+// Get loads the committed result for key, or reports a miss. A record
+// that is not exactly what Put writes for key — torn write, flipped
+// bit, truncated JSON, a record whose key does not match (hash
+// collision or manual tampering), even a re-encoding that is still
+// valid JSON — is repaired (record dropped, diagnostic logged) and
+// reported as a miss: the caller recomputes the cell, and the table is
+// still right.
 func (s *Store) Get(key string) (*core.Stats, bool) {
 	h := sha256.Sum256([]byte(key))
 	path, l, ok := s.locate(h)
@@ -400,15 +395,12 @@ func (s *Store) Get(key string) (*core.Stats, bool) {
 	if string(fkey) != key {
 		return s.reject(h, path, l, "record names another key")
 	}
-	var env envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return s.reject(h, path, l, fmt.Sprintf("envelope is not valid JSON: %v", err))
+	payload, err := openEnvelope(body, key)
+	if err != nil {
+		return s.reject(h, path, l, err.Error())
 	}
-	if env.Version != Version || env.Key != key || checksum(env.Payload) != env.Checksum {
-		return s.reject(h, path, l, "envelope failed verification (version/key/checksum mismatch)")
-	}
-	stats := &core.Stats{}
-	if err := json.Unmarshal(env.Payload, stats); err != nil {
+	stats, err := decodeStats(payload)
+	if err != nil {
 		return s.reject(h, path, l, fmt.Sprintf("payload does not decode: %v", err))
 	}
 	s.count(func(st *Stats) { st.Hits++ })
@@ -451,11 +443,7 @@ func (s *Store) Put(key string, stats *core.Stats) error {
 	if err != nil {
 		return s.putFailed(key, err)
 	}
-	env := envelope{Version: Version, Key: key, Checksum: checksum(payload), Payload: payload}
-	body, err := json.Marshal(&env)
-	if err != nil {
-		return s.putFailed(key, err)
-	}
+	body := sealEnvelope(nil, key, payload)
 	l, err := s.append(appendFrame(make([]byte, 0, frameHeader+len(key)+len(body)), key, body))
 	if err != nil {
 		return s.putFailed(key, err)
@@ -635,11 +623,6 @@ func (s *Store) count(f func(*Stats)) {
 	s.mu.Lock()
 	f(&s.st)
 	s.mu.Unlock()
-}
-
-func checksum(payload []byte) string {
-	h := sha256.Sum256(payload)
-	return hex.EncodeToString(h[:])
 }
 
 // atomicWrite commits data to path via temp file + fsync + rename +

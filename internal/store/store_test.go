@@ -150,6 +150,21 @@ func TestCorruptionDegradesToMiss(t *testing.T) {
 			data[lo+len(v)-2]++ // the version's last digit
 			return data
 		}},
+		// The envelope's first two fields swapped, the payload bytes
+		// unchanged: valid JSON of the same length with a correct
+		// checksum, but not the bytes Put writes.
+		{"re-encoded-envelope", func(t *testing.T, data []byte, rec Record) []byte {
+			lo, hi := body(rec)
+			v, k := fmt.Sprintf(`{"version":%d,`, Version), fmt.Sprintf(`"key":%q,`, key)
+			if !strings.HasPrefix(string(data[lo:hi]), v+k) {
+				t.Fatal("envelope does not start with its version and key")
+			}
+			copy(data[lo:], "{"+k+v[1:])
+			if !json.Valid(data[lo:hi]) {
+				t.Fatal("the re-encoded envelope is not valid JSON")
+			}
+			return data
+		}},
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
