@@ -96,6 +96,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdsp-exp: %v\n", err)
 		os.Exit(2)
 	}
+	defer sup.Close()
 	inj, err := sdsp.ParseFaultSpec(*fault)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdsp-exp: %v\n", err)

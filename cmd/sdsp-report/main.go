@@ -55,6 +55,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdsp-report: %v\n", err)
 		os.Exit(2)
 	}
+	defer sup.Close()
 
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# SDSP-MT experiment report\n\n")

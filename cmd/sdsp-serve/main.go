@@ -77,6 +77,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	defer st.Close()
 
 	// SIGTERM/SIGINT start the graceful drain; a second signal (or
 	// SIGKILL at any time) exits immediately, which the durable state

@@ -15,13 +15,15 @@ import (
 )
 
 // Supervision collects the shared flag values. Register installs the
-// flags, Apply validates them and configures a runner.
+// flags, Apply validates them and configures a runner, and Close
+// releases the store Apply opened.
 type Supervision struct {
 	StoreDir    string
 	CellTimeout time.Duration
 	Retries     int
 
 	fs *flag.FlagSet
+	st *store.Store
 }
 
 // Register installs -store, -cell-timeout, and -retries on fs (the
@@ -68,9 +70,17 @@ func (s *Supervision) Apply(r *experiments.Runner, jobs int, logf func(format st
 		if err != nil {
 			return err
 		}
-		r.Store = st
+		r.Store, s.st = st, st
 	}
 	r.CellTimeout = s.CellTimeout
 	r.Retries = s.Retries
 	return nil
+}
+
+// Close releases the descriptors of the store Apply opened, if any.
+// Call it once the run is done with the store.
+func (s *Supervision) Close() {
+	if s.st != nil {
+		s.st.Close()
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"time"
 
 	"repro/internal/asm"
@@ -44,6 +45,29 @@ type cellSlot struct {
 	Params  kernels.Params
 	MiniC   string
 	Seed    int64
+}
+
+// builtSlot is one slot's program, built once per runner.
+type builtSlot struct {
+	once  sync.Once
+	obj   *loader.Object
+	bench *kernels.Benchmark
+	err   error
+}
+
+// build returns s's program and benchmark. Every cell with an equal
+// slot shares one build: nothing writes an object after asm sets its
+// Entry, so concurrent cells read it safely.
+func (r *Runner) build(s cellSlot) (*loader.Object, *kernels.Benchmark, error) {
+	r.mu.Lock()
+	b := r.builds[s]
+	if b == nil {
+		b = &builtSlot{}
+		r.builds[s] = b
+	}
+	r.mu.Unlock()
+	b.once.Do(func() { b.obj, b.bench, b.err = s.build() })
+	return b.obj, b.bench, b.err
 }
 
 // nonKernelMaxCycles is the runaway guard of cells that run anything other
@@ -161,7 +185,7 @@ func (r *Runner) simulate(id string, c cellSpec) (*core.Stats, error) {
 	mix := &loader.Mix{Slots: make([]loader.Slot, len(c.slots))}
 	var golden *kernels.Benchmark
 	for i, s := range c.slots {
-		obj, b, err := s.build()
+		obj, b, err := r.build(s)
 		if err != nil {
 			return nil, fmt.Errorf("%s slot %d: %w", c.label, i, err)
 		}

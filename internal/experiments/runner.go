@@ -139,6 +139,7 @@ type Runner struct {
 	mu         sync.Mutex
 	sup        SupervisionCounts
 	cache      map[string]cellResult
+	builds     map[cellSlot]*builtSlot
 	declaring  bool
 	pending    []DeclaredCell
 	pendingBy  map[string]bool
@@ -160,6 +161,7 @@ func NewRunner(scale kernels.Scale) *Runner {
 	return &Runner{
 		Scale:     scale,
 		cache:     map[string]cellResult{},
+		builds:    map[cellSlot]*builtSlot{},
 		pendingBy: map[string]bool{},
 	}
 }

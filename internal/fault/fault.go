@@ -51,16 +51,19 @@ func (r Rates) zero() bool {
 }
 
 // Schedule is a deterministic fault schedule implementing the core's
-// FaultInjector interface. The zero value injects nothing; build with
-// New or ParseSpec.
+// FaultInjector interface. The zero value injects nothing and renders
+// as the empty spec; build with New or ParseSpec.
 type Schedule struct {
 	seed  uint64
 	rates Rates
+	spec  string // the canonical spec, rendered once by the constructor
 }
 
 // New builds a schedule from a seed and rates.
 func New(seed uint64, rates Rates) *Schedule {
-	return &Schedule{seed: seed, rates: rates}
+	s := &Schedule{seed: seed, rates: rates}
+	s.spec = s.render()
+	return s
 }
 
 // Maximum injected delays, in cycles. Kept moderate: large enough to
@@ -211,9 +214,12 @@ func (s *Schedule) CommitWindowShrink(now uint64) int {
 	return int(1 + (h>>17)%maxCWShrink)
 }
 
-// String renders the canonical spec; ParseSpec(s.String()) rebuilds an
+// String returns the canonical spec; ParseSpec(s.String()) rebuilds an
 // identical schedule. Experiment cell IDs fold this in.
-func (s *Schedule) String() string {
+func (s *Schedule) String() string { return s.spec }
+
+// render formats the canonical spec.
+func (s *Schedule) render() string {
 	return fmt.Sprintf("seed=%d,miss=%g,wb=%g,flip=%g,squash=%g,sync=%g,wake=%g,fetch=%g,fblock=%g,sbhold=%g,shrink=%g",
 		s.seed, s.rates.CacheMiss, s.rates.Writeback, s.rates.FlipBTB, s.rates.Squash,
 		s.rates.SyncGrant, s.rates.SyncWakeup, s.rates.FetchMis, s.rates.FetchBlock,
@@ -344,5 +350,6 @@ func ParseSpec(spec string) (*Schedule, error) {
 	if s.rates.zero() {
 		return nil, fmt.Errorf("fault: spec %q injects nothing; use an empty spec to disable injection", spec)
 	}
+	s.spec = s.render()
 	return s, nil
 }

@@ -88,16 +88,11 @@ func scanFrames(r *bufio.Reader, off int64, key *[]byte, fn func(key []byte, off
 	}
 }
 
-// readFrame reads the n-byte frame at off of the segment at path and
-// returns its key and body.
-func readFrame(path string, off int64, n uint32) (key, body []byte, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
+// readFrame reads the n-byte frame at off of segment r and returns its
+// key and body.
+func readFrame(r io.ReaderAt, off int64, n uint32) (key, body []byte, err error) {
 	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, off); err != nil {
+	if _, err := r.ReadAt(buf, off); err != nil {
 		return nil, nil, fmt.Errorf("record is cut short: %w", err)
 	}
 	keyLen, bodyLen, ok := parseHeader(buf)

@@ -52,6 +52,23 @@
 //     is gone is stale and is broken on sight, and Open removes the
 //     owner files of dead processes.
 //
+// A handle's lifecycle, from Open to Close:
+//
+//   - Open checks the layout version, removes dead owners' files and
+//     indexes every segment. Each segment it reads stays open: the
+//     handle keeps up to maxOpenSegments read descriptors (files.go),
+//     evicting the least recently used one past that, so a hit is one
+//     ReadAt on a descriptor already held, and a segment evicted or
+//     never opened costs one open on its next read.
+//   - Get, CellByHash and the index refresh all read through those
+//     descriptors. A read holds a reference on its descriptor, so
+//     eviction or Close never fails it.
+//   - The first Put creates the handle's own segment and keeps it open
+//     for appending.
+//   - Close releases every descriptor. A handle dropped without Close
+//     releases them when it is collected: nothing outside the handle
+//     refers to it.
+//
 // The store only holds successful, golden-validated results plus the
 // quarantine list (cells that failed deterministically, see
 // QuarantineEntry); transient failures are never persisted. This
@@ -128,11 +145,12 @@ type Store struct {
 	scan  *bufio.Reader   // fixed-size buffer segments are scanned through
 	key   []byte          // scratch key for scans
 
-	// wmu guards the append side: this handle's own segment. An
-	// abandoned segment's file is left to its finalizer, since a
-	// concurrent Put may still be syncing it.
+	// files holds the descriptors segments are read through.
+	files segFiles
+
+	// wmu guards the append side: this handle's own segment.
 	wmu     sync.Mutex
-	out     *os.File // nil until the first Put, and after the segment is abandoned
+	out     *segFile // nil until the first Put, after the segment is abandoned, and after Close
 	outSeg  int32
 	outSize int64
 }
@@ -190,6 +208,8 @@ func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
 	}
 	s := &Store{dir: dir, logf: logf,
 		index: map[[sha256.Size]byte]loc{}, known: map[string]bool{}}
+	s.files.byID = map[int32]*segFile{}
+	s.files.idle.L = &s.files.mu
 	s.owner = sync.OnceValues(s.publishOwner)
 	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
@@ -316,18 +336,16 @@ func (s *Store) readTail(i int32, notes []string) []string {
 		return notes
 	}
 	seg.seen = fi.Size()
-	f, err := os.Open(seg.path)
+	cf, err := s.files.acquire(i, seg.path)
 	if err != nil {
 		return notes
 	}
-	defer f.Close()
-	if _, err := f.Seek(seg.size, io.SeekStart); err != nil {
-		return notes
-	}
+	defer s.files.release(cf)
+	tail := io.NewSectionReader(cf.f, seg.size, seg.seen-seg.size)
 	if s.scan == nil {
-		s.scan = bufio.NewReaderSize(f, scanBuffer)
+		s.scan = bufio.NewReaderSize(tail, scanBuffer)
 	} else {
-		s.scan.Reset(f)
+		s.scan.Reset(tail)
 	}
 	end, damaged := scanFrames(s.scan, seg.size, &s.key, func(key []byte, off int64, n uint32) {
 		s.index[sha256.Sum256(key)] = loc{seg: i, n: n, off: off}
@@ -388,7 +406,7 @@ func (s *Store) Get(key string) (*core.Stats, bool) {
 		s.count(func(st *Stats) { st.Misses++ })
 		return nil, false
 	}
-	fkey, body, err := readFrame(path, l.off, l.n)
+	fkey, body, err := s.readRecord(path, l)
 	if err != nil {
 		return s.reject(h, path, l, err.Error())
 	}
@@ -407,6 +425,18 @@ func (s *Store) Get(key string) (*core.Stats, bool) {
 	return stats, true
 }
 
+// readRecord reads the record at l of the segment at path through the
+// handle's kept-open descriptor and returns its key and body.
+func (s *Store) readRecord(path string, l loc) (key, body []byte, err error) {
+	cf, err := s.files.acquire(l.seg, path)
+	if err != nil {
+		return nil, nil, err
+	}
+	key, body, err = readFrame(cf.f, l.off, l.n)
+	s.files.release(cf)
+	return key, body, err
+}
+
 // reject repairs a record that failed verification and counts the miss.
 // The record is dropped from the index, so the recomputed cell's record
 // supersedes it; if it lies in this handle's own segment, the segment
@@ -422,7 +452,7 @@ func (s *Store) reject(h [sha256.Size]byte, path string, l loc, why string) (*co
 	s.mu.Unlock()
 	s.wmu.Lock()
 	if s.out != nil && s.outSeg == l.seg {
-		s.out = nil
+		s.dropOut()
 	}
 	s.wmu.Unlock()
 	s.logf("store: repaired %s: record at %s offset %d: %s (cell will be recomputed)",
@@ -471,24 +501,48 @@ func (s *Store) append(frame []byte) (loc, error) {
 			return loc{}, err
 		}
 	}
-	f, l := s.out, loc{seg: s.outSeg, n: uint32(len(frame)), off: s.outSize}
-	_, err := f.WriteAt(frame, l.off)
+	out, l := s.out, loc{seg: s.outSeg, n: uint32(len(frame)), off: s.outSize}
+	out.refs++ // held across the fsync, which runs outside s.wmu
+	_, err := out.f.WriteAt(frame, l.off)
 	if err == nil {
 		s.outSize += int64(len(frame))
 	}
 	s.wmu.Unlock()
 	if err == nil {
-		err = f.Sync()
+		err = out.f.Sync()
 	}
+	s.wmu.Lock()
+	if err != nil && s.out == out {
+		s.dropOut()
+	}
+	out.unref()
+	s.wmu.Unlock()
 	if err != nil {
-		s.wmu.Lock()
-		if s.out == f {
-			s.out = nil
-		}
-		s.wmu.Unlock()
 		return loc{}, err
 	}
 	return l, nil
+}
+
+// dropOut abandons this handle's segment: the next Put starts a new
+// one. s.wmu must be held.
+func (s *Store) dropOut() {
+	s.out.unref()
+	s.out = nil
+}
+
+// Close releases every descriptor the handle holds: the segments it
+// keeps open for reading and the segment it appends to. A read or
+// commit in flight keeps its descriptor until it finishes. The handle
+// stays usable: a later read reopens what it needs and a later Put
+// starts a new segment, so Close again after such use. A handle dropped
+// without Close releases its descriptors when it is collected.
+func (s *Store) Close() {
+	s.files.closeAll()
+	s.wmu.Lock()
+	if s.out != nil {
+		s.dropOut()
+	}
+	s.wmu.Unlock()
 }
 
 // createSegment creates this handle's segment and makes its directory
@@ -519,7 +573,7 @@ func (s *Store) createSegment() error {
 			f.Close()
 			return err
 		}
-		s.out, s.outSize = f, 0
+		s.out, s.outSize = &segFile{f: f, refs: 1}, 0
 		return nil
 	}
 }
@@ -600,7 +654,7 @@ func (s *Store) CellByHash(hash string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("store: cell %s: %w", hash, os.ErrNotExist)
 	}
-	key, body, err := readFrame(path, l.off, l.n)
+	key, body, err := s.readRecord(path, l)
 	if err != nil {
 		return nil, fmt.Errorf("store: cell %s: %w", hash, err)
 	}
