@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check check report
+.PHONY: all build vet fmt lint test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check perfbench-check check report
 
 all: check
 
@@ -136,8 +136,15 @@ bench:
 bench-check:
 	$(GO) run ./cmd/sdsp-bench -check BENCH_sim.json
 
+# The repository benchmark harness (perfbench/, its own module, so the
+# root's ./... never compiles it) must still build, vet and pass its
+# short tests against the packages it imports. It writes nothing under
+# perfbench/.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
 # Everything CI runs.
-check: vet fmt lint build test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke bench-check crash-replay-smoke
+check: vet fmt lint build test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke bench-check crash-replay-smoke perfbench-check
 
 # Full paper-scale experiment report (several minutes; all cores).
 report:

@@ -27,9 +27,7 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
-	"repro/internal/kernels"
 	"repro/internal/prof"
-	"repro/sdsp"
 )
 
 // timingExport is the machine-readable -json payload. Exports holds
@@ -60,7 +58,6 @@ func main() {
 		crashDir = flag.String("crashdir", "", "write a crash-report bundle here when a cell fails with a machine error")
 		cpuprof  = flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
 		memprof  = flag.String("memprofile", "", "write a pprof live-heap profile to this file after the run")
-		timing   = flag.Bool("timing", false, "stopwatch each pipeline phase in every cell and print the aggregate breakdown to stderr")
 		bpred    = flag.String("bpred", "2bit", "branch predictor for every cell: 2bit, gshare, gshare-pt, or tage")
 		fetch    = flag.String("fetch", "", "override the fetch policy in every cell: truerr, masked, cswitch, icount, icount-fb, or confthrottle")
 	)
@@ -75,21 +72,23 @@ func main() {
 		return
 	}
 
-	var sc kernels.Scale
-	switch *scale {
-	case "paper":
-		sc = kernels.Paper
-	case "small":
-		sc = kernels.Small
-	default:
-		fmt.Fprintf(os.Stderr, "sdsp-exp: unknown scale %q\n", *scale)
+	// The sweep is validated in full before anything is created: Apply
+	// below opens, and so creates, the -store directory.
+	sw := experiments.Sweep{
+		Experiments: strings.Split(*expNames, ","), Scale: *scale,
+		Bpred: *bpred, Fetch: *fetch, Fault: *fault, Paranoid: *paranoid,
+	}
+	runner, selected, err := sw.NewRunner()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sdsp-exp: %v\n", err)
 		os.Exit(2)
 	}
-
-	runner := experiments.NewRunner(sc)
-	runner.Paranoid = *paranoid
 	runner.CrashDir = *crashDir
-	runner.PhaseTiming = *timing
+	if *verbose {
+		runner.Progress = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		}
+	}
 	if err := sup.Apply(runner, *jobs, func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "sdsp-exp: "+format+"\n", args...)
 	}); err != nil {
@@ -97,45 +96,6 @@ func main() {
 		os.Exit(2)
 	}
 	defer sup.Close()
-	inj, err := sdsp.ParseFaultSpec(*fault)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdsp-exp: %v\n", err)
-		os.Exit(2)
-	}
-	runner.Injector = inj
-	pred, err := sdsp.ParsePredictor(*bpred)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sdsp-exp: %v\n", err)
-		os.Exit(2)
-	}
-	runner.Predictor = pred
-	if *fetch != "" {
-		pol, err := sdsp.ParseFetchPolicy(*fetch)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sdsp-exp: %v\n", err)
-			os.Exit(2)
-		}
-		runner.FetchOverride, runner.HasFetch = pol, true
-	}
-	if *verbose {
-		runner.Progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-
-	var selected []experiments.Experiment
-	if *expNames == "all" {
-		selected = experiments.Registry()
-	} else {
-		for _, name := range strings.Split(*expNames, ",") {
-			e, err := experiments.Get(strings.TrimSpace(name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "sdsp-exp:", err)
-				os.Exit(2)
-			}
-			selected = append(selected, e)
-		}
-	}
 
 	stopProf, perr := prof.Start(*cpuprof, *memprof)
 	if perr != nil {
@@ -168,10 +128,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "sdsp-exp: store %s: %d hits, %d misses, %d commits, %d repairs, %d retries, %d quarantines, %d timeouts\n",
 			storeRep.Dir, storeRep.Hits, storeRep.Misses, storeRep.Commits, storeRep.Repairs,
 			storeRep.Retries, storeRep.Quarantines, storeRep.Timeouts)
-	}
-	if *timing {
-		fmt.Fprintf(os.Stderr, "sdsp-exp: aggregate per-phase wall-clock breakdown (fresh cells only):\n%s",
-			runner.PhaseTotal())
 	}
 
 	if *jsonOut != "" {

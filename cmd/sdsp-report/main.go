@@ -19,7 +19,6 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/experiments"
-	"repro/internal/kernels"
 )
 
 func main() {
@@ -33,18 +32,12 @@ func main() {
 	sup.Register(nil)
 	flag.Parse()
 
-	var sc kernels.Scale
-	switch *scale {
-	case "paper":
-		sc = kernels.Paper
-	case "small":
-		sc = kernels.Small
-	default:
-		fmt.Fprintf(os.Stderr, "sdsp-report: unknown scale %q\n", *scale)
+	sw := experiments.Sweep{Experiments: []string{"all"}, Scale: *scale}
+	runner, exps, err := sw.NewRunner()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sdsp-report: %v\n", err)
 		os.Exit(2)
 	}
-
-	runner := experiments.NewRunner(sc)
 	runner.CrashDir = *crashDir
 	runner.Progress = func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -63,13 +56,12 @@ func main() {
 	fmt.Fprintf(&sb, "golden-validated simulation (deterministic run to run).\n\n")
 
 	start := time.Now()
-	reg := experiments.Registry()
-	all, _, err := runner.RunExperiments(reg, *jobs)
+	all, _, err := runner.RunExperiments(exps, *jobs)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdsp-report: %v\n", err)
 		os.Exit(1)
 	}
-	for i, e := range reg {
+	for i, e := range exps {
 		fmt.Fprintf(&sb, "## %s — %s\n\n", e.Name, e.Title)
 		for _, t := range all[i] {
 			writeMarkdownTable(&sb, t)
@@ -81,7 +73,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "sdsp-report:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (%d experiments)\n", *out, len(experiments.Registry()))
+	fmt.Printf("wrote %s (%d experiments)\n", *out, len(exps))
 }
 
 func writeMarkdownTable(sb *strings.Builder, t experiments.Table) {

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"repro/internal/cliflags"
+	"repro/internal/experiments"
 	"repro/internal/serve"
 	"repro/internal/store"
 )
@@ -118,12 +119,8 @@ func main() {
 }
 
 func runSubmit(sf *cliflags.Serve, exps, scale, bpred, fetch, fault string, wait time.Duration) {
-	sp := &serve.JobSpec{Scale: scale, Bpred: bpred, Fetch: fetch, Fault: fault}
-	for _, name := range strings.Split(exps, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			sp.Experiments = append(sp.Experiments, name)
-		}
-	}
+	sp := &experiments.Sweep{Experiments: strings.Split(exps, ","), Scale: scale,
+		Bpred: bpred, Fetch: fetch, Fault: fault}
 	c := &serve.Client{Base: "http://" + sf.Addr}
 	ctx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()

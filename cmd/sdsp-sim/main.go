@@ -56,7 +56,6 @@ func main() {
 		replayDir  = flag.String("replay", "", "replay a crash-report bundle directory and verify it reproduces the recorded failure")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the simulation to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof live-heap profile to this file after the run")
-		timing     = flag.Bool("timing", false, "stopwatch each pipeline phase and print the wall-share breakdown to stderr")
 	)
 	flag.Parse()
 
@@ -122,7 +121,6 @@ func main() {
 	if *coverFlag {
 		cfg.Coverage = cover.NewSet()
 	}
-	cfg.PhaseTiming = *timing
 
 	var obj *sdsp.Object
 	var err error
@@ -194,9 +192,6 @@ func main() {
 	}
 
 	printStats(os.Stdout, name, cfg, st)
-	if *timing {
-		fmt.Fprintf(os.Stderr, "per-phase wall-clock breakdown:\n%s", st.PhaseTime)
-	}
 	if st.Coverage != nil {
 		fmt.Println()
 		fmt.Println("microarchitectural event coverage:")

@@ -275,8 +275,10 @@ type Config struct {
 	// PhaseTiming enables the per-phase wall-clock breakdown: each stage
 	// of Cycle is stopwatched and the totals surface as Stats.PhaseTime.
 	// Purely observational — simulated timing is unaffected — but the
-	// timer reads roughly double the per-cycle host cost, so it is off by
-	// default and exposed as -timing on the CLIs.
+	// timer reads roughly double the per-cycle host cost. No CLI or sweep
+	// sets it, so timed runs never enter a cell store; only perfbench's
+	// replay.phase_timing does (docs/PERFORMANCE.md gives the stage split
+	// from a CPU profile instead).
 	PhaseTiming bool
 
 	// Injector, when non-nil, applies a deterministic fault schedule of

@@ -55,7 +55,7 @@ type Stats struct {
 	Coverage *cover.Set
 
 	// PhaseTime is the wall-clock breakdown per pipeline phase, all-zero
-	// unless Config.PhaseTiming was set (the CLIs' -timing flag).
+	// unless Config.PhaseTiming was set.
 	PhaseTime PhaseTimes
 }
 

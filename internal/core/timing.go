@@ -7,10 +7,10 @@ import (
 )
 
 // Phase identifies one stage of Cycle for the opt-in wall-clock
-// breakdown (Config.PhaseTiming, surfaced as Stats.PhaseTime and the
-// CLIs' -timing flag). Memory covers store drain and load service;
-// Other covers cache ticks, fault injection, the paranoid invariant
-// walk, the watchdog, and per-cycle statistics.
+// breakdown (Config.PhaseTiming, surfaced as Stats.PhaseTime). Memory
+// covers store drain and load service; Other covers cache ticks, fault
+// injection, the paranoid invariant walk, the watchdog, and per-cycle
+// statistics.
 type Phase int
 
 const (

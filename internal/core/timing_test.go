@@ -10,7 +10,7 @@ import (
 	"repro/internal/kernels"
 )
 
-// TestPhaseTimingNeutral asserts that the -timing stopwatch is purely
+// TestPhaseTimingNeutral asserts that the PhaseTiming stopwatch is purely
 // observational: the same program on the same configuration simulates
 // the exact same run with and without PhaseTiming, while the timed run
 // surfaces a non-zero breakdown covering every phase.

@@ -234,11 +234,6 @@ func (r *Runner) simulate(id string, c cellSpec) (*core.Stats, error) {
 				c.label, cfg.Threads, addr, got, want)
 		}
 	}
-	if cfg.PhaseTiming {
-		r.mu.Lock()
-		r.phaseTotal.Add(st.PhaseTime)
-		r.mu.Unlock()
-	}
 	r.progressf("%-8s threads=%d ways=%d su=%d policy=%v: %d cycles (IPC %.2f) [%v]",
 		c.label, cfg.Threads, cfg.Cache.Ways, cfg.SUEntries, cfg.FetchPolicy, st.Cycles, st.IPC(),
 		time.Since(start).Round(time.Millisecond))

@@ -169,7 +169,7 @@ func TestParanoidRunnerSimulatesItsCells(t *testing.T) {
 		t.Fatalf("default runner declared %d cells, want 2", len(filled))
 	}
 	r := NewRunner(kernels.Small)
-	r.Paranoid = true
+	r.paranoid = true
 	r.Store = openStore(t, dir)
 	_, timings, err := r.RunExperiments(exps, 2)
 	if err != nil {
@@ -220,7 +220,7 @@ func TestMiniCSoloHonoursPredictor(t *testing.T) {
 		t.Fatal("2-bit and TAGE runs have equal Stats; the test cannot tell them apart")
 	}
 	r := NewRunner(kernels.Small)
-	r.Predictor = core.PredTAGE
+	r.predictor = core.PredTAGE
 	var got *core.Stats
 	if _, err := probe(r, 1, func(r *Runner) (err error) {
 		got, err = r.runSolo(lean, k, hierVariants()[0])

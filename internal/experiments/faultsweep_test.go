@@ -57,7 +57,7 @@ func TestFaultSweepByAxisMatchesCurves(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(kernels.Small)
-	r.FetchOverride, r.HasFetch = core.ICount, true
+	r.fetchOverride, r.hasFetch = core.ICount, true
 	tables, _, err := r.RunExperiments([]Experiment{e}, 2)
 	if err != nil {
 		t.Fatal(err)

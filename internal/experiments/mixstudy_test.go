@@ -56,7 +56,7 @@ func TestMixSoloKeyNamesFrontend(t *testing.T) {
 	s := openStore(t, filepath.Join(t.TempDir(), "store"))
 	prog, l1 := progenProgram(1996), hierVariants()[0]
 	cswitch := func(r *Runner) *Runner {
-		r.HasFetch, r.FetchOverride = true, core.CondSwitch
+		r.hasFetch, r.fetchOverride = true, core.CondSwitch
 		return r
 	}
 	solo := func(r *Runner) uint64 {

@@ -91,15 +91,6 @@ type Runner struct {
 	// never concurrently (calls are serialized by the runner).
 	Progress func(format string, args ...any)
 
-	// Paranoid turns on per-cycle invariant checking for every cell
-	// (sdsp-exp -paranoid): the full experiment suite then doubles as an
-	// invariant stress test.
-	Paranoid bool
-	// Injector applies a deterministic fault schedule to every cell.
-	// Schedules are stateless, so one injector is safely shared by all
-	// parallel workers; its String() is folded into each cell ID. A
-	// cell that sets its own injector keeps it.
-	Injector core.FaultInjector
 	// CrashDir, when non-empty, makes any cell that fails with a
 	// *core.MachineError write a crash-report bundle (object, config,
 	// fault spec, error) under this directory; the cell's error then
@@ -121,39 +112,27 @@ type Runner struct {
 	// run.
 	Retries int
 
-	// PhaseTiming stopwatches every cell's pipeline phases (sdsp-exp
-	// -timing). Purely observational — stdout tables are unaffected —
-	// and the aggregate is available from PhaseTotal after the run.
-	PhaseTiming bool
+	// What every cell simulates beyond what its experiment asks for:
+	// per-cycle invariant checking, a fault schedule (folded into each
+	// cell ID by its String(); a cell that sets its own injector keeps
+	// it), and the frontend overrides config() applies. Only a Sweep sets
+	// them (see Sweep.NewRunner). A bool gates the fetch override rather
+	// than a sentinel: TrueRR is a legitimate override.
+	paranoid      bool
+	injector      core.FaultInjector
+	predictor     core.PredictorKind
+	fetchOverride core.FetchPolicy
+	hasFetch      bool
 
-	// Predictor overrides the branch predictor for every cell the
-	// experiments request through config() (sdsp-exp -bpred). The zero
-	// value is the paper's 2-bit counter, so the default is a no-op.
-	Predictor core.PredictorKind
-	// FetchOverride, when HasFetch is set, overrides the fetch policy for
-	// every cell requested through config() (sdsp-exp -fetch). A bool
-	// gate rather than a sentinel: TrueRR is a legitimate override.
-	FetchOverride core.FetchPolicy
-	HasFetch      bool
-
-	mu         sync.Mutex
-	sup        SupervisionCounts
-	cache      map[string]cellResult
-	builds     map[cellSlot]*builtSlot
-	declaring  bool
-	pending    []DeclaredCell
-	pendingBy  map[string]bool
-	phaseTotal core.PhaseTimes
+	mu        sync.Mutex
+	sup       SupervisionCounts
+	cache     map[string]cellResult
+	builds    map[cellSlot]*builtSlot
+	declaring bool
+	pending   []DeclaredCell
+	pendingBy map[string]bool
 
 	progressMu sync.Mutex
-}
-
-// PhaseTotal returns the wall-clock phase breakdown summed over every
-// freshly simulated cell (all-zero unless PhaseTiming was set).
-func (r *Runner) PhaseTotal() core.PhaseTimes {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.phaseTotal
 }
 
 // NewRunner builds a runner at the given problem scale.
@@ -181,9 +160,9 @@ func (r *Runner) progressf(format string, args ...any) {
 func (r *Runner) config(n int) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Threads = n
-	cfg.Predictor = r.Predictor
-	if r.HasFetch {
-		cfg.FetchPolicy = r.FetchOverride
+	cfg.Predictor = r.predictor
+	if r.hasFetch {
+		cfg.FetchPolicy = r.fetchOverride
 	}
 	return cfg
 }
@@ -204,15 +183,14 @@ func placeholderStats(cfg core.Config) *core.Stats {
 }
 
 // runCell is how every experiment requests a cell. It applies the
-// runner's -paranoid, -timing and -fault overrides to c, names it by
+// runner's -paranoid and -fault overrides to c, names it by
 // cellID, and returns the memoized result. In the declaration pass a
 // fresh cell is recorded and answered with a placeholder; outside it a
 // cell that was never declared is an error.
 func (r *Runner) runCell(c cellSpec) (*core.Stats, error) {
-	c.cfg.CheckInvariants = c.cfg.CheckInvariants || r.Paranoid
-	c.cfg.PhaseTiming = c.cfg.PhaseTiming || r.PhaseTiming
+	c.cfg.CheckInvariants = c.cfg.CheckInvariants || r.paranoid
 	if c.cfg.Injector == nil {
-		c.cfg.Injector = r.Injector
+		c.cfg.Injector = r.injector
 	}
 	id := cellID(c)
 	r.mu.Lock()

@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // Client is the thin HTTP client for the coordinator API, used by
@@ -27,9 +29,9 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// Submit posts the spec and returns the job ID, retrying through 503
-// backoff until ctx expires.
-func (c *Client) Submit(ctx context.Context, sp *JobSpec) (string, error) {
+// Submit normalizes and posts the sweep and returns the job ID,
+// retrying through 503 backoff until ctx expires.
+func (c *Client) Submit(ctx context.Context, sp *experiments.Sweep) (string, error) {
 	if err := sp.Normalize(); err != nil {
 		return "", err
 	}

@@ -11,10 +11,7 @@ package serve
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,137 +21,22 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/kernels"
 	"repro/internal/store"
-	"repro/sdsp"
 )
-
-// JobSpec declares one sweep: which experiments, at which scale, with
-// which frontend overrides. It deliberately mirrors the sdsp-exp
-// flags — a job is nothing more than a durable, addressable sdsp-exp
-// invocation — and it is small enough that every worker rebuilds the
-// full runner configuration from it instead of receiving serialized
-// work items: cell IDs derived from what each cell simulates make
-// independently declared cell lists identical across the fleet.
-type JobSpec struct {
-	Experiments []string `json:"experiments"`        // registry names, in output order; ["all"] expands
-	Scale       string   `json:"scale"`              // "paper" or "small"
-	Bpred       string   `json:"bpred,omitempty"`    // branch predictor override ("" = paper 2-bit)
-	Fetch       string   `json:"fetch,omitempty"`    // fetch-policy override ("" = per-experiment)
-	Fault       string   `json:"fault,omitempty"`    // deterministic fault schedule ("" = none)
-	Paranoid    bool     `json:"paranoid,omitempty"` // per-cycle invariant checking in every cell
-}
-
-// Normalize validates the spec and rewrites it to canonical form
-// (["all"] expanded, names trimmed) so that equivalent submissions
-// hash to the same job ID.
-func (sp *JobSpec) Normalize() error {
-	switch sp.Scale {
-	case "paper", "small":
-	case "":
-		sp.Scale = "paper"
-	default:
-		return fmt.Errorf("unknown scale %q (want paper or small)", sp.Scale)
-	}
-	if len(sp.Experiments) == 0 {
-		return errors.New("spec names no experiments")
-	}
-	if len(sp.Experiments) == 1 && strings.TrimSpace(sp.Experiments[0]) == "all" {
-		sp.Experiments = nil
-		for _, e := range experiments.Registry() {
-			sp.Experiments = append(sp.Experiments, e.Name)
-		}
-	} else {
-		seen := map[string]bool{}
-		for i, name := range sp.Experiments {
-			name = strings.TrimSpace(name)
-			if _, err := experiments.Get(name); err != nil {
-				return err
-			}
-			if seen[name] {
-				return fmt.Errorf("experiment %q listed twice", name)
-			}
-			seen[name] = true
-			sp.Experiments[i] = name
-		}
-	}
-	if _, err := sdsp.ParsePredictor(sp.bpredOrDefault()); err != nil {
-		return err
-	}
-	if sp.Fetch != "" {
-		if _, err := sdsp.ParseFetchPolicy(sp.Fetch); err != nil {
-			return err
-		}
-	}
-	if _, err := sdsp.ParseFaultSpec(sp.Fault); err != nil {
-		return err
-	}
-	return nil
-}
-
-func (sp *JobSpec) bpredOrDefault() string {
-	if sp.Bpred == "" {
-		return "2bit"
-	}
-	return sp.Bpred
-}
-
-// ID is the job's content address: "j" + the first 12 hex digits of
-// the SHA-256 of the canonical spec JSON. Resubmitting an identical
-// spec is therefore idempotent — it lands on the same durable job.
-func (sp *JobSpec) ID() string {
-	data, _ := json.Marshal(sp)
-	h := sha256.Sum256(data)
-	return "j" + hex.EncodeToString(h[:])[:12]
-}
-
-// NewRunner builds the runner + experiment list the spec describes.
-// Callers attach their own store and supervision bounds; Normalize
-// must have succeeded, so the parses here cannot fail.
-func (sp *JobSpec) NewRunner() (*experiments.Runner, []experiments.Experiment, error) {
-	sc := kernels.Paper
-	if sp.Scale == "small" {
-		sc = kernels.Small
-	}
-	r := experiments.NewRunner(sc)
-	r.Paranoid = sp.Paranoid
-	pred, err := sdsp.ParsePredictor(sp.bpredOrDefault())
-	if err != nil {
-		return nil, nil, err
-	}
-	r.Predictor = pred
-	if sp.Fetch != "" {
-		pol, err := sdsp.ParseFetchPolicy(sp.Fetch)
-		if err != nil {
-			return nil, nil, err
-		}
-		r.FetchOverride, r.HasFetch = pol, true
-	}
-	inj, err := sdsp.ParseFaultSpec(sp.Fault)
-	if err != nil {
-		return nil, nil, err
-	}
-	r.Injector = inj
-	var exps []experiments.Experiment
-	for _, name := range sp.Experiments {
-		e, err := experiments.Get(name)
-		if err != nil {
-			return nil, nil, err
-		}
-		exps = append(exps, e)
-	}
-	return r, exps, nil
-}
 
 // Durable job layout, under <store>/jobs/<id>/:
 //
-//	spec.json            the canonical JobSpec (atomic; presence = job exists)
+//	spec.json            the normalized experiments.Sweep (atomic; presence = job exists)
 //	failures/<hash>.json one FailureRecord per terminally failed cell
 //	tables.txt           the assembled sweep output (atomic; presence = done)
 //	failed.json          terminal failure report (atomic; presence = failed)
 //
-// Every transition is one atomic file creation, so a SIGKILL between
-// any two steps leaves a state the scanner fully understands.
+// Every transition is one atomic file creation (store.AtomicWrite), so
+// a SIGKILL between any two steps leaves a state the scanner fully
+// understands. A writer killed mid-write leaves an inert temp file
+// that nothing removes: the store's opener sweeps no temp files from
+// jobs/, where it could delete another live process's file before its
+// rename.
 const (
 	specFile    = "spec.json"
 	tablesFile  = "tables.txt"
@@ -198,9 +80,10 @@ func validJobID(id string) bool {
 	return true
 }
 
-// WriteSpec durably creates the job (idempotent: an existing spec is
-// left untouched — it is content-addressed, so it must be identical).
-func WriteSpec(storeDir string, sp *JobSpec) (string, error) {
+// WriteSpec durably creates the job named by the normalized sweep's ID
+// (idempotent: an existing spec is left untouched — it is
+// content-addressed, so it must be identical).
+func WriteSpec(storeDir string, sp *experiments.Sweep) (string, error) {
 	id := sp.ID()
 	dir := jobDir(storeDir, id)
 	if err := os.MkdirAll(filepath.Join(dir, failuresDir), 0o755); err != nil {
@@ -214,12 +97,12 @@ func WriteSpec(storeDir string, sp *JobSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return id, atomicWriteFile(path, append(data, '\n'))
+	return id, store.AtomicWrite(path, append(data, '\n'))
 }
 
 // ReadSpec loads a job's spec, reporting os.ErrNotExist for an
 // unknown job.
-func ReadSpec(storeDir, id string) (*JobSpec, error) {
+func ReadSpec(storeDir, id string) (*experiments.Sweep, error) {
 	if !validJobID(id) {
 		return nil, fmt.Errorf("malformed job id %q: %w", id, os.ErrNotExist)
 	}
@@ -227,7 +110,7 @@ func ReadSpec(storeDir, id string) (*JobSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := &JobSpec{}
+	sp := &experiments.Sweep{}
 	if err := json.Unmarshal(data, sp); err != nil {
 		return nil, fmt.Errorf("job %s has a corrupt spec: %w", id, err)
 	}
@@ -259,7 +142,7 @@ func writeFailure(storeDir, id string, rec FailureRecord) error {
 		return err
 	}
 	path := filepath.Join(jobDir(storeDir, id), failuresDir, store.HashKey(rec.Key)+".json")
-	return atomicWriteFile(path, data)
+	return store.AtomicWrite(path, data)
 }
 
 func readFailures(storeDir, id string) map[string]FailureRecord {
@@ -285,39 +168,12 @@ func readFailures(storeDir, id string) map[string]FailureRecord {
 	return out
 }
 
-// atomicWriteFile commits a jobs-plane file atomically: temp file in
-// the target directory, fsync, rename. A killed writer
-// leaves only an inert temp file (swept by the store's opener).
-func atomicWriteFile(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	if serr := f.Sync(); werr == nil {
-		werr = serr
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return werr
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
-}
-
 // jobPlan is a process-local cache of one job's declared cell list
 // (and the runner that executes those cells). Plans are derived state:
 // every process rebuilds them from the durable spec, and cell IDs
 // guarantee all rebuilds agree.
 type jobPlan struct {
-	spec   *JobSpec
+	spec   *experiments.Sweep
 	runner *experiments.Runner
 	exps   []experiments.Experiment
 	cells  []experiments.DeclaredCell
@@ -352,13 +208,10 @@ func (p *planner) plan(id string) (*jobPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, exps, err := sp.NewRunner()
+	r, exps, err := p.newRunner(sp)
 	if err != nil {
 		return nil, err
 	}
-	r.Store = p.store
-	r.CellTimeout = p.cellTimeout
-	r.Retries = p.retries
 	cells, err := r.DeclareCells(exps)
 	if err != nil {
 		return nil, err
@@ -372,6 +225,19 @@ func (p *planner) plan(id string) (*jobPlan, error) {
 	}
 	p.mu.Unlock()
 	return pl, nil
+}
+
+// newRunner builds the runner sp describes with the planner's store and
+// supervision bounds: the one place a job's runner is made.
+func (p *planner) newRunner(sp *experiments.Sweep) (*experiments.Runner, []experiments.Experiment, error) {
+	r, exps, err := sp.NewRunner()
+	if err != nil {
+		return nil, nil, err
+	}
+	r.Store = p.store
+	r.CellTimeout = p.cellTimeout
+	r.Retries = p.retries
+	return r, exps, nil
 }
 
 // Cell states as reported by JobStatus.
@@ -393,9 +259,9 @@ type CellStatus struct {
 
 // JobStatus is the poll/stream payload for one job.
 type JobStatus struct {
-	ID    string   `json:"id"`
-	State string   `json:"state"` // running, done, or failed
-	Spec  *JobSpec `json:"spec,omitempty"`
+	ID    string             `json:"id"`
+	State string             `json:"state"` // running, done, or failed
+	Spec  *experiments.Sweep `json:"spec,omitempty"`
 
 	Total       int `json:"total_cells"`
 	Committed   int `json:"committed"`
@@ -479,13 +345,10 @@ func (p *planner) status(id string, withCells bool) (*JobStatus, error) {
 // A cell the declaration did not list fails assembly: there is no local
 // fallback that simulates it.
 func (pl *jobPlan) assemble(p *planner) ([]byte, error) {
-	r, exps, err := pl.spec.NewRunner()
+	r, exps, err := p.newRunner(pl.spec)
 	if err != nil {
 		return nil, err
 	}
-	r.Store = p.store
-	r.CellTimeout = p.cellTimeout
-	r.Retries = p.retries
 	tables, _, err := r.RunExperiments(exps, 1)
 	if err != nil {
 		return nil, err

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/cliflags"
+	"repro/internal/experiments"
 	"repro/internal/store"
 )
 
@@ -42,7 +43,7 @@ func newServer(t *testing.T, st *store.Store) *Server {
 
 // referenceTables renders the spec's sweep with the plain in-process
 // pipeline — the bytes every serve path must reproduce exactly.
-func referenceTables(t *testing.T, sp *JobSpec) []byte {
+func referenceTables(t *testing.T, sp *experiments.Sweep) []byte {
 	t.Helper()
 	r, exps, err := sp.NewRunner()
 	if err != nil {
@@ -63,7 +64,7 @@ func referenceTables(t *testing.T, sp *JobSpec) []byte {
 	return buf.Bytes()
 }
 
-func submit(t *testing.T, ts *httptest.Server, sp *JobSpec) (*JobStatus, int) {
+func submit(t *testing.T, ts *httptest.Server, sp *experiments.Sweep) (*JobStatus, int) {
 	t.Helper()
 	body, _ := json.Marshal(sp)
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -86,7 +87,7 @@ func TestServeEndToEnd(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sp := &JobSpec{Experiments: []string{"fig3"}, Scale: "small"}
+	sp := &experiments.Sweep{Experiments: []string{"fig3"}, Scale: "small"}
 	status, code := submit(t, ts, sp)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit = %d, want 202", code)
@@ -139,7 +140,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 
 	// Idempotent resubmit of a finished job: immediate 200 + done.
-	redo, code := submit(t, ts, &JobSpec{Experiments: []string{"fig3"}, Scale: "small"})
+	redo, code := submit(t, ts, &experiments.Sweep{Experiments: []string{"fig3"}, Scale: "small"})
 	if code != http.StatusOK || redo.State != JobDone || redo.ID != status.ID {
 		t.Errorf("resubmit = %d %+v, want 200 done %s", code, redo, status.ID)
 	}
@@ -179,22 +180,29 @@ func readAll(resp *http.Response) ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// TestSubmitValidation: malformed specs are 400s with diagnostics,
-// not daemon state.
+// TestSubmitValidation: a body that is not a sweep, or a sweep that
+// Normalize rejects (its cases are experiments' TestSweepRejects), is a
+// 400 with a diagnostic, not daemon state.
 func TestSubmitValidation(t *testing.T) {
-	s := newServer(t, openStore(t, filepath.Join(t.TempDir(), "cells")))
+	dir := filepath.Join(t.TempDir(), "cells")
+	s := newServer(t, openStore(t, dir))
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	for _, sp := range []*JobSpec{
-		{Experiments: []string{"no-such-experiment"}, Scale: "small"},
-		{Experiments: []string{"fig3"}, Scale: "enormous"},
-		{Experiments: nil},
-		{Experiments: []string{"fig3", "fig3"}, Scale: "small"},
-		{Experiments: []string{"fig3"}, Scale: "small", Bpred: "psychic"},
+	for _, body := range []string{
+		`{"experiments":`,
+		`{"experiments":["fig3"],"scale":"small","bpred":"psychic"}`,
 	} {
-		if _, code := submit(t, ts, sp); code != http.StatusBadRequest {
-			t.Errorf("submit(%+v) = %d, want 400", sp, code)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
 		}
+		data, _ := readAll(resp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), `"error"`) {
+			t.Errorf("submit %s = %d %s, want 400 with an error", body, resp.StatusCode, data)
+		}
+	}
+	if ids := ListJobs(dir); len(ids) != 0 {
+		t.Errorf("rejected submissions created jobs %v", ids)
 	}
 }
 
@@ -207,11 +215,11 @@ func TestBackpressure(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	first := &JobSpec{Experiments: []string{"fig3"}, Scale: "small"}
+	first := &experiments.Sweep{Experiments: []string{"fig3"}, Scale: "small"}
 	if _, code := submit(t, ts, first); code != http.StatusAccepted {
 		t.Fatalf("first submit = %d, want 202", code)
 	}
-	body, _ := json.Marshal(&JobSpec{Experiments: []string{"fig4"}, Scale: "small"})
+	body, _ := json.Marshal(&experiments.Sweep{Experiments: []string{"fig4"}, Scale: "small"})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +251,7 @@ func TestReadOnlyDegradation(t *testing.T) {
 	defer ts.Close()
 
 	// Finish a tiny job while healthy.
-	sp := &JobSpec{Experiments: []string{"fig3"}, Scale: "small"}
+	sp := &experiments.Sweep{Experiments: []string{"fig3"}, Scale: "small"}
 	status, _ := submit(t, ts, sp)
 	w := &Worker{Store: st, Flags: testFlags(), Logf: t.Logf}
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -286,7 +294,7 @@ func TestReadOnlyDegradation(t *testing.T) {
 		t.Errorf("resubmit of done job on read-only store = %d %+v", code, redo)
 	}
 	// New compute is refused with the degradation diagnostic.
-	body, _ := json.Marshal(&JobSpec{Experiments: []string{"fig4"}, Scale: "small"})
+	body, _ := json.Marshal(&experiments.Sweep{Experiments: []string{"fig4"}, Scale: "small"})
 	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +333,7 @@ func TestGracefulDrain(t *testing.T) {
 	go func() { runDone <- s.Run(ctx, ln) }()
 	base := "http://" + ln.Addr().String()
 
-	sp := &JobSpec{Experiments: []string{"fig3"}, Scale: "small"}
+	sp := &experiments.Sweep{Experiments: []string{"fig3"}, Scale: "small"}
 	client := &Client{Base: base}
 	id, err := client.Submit(context.Background(), sp)
 	if err != nil {
@@ -411,7 +419,7 @@ func TestEventsStream(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sp := &JobSpec{Experiments: []string{"fig3"}, Scale: "small"}
+	sp := &experiments.Sweep{Experiments: []string{"fig3"}, Scale: "small"}
 	status, _ := submit(t, ts, sp)
 
 	// Drive the job in the background: worker drains, then assemble.
@@ -478,7 +486,7 @@ func TestDeadWorkerRequeue(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sp := &JobSpec{Experiments: []string{"fig3"}, Scale: "small"}
+	sp := &experiments.Sweep{Experiments: []string{"fig3"}, Scale: "small"}
 	status, _ := submit(t, ts, sp)
 	pl, err := s.planner.plan(status.ID)
 	if err != nil {
@@ -526,7 +534,7 @@ func TestFailureRecordFailsJob(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	sp := &JobSpec{Experiments: []string{"fig3"}, Scale: "small"}
+	sp := &experiments.Sweep{Experiments: []string{"fig3"}, Scale: "small"}
 	status, _ := submit(t, ts, sp)
 	pl, err := s.planner.plan(status.ID)
 	if err != nil {

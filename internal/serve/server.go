@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cliflags"
+	"repro/internal/experiments"
 	"repro/internal/store"
 )
 
@@ -27,7 +28,7 @@ import (
 //
 // API:
 //
-//	POST /v1/jobs              submit a JobSpec → 202 (accepted), 200 (already done),
+//	POST /v1/jobs              submit an experiments.Sweep → 202 (accepted), 200 (already done),
 //	                           503 + Retry-After (queue full / draining / store read-only)
 //	GET  /v1/jobs              list job IDs with states
 //	GET  /v1/jobs/{id}         JobStatus (…?cells=1 for per-cell detail)
@@ -177,7 +178,7 @@ func (s *Server) finishJob(id string, st *JobStatus) {
 		}
 		rep.Error = fmt.Sprintf("%d cell(s) failed terminally", st.Failed)
 		data, _ := json.MarshalIndent(&rep, "", "  ")
-		if err := atomicWriteFile(filepath.Join(dir, failedFile), append(data, '\n')); err != nil {
+		if err := store.AtomicWrite(filepath.Join(dir, failedFile), append(data, '\n')); err != nil {
 			s.logf("serve: job %s: recording failure: %v", id, err)
 			return
 		}
@@ -193,11 +194,11 @@ func (s *Server) finishJob(id string, st *JobStatus) {
 	if err != nil {
 		rep := FailedReport{Error: fmt.Sprintf("assembly failed: %v", err)}
 		data, _ := json.MarshalIndent(&rep, "", "  ")
-		_ = atomicWriteFile(filepath.Join(dir, failedFile), append(data, '\n'))
+		_ = store.AtomicWrite(filepath.Join(dir, failedFile), append(data, '\n'))
 		s.logf("serve: job %s failed at assembly: %v", id, err)
 		return
 	}
-	if err := atomicWriteFile(filepath.Join(dir, tablesFile), out); err != nil {
+	if err := store.AtomicWrite(filepath.Join(dir, tablesFile), out); err != nil {
 		s.logf("serve: job %s: writing tables: %v", id, err)
 		return
 	}
@@ -249,7 +250,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
-	var sp JobSpec
+	var sp experiments.Sweep
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&sp); err != nil {
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("decoding spec: %v", err)})
 		return

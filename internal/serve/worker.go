@@ -94,6 +94,10 @@ func (w *Worker) processJob(ctx context.Context, id string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	// One read of the failure records per pass: a record a peer writes
+	// during the pass costs at most one redundant run of its cell, which
+	// fails the same way and records the failure again.
+	failures := readFailures(w.Store.Dir(), id)
 	worked := false
 	for _, c := range pl.cells {
 		if ctx.Err() != nil {
@@ -105,7 +109,7 @@ func (w *Worker) processJob(ctx context.Context, id string) (bool, error) {
 		if _, q := w.Store.Quarantined(c.Key); q {
 			continue
 		}
-		if _, failed := readFailures(w.Store.Dir(), id)[store.HashKey(c.Key)]; failed {
+		if _, failed := failures[store.HashKey(c.Key)]; failed {
 			continue
 		}
 		lease, err := w.Store.AcquireLease(c.Key, w.Owner, w.Flags.Lease)

@@ -186,7 +186,7 @@ func (l *CellLease) Renew(ttl time.Duration) error {
 	}
 	body.ExpiresUnixNano = time.Now().Add(ttl).UnixNano()
 	out, _ := json.Marshal(&body)
-	if err := atomicWrite(l.path, out); err != nil {
+	if err := AtomicWrite(l.path, out); err != nil {
 		return Transient(err)
 	}
 	return nil

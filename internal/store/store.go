@@ -275,7 +275,7 @@ func (s *Store) checkVersion() error {
 	if data != nil {
 		return nil
 	}
-	if werr := atomicWrite(path, []byte(versionMagic)); werr != nil {
+	if werr := AtomicWrite(path, []byte(versionMagic)); werr != nil {
 		// Cannot mark the store: degrade to read-only (satisfied by an
 		// empty store) rather than failing the sweep.
 		s.readOnly = true
@@ -595,7 +595,7 @@ func (s *Store) Quarantine(e QuarantineEntry) error {
 	if err != nil {
 		return s.putFailed(e.Key, err)
 	}
-	if err := atomicWrite(s.quarantinePath(e.Key), data); err != nil {
+	if err := AtomicWrite(s.quarantinePath(e.Key), data); err != nil {
 		return s.putFailed(e.Key, err)
 	}
 	return nil
@@ -679,11 +679,13 @@ func (s *Store) count(f func(*Stats)) {
 	s.mu.Unlock()
 }
 
-// atomicWrite commits data to path via temp file + fsync + rename +
+// AtomicWrite commits data to path via temp file + fsync + rename +
 // fsync of the directory: the file is either fully present with
 // exactly these bytes, or absent, and once it returns the name
-// survives power loss.
-func atomicWrite(path string, data []byte) error {
+// survives power loss. A writer killed before the rename leaves an
+// inert "<name>.tmp*" file beside path, which Open sweeps only from
+// leases/ and quarantine/.
+func AtomicWrite(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
