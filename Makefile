@@ -86,10 +86,11 @@ serve-smoke:
 # The store's concurrency claims under the race detector: in-process
 # concurrent Get/Put/TryLock, two handles on one directory seeing each
 # other's appends, capped kept-open descriptors under concurrent Gets
-# racing Close, rival lease claimants (exactly one wins), plus the
+# racing Close, quarantine writes landing while the store is reopened,
+# 16 handles racing to claim one cell (exactly one wins), plus the
 # parallel-runner store properties.
 store-race:
-	$(GO) test -race ./internal/store -run 'TestConcurrentAccess|TestTwoHandlesShareOneDirectory|TestDescriptorCapUnderConcurrentGets' -count=1
+	$(GO) test -race ./internal/store -run 'TestConcurrentAccess|TestTwoHandlesShareOneDirectory|TestDescriptorCapUnderConcurrentGets|TestReopenKeepsLiveTempFiles' -count=1
 	$(GO) test -race ./internal/store -run TestLeaseConcurrentClaimOneWinner -count=20
 	$(GO) test -race ./internal/experiments -run 'TestStoreColdWarmMixedIdentity|TestStoreCountersIndependentOfWorkers'
 

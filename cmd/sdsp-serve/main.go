@@ -1,6 +1,7 @@
 // sdsp-serve is the fault-tolerant sweep daemon: a coordinator that
-// accepts sweep jobs over HTTP and supervises a fleet of leased
-// workers, the workers themselves, and a small submit client.
+// accepts sweep jobs over HTTP and supervises a fleet of workers that
+// claim cells through the store, the workers themselves, and a small
+// submit client.
 //
 // Usage:
 //
@@ -11,11 +12,11 @@
 //
 // Every process shares only the store directory. Workers and the
 // coordinator may be killed (SIGKILL included) and restarted at any
-// point: committed cells are never recomputed, leased cells of dead
-// workers requeue when their lease expires, and a restarted
-// coordinator resumes every job from its durable state. SIGTERM
-// drains gracefully: leased cells finish and commit, new submissions
-// are refused, then the process exits.
+// point: committed cells are never recomputed, claimed cells of dead
+// workers requeue at once (and of silent ones when their lease
+// expires), and a restarted coordinator resumes every job from its
+// durable state. SIGTERM drains gracefully: claimed cells finish and
+// commit, new submissions are refused, then the process exits.
 package main
 
 import (
@@ -87,12 +88,14 @@ func main() {
 	defer stop()
 
 	if *worker {
+		host, _ := os.Hostname()
 		w := &serve.Worker{
 			Store: st, Flags: sf,
 			CellTimeout: sup.CellTimeout, Retries: sup.Retries,
-			Logf: logf,
+			Owner: fmt.Sprintf("%s/pid%d", host, os.Getpid()),
+			Logf:  logf,
 		}
-		logf("worker %s on store %s (lease %v, heartbeat %v)", w.Owner, st.Dir(), sf.Lease, sf.Heartbeat)
+		logf("worker %s on store %s (lease %v)", w.Owner, st.Dir(), sf.Lease)
 		if err := w.Run(ctx); err != nil && ctx.Err() == nil {
 			fmt.Fprintf(os.Stderr, "sdsp-serve: %v\n", err)
 			os.Exit(1)

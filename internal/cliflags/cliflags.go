@@ -38,7 +38,7 @@ func (s *Supervision) Register(fs *flag.FlagSet) {
 	fs.DurationVar(&s.CellTimeout, "cell-timeout", 0,
 		"wall-clock budget per cell simulation attempt, e.g. 90s (0 = unlimited)")
 	fs.IntVar(&s.Retries, "retries", 2,
-		"max re-attempts per cell after a transient store/lock failure")
+		"max re-attempts per cell after a transient store failure")
 }
 
 // Apply validates the shared flags plus the worker count and configures

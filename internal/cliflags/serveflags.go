@@ -13,12 +13,11 @@ import (
 // flags with identical validation, and so the rules are table-testable
 // without a process.
 type Serve struct {
-	Addr      string        // coordinator listen address / client target
-	Lease     time.Duration // worker cell-claim lease (dead-worker detection horizon)
-	Heartbeat time.Duration // lease renewal interval; must leave renewal slack
-	Poll      time.Duration // worker job-discovery poll interval
-	MaxQueue  int           // max unfinished jobs before submits shed load (503)
-	Local     int           // coordinator-local worker goroutines (0 = pure supervisor)
+	Addr     string        // coordinator listen address / client target
+	Lease    time.Duration // worker cell-claim lease (dead-worker detection horizon)
+	Poll     time.Duration // worker job-discovery poll interval
+	MaxQueue int           // max unfinished jobs before submits shed load (503)
+	Local    int           // coordinator-local worker goroutines (0 = pure supervisor)
 }
 
 // RegisterServe installs the serve flags on fs (flag.CommandLine when
@@ -30,9 +29,7 @@ func (s *Serve) RegisterServe(fs *flag.FlagSet) {
 	fs.StringVar(&s.Addr, "addr", "localhost:8372",
 		"coordinator listen address (host:port; host may be empty to bind all interfaces)")
 	fs.DurationVar(&s.Lease, "lease", 30*time.Second,
-		"worker cell-claim lease duration; a worker silent this long is declared dead and its cell requeued")
-	fs.DurationVar(&s.Heartbeat, "heartbeat", 5*time.Second,
-		"lease renewal interval; must be at most half the lease")
+		"worker cell-claim lease: a worker silent this long is declared dead and its cell requeued (workers heartbeat six times a lease)")
 	fs.DurationVar(&s.Poll, "poll", 500*time.Millisecond,
 		"worker poll interval for new jobs and newly claimable cells")
 	fs.IntVar(&s.MaxQueue, "max-queue", 8,
@@ -47,12 +44,6 @@ func (s *Serve) RegisterServe(fs *flag.FlagSet) {
 func (s *Serve) Validate(worker bool) error {
 	if s.Lease <= 0 {
 		return fmt.Errorf("-lease must be positive (got %v)", s.Lease)
-	}
-	if s.Heartbeat <= 0 {
-		return fmt.Errorf("-heartbeat must be positive (got %v)", s.Heartbeat)
-	}
-	if 2*s.Heartbeat > s.Lease {
-		return fmt.Errorf("-heartbeat %v must be at most half of -lease %v, or one delayed renewal looks like a dead worker", s.Heartbeat, s.Lease)
 	}
 	if s.Poll <= 0 {
 		return fmt.Errorf("-poll must be positive (got %v)", s.Poll)

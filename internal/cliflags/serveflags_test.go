@@ -30,8 +30,7 @@ func TestServeFlagDefaultsAreValid(t *testing.T) {
 func TestServeFlagValidation(t *testing.T) {
 	valid := Serve{
 		Addr: "localhost:8372", Lease: 30 * time.Second,
-		Heartbeat: 5 * time.Second, Poll: 500 * time.Millisecond,
-		MaxQueue: 8, Local: 1,
+		Poll: 500 * time.Millisecond, MaxQueue: 8, Local: 1,
 	}
 	cases := []struct {
 		name    string
@@ -44,25 +43,9 @@ func TestServeFlagValidation(t *testing.T) {
 
 		{name: "zero lease", mutate: func(s *Serve) { s.Lease = 0 }, wantErr: "-lease must be positive"},
 		{name: "negative lease", mutate: func(s *Serve) { s.Lease = -time.Second }, wantErr: "-lease must be positive"},
-		{name: "zero heartbeat", mutate: func(s *Serve) { s.Heartbeat = 0 }, wantErr: "-heartbeat must be positive"},
-		{name: "negative heartbeat", mutate: func(s *Serve) { s.Heartbeat = -time.Second }, wantErr: "-heartbeat must be positive"},
+		{name: "smallest lease", mutate: func(s *Serve) { s.Lease = time.Nanosecond }, worker: true},
 		{name: "zero poll", mutate: func(s *Serve) { s.Poll = 0 }, wantErr: "-poll must be positive"},
 		{name: "negative poll", mutate: func(s *Serve) { s.Poll = -time.Millisecond }, wantErr: "-poll must be positive"},
-		{
-			name:    "heartbeat over half the lease",
-			mutate:  func(s *Serve) { s.Lease = 4 * time.Second; s.Heartbeat = 3 * time.Second },
-			wantErr: "at most half",
-		},
-		{
-			name:   "heartbeat exactly half the lease",
-			mutate: func(s *Serve) { s.Lease = 10 * time.Second; s.Heartbeat = 5 * time.Second },
-		},
-		{
-			name:    "heartbeat rule binds workers too",
-			mutate:  func(s *Serve) { s.Lease = 4 * time.Second; s.Heartbeat = 3 * time.Second },
-			worker:  true,
-			wantErr: "at most half",
-		},
 
 		{name: "addr missing port", mutate: func(s *Serve) { s.Addr = "localhost" }, wantErr: "not host:port"},
 		{name: "addr empty", mutate: func(s *Serve) { s.Addr = "" }, wantErr: "not host:port"},

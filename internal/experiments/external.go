@@ -11,8 +11,8 @@ import (
 // Runner configuration from the job spec, asks DeclareCells for the
 // deduplicated cell list (a cell's key is its cellID, derived from
 // everything the cell simulates, so every worker and the coordinator
-// agree on it byte for byte), claims individual cells through store
-// leases, and executes each claimed cell with ExecuteDeclared — which
+// agree on it byte for byte), claims individual cells through the
+// store, and executes each claimed cell with ExecuteDeclared — which
 // applies the full supervision contract (store lookup, timeout, retry,
 // quarantine, atomic commit) exactly as the in-process pipeline would.
 

@@ -107,9 +107,8 @@ type Runner struct {
 	// instead of hanging the sweep.
 	CellTimeout time.Duration
 	// Retries bounds the supervisor's re-attempts of a cell that failed
-	// transiently (store I/O, lock churn). Deterministic simulation
-	// failures are never retried beyond the machine-error confirmation
-	// run.
+	// transiently (store I/O). Deterministic simulation failures are
+	// never retried beyond the machine-error confirmation run.
 	Retries int
 
 	// What every cell simulates beyond what its experiment asks for:

@@ -19,8 +19,8 @@ import (
 //     in simulated time, the timeout catches a wedged *simulation* in
 //     host time;
 //   - bounded retry with exponential backoff for transient failures
-//     (store I/O, lock contention) — deterministic simulation failures
-//     are never blindly retried;
+//     (store I/O) — deterministic simulation failures are never blindly
+//     retried;
 //   - quarantine: a cell that fails with a *core.MachineError twice in
 //     a row is deterministically poisoned. It is recorded (durably,
 //     when a store is mounted), surfaces in table assembly as an
@@ -161,22 +161,10 @@ func (r *Runner) superviseCell(key, label string, run func() (*core.Stats, error
 				source: "quarantined",
 			}
 		}
-		if l, err := r.Store.TryLock(key); err == nil && l != nil {
-			defer l.Unlock()
-			// Another process may have committed the cell between the miss
-			// above and our acquisition; serving it now is both faster and
-			// exact (the simulator is deterministic either way). The probe
-			// keeps the already-counted miss from counting twice.
-			if r.Store.Committed(key) {
-				if st, ok := r.Store.Get(key); ok {
-					return cellOutcome{st: st, source: "store"}
-				}
-			}
-		}
-		// A held lock (live foreign PID) is not waited on: this process
-		// simulates the cell itself and relies on the idempotent atomic
-		// commit. Waiting could hang a sweep on a wedged peer — the exact
-		// failure mode supervision exists to prevent.
+		// No claim is taken: a sweep racing another process on this cell
+		// simulates it too and relies on the idempotent commit. Waiting
+		// could hang a sweep on a wedged peer — the exact failure mode
+		// supervision exists to prevent.
 	}
 
 	var machineFailures int

@@ -1,8 +1,8 @@
 // Package serve is the sdsp-serve daemon plane: a coordinator that
 // accepts sweep jobs over HTTP and supervises their execution, and
-// workers that claim individual cells through store leases and
-// simulate them. All durable state — job specs, committed cells,
-// leases, failure records, assembled tables — lives in the cell store
+// workers that claim individual cells through the store and simulate
+// them. All durable state — job specs, committed cells, claims,
+// failure records, assembled tables — lives in the cell store
 // directory, never in process memory, which is what makes every
 // process in the fleet (coordinator included) safe to SIGKILL: a
 // restart rescans the store and resumes exactly where the dead
@@ -34,9 +34,7 @@ import (
 // Every transition is one atomic file creation (store.AtomicWrite), so
 // a SIGKILL between any two steps leaves a state the scanner fully
 // understands. A writer killed mid-write leaves an inert temp file
-// that nothing removes: the store's opener sweeps no temp files from
-// jobs/, where it could delete another live process's file before its
-// rename.
+// that nothing removes: no reader can tell it from a live writer's.
 const (
 	specFile    = "spec.json"
 	tablesFile  = "tables.txt"
@@ -251,10 +249,10 @@ const (
 
 // CellStatus is the observable state of one cell of a job.
 type CellStatus struct {
-	Hash  string `json:"hash"` // content address (store.HashKey of the cell key, lease name)
+	Hash  string `json:"hash"` // content address (store.HashKey of the cell key, claim name)
 	Label string `json:"label"`
 	State string `json:"state"`
-	Owner string `json:"owner,omitempty"` // lease holder, when leased
+	Owner string `json:"owner,omitempty"` // holding process ("<pid>-<start>"), when leased
 }
 
 // JobStatus is the poll/stream payload for one job.
@@ -282,7 +280,7 @@ const (
 )
 
 // status computes a job's observable state entirely from durable
-// files (cells, leases, failure records, terminal markers) — no
+// files (cells, claims, failure records, terminal markers) — no
 // process memory is consulted, so any process computes the same
 // answer, including one that just restarted.
 func (p *planner) status(id string, withCells bool) (*JobStatus, error) {
@@ -303,12 +301,7 @@ func (p *planner) status(id string, withCells bool) (*JobStatus, error) {
 		st.State = JobDone
 	}
 
-	leased := map[string]string{}
-	for _, l := range p.store.Leases() {
-		if !l.Expired {
-			leased[l.Key] = l.Owner
-		}
-	}
+	claims := p.store.Claims()
 	failures := readFailures(p.store.Dir(), id)
 	for _, c := range pl.cells {
 		cs := CellStatus{Hash: store.HashKey(c.Key), Label: c.Label, State: CellPending}
@@ -323,7 +316,7 @@ func (p *planner) status(id string, withCells bool) (*JobStatus, error) {
 			} else if _, f := failures[cs.Hash]; f {
 				cs.State = CellFailed
 				st.Failed++
-			} else if owner, l := leased[c.Key]; l {
+			} else if owner, l := claims[cs.Hash]; l {
 				cs.State = CellLeased
 				cs.Owner = owner
 				st.Leased++

@@ -5,9 +5,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -22,7 +25,7 @@ import (
 // polls so nothing waits on human-scale timers.
 func testFlags() cliflags.Serve {
 	return cliflags.Serve{
-		Addr: "localhost:0", Lease: 5 * time.Second, Heartbeat: 100 * time.Millisecond,
+		Addr: "localhost:0", Lease: 5 * time.Second,
 		Poll: 20 * time.Millisecond, MaxQueue: 4, Local: 0,
 	}
 }
@@ -78,7 +81,7 @@ func submit(t *testing.T, ts *httptest.Server, sp *experiments.Sweep) (*JobStatu
 }
 
 // TestServeEndToEnd: submit a job over HTTP, let a worker drain it
-// through leases, assemble, and require the served tables to be
+// through cell claims, assemble, and require the served tables to be
 // byte-identical to the plain pipeline — then resubmit and get the
 // finished job back immediately (content-addressed idempotence).
 func TestServeEndToEnd(t *testing.T) {
@@ -145,9 +148,9 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Errorf("resubmit = %d %+v, want 200 done %s", code, redo, status.ID)
 	}
 
-	// No leases left behind.
-	if leases := st.Leases(); len(leases) != 0 {
-		t.Errorf("job finished with %d orphaned leases: %+v", len(leases), leases)
+	// No claims left behind.
+	if claims := st.Claims(); len(claims) != 0 {
+		t.Errorf("job finished with %d orphaned claims: %v", len(claims), claims)
 	}
 
 	// Cell sharing: every committed cell is fetchable by content address.
@@ -316,13 +319,13 @@ func TestReadOnlyDegradation(t *testing.T) {
 }
 
 // TestGracefulDrain: canceling Run's context drains — the in-flight
-// leased cell finishes and commits, new submissions get 503, and the
+// claimed cell finishes and commits, new submissions get 503, and the
 // job resumes to byte-identical completion under a fresh server.
 func TestGracefulDrain(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cells")
 	st := openStore(t, dir)
 	s := newServer(t, st)
-	s.Flags.Local = 1 // drain must finish this worker's leased cell
+	s.Flags.Local = 1 // drain must finish this worker's claimed cell
 
 	ln, err := net.Listen("tcp", "localhost:0")
 	if err != nil {
@@ -363,9 +366,9 @@ func TestGracefulDrain(t *testing.T) {
 		t.Fatal("drain did not complete")
 	}
 
-	// Every lease was either committed or released — none orphaned.
-	if leases := st.Leases(); len(leases) != 0 {
-		t.Errorf("drain left %d leases behind: %+v", len(leases), leases)
+	// Every claim was released after its commit — none orphaned.
+	if claims := st.Claims(); len(claims) != 0 {
+		t.Errorf("drain left %d claims behind: %v", len(claims), claims)
 	}
 	committed := countCommitted(t, st)
 	if committed == 0 {
@@ -477,11 +480,14 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
-// TestDeadWorkerRequeue: a cell leased by a process that vanishes
-// (simulated by an expired lease) is requeued by the coordinator's
-// supervision pass and finished by a healthy worker.
+// TestDeadWorkerRequeue: the cells claimed by a worker that died, or
+// that lives but fell silent past its declared lease, are requeued by
+// the coordinator's supervision pass and finished by a healthy worker;
+// while a live claim stands, job status reports its cell leased to the
+// holding process.
 func TestDeadWorkerRequeue(t *testing.T) {
-	st := openStore(t, filepath.Join(t.TempDir(), "cells"))
+	dir := filepath.Join(t.TempDir(), "cells")
+	st := openStore(t, dir)
 	s := newServer(t, st)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -492,19 +498,42 @@ func TestDeadWorkerRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// A "worker" claims the first cell and dies without heartbeating:
-	// its lease is held with a tiny TTL that expires immediately.
-	lease, err := st.AcquireLease(pl.cells[0].Key, "doomed-worker", time.Millisecond)
-	if err != nil || lease == nil {
-		t.Fatalf("AcquireLease = %v, %v", lease, err)
+	// Claims as other processes leave them: a lock file holds its
+	// owner's identity and lease. PIDs never reach 1<<30 on Linux, and
+	// a bare live PID (no start time) is taken as alive.
+	claim := func(i int, body string, age time.Duration) string {
+		path := filepath.Join(dir, "locks", store.HashKey(pl.cells[i].Key)+".lock")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		then := time.Now().Add(-age)
+		if err := os.Chtimes(path, then, then); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-	time.Sleep(5 * time.Millisecond)
+	dead := claim(0, `{"pid":1073741824}`, 0)
+	silent := claim(1, fmt.Sprintf(`{"pid":%d,"lease_ns":1000000}`, os.Getpid()), time.Minute)
+	live := claim(2, fmt.Sprintf(`{"pid":%d}`, os.Getpid()), 0)
 
-	s.supervise() // dead-worker detection: expired lease → requeue
-	if got := len(st.Leases()); got != 0 {
-		t.Fatalf("supervision left %d stale leases", got)
+	cur, err := s.planner.status(status.ID, true)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if c := cur.Cells[2]; cur.Leased != 1 || c.State != CellLeased || c.Owner != fmt.Sprintf("%d-0", os.Getpid()) {
+		t.Errorf("status = %d leased, cell %+v; want the live claim alone leased to pid %d", cur.Leased, c, os.Getpid())
+	}
+
+	s.supervise() // dead-worker detection: stale claims → requeue
+	for _, path := range []string{dead, silent} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("supervision left the stale claim %s (stat: %v)", filepath.Base(path), err)
+		}
+	}
+	if _, err := os.Stat(live); err != nil {
+		t.Fatalf("supervision broke a live claim: %v", err)
+	}
+	os.Remove(live) // its holder lets go
 
 	// A healthy worker now claims and finishes everything.
 	w := &Worker{Store: st, Flags: testFlags(), Logf: t.Logf}
@@ -524,6 +553,42 @@ func TestDeadWorkerRequeue(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestWorkerAtSmallestLease: a worker runs and commits at the smallest
+// -lease the flags accept; its heartbeat period is never zero, which
+// time.NewTicker would panic on.
+func TestWorkerAtSmallestLease(t *testing.T) {
+	st := openStore(t, filepath.Join(t.TempDir(), "cells"))
+	s := newServer(t, st)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	status, _ := submit(t, ts, &experiments.Sweep{Experiments: []string{"fig3"}, Scale: "small"})
+
+	w := &Worker{Store: st, Flags: testFlags(), Logf: t.Logf}
+	w.Flags.Lease = time.Nanosecond
+	if err := w.Flags.Validate(true); err != nil {
+		t.Fatalf("smallest lease rejected: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); _ = w.Run(ctx) }()
+	for {
+		cur, err := s.planner.status(status.ID, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cur.Committed > 0 {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("the worker committed nothing")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	cancel()
+	<-done
 }
 
 // TestFailureRecordFailsJob: a worker's durable failure record drives

@@ -20,7 +20,7 @@ import (
 )
 
 // Server is the sdsp-serve coordinator: the HTTP/JSON job API plus
-// the supervision loop that detects dead workers (expired leases →
+// the supervision loop that detects dead workers (stale claims →
 // requeue), finishes jobs (assembles tables when the last cell
 // commits), and optionally runs local worker goroutines. All job
 // state is durable in the store; the server itself holds only caches
@@ -76,7 +76,7 @@ func (s *Server) Handler() http.Handler {
 
 // Run serves the API on ln and supervises jobs until ctx is canceled,
 // then drains: new submissions are refused, local workers finish
-// their leased cells and commit, one final supervision pass assembles
+// their claimed cells and commit, one final supervision pass assembles
 // anything that just completed, and the HTTP server shuts down. A
 // non-graceful death (SIGKILL) skips all of that harmlessly — the
 // durable state is designed for it.
@@ -88,6 +88,11 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 
 	workerCtx, stopWorkers := context.WithCancel(context.Background())
 	defer stopWorkers()
+	if s.Flags.Local > 0 {
+		// Every return path waits for the local workers first, so the
+		// heartbeat outlives their claims.
+		defer s.Store.Heartbeat(s.Flags.Lease)()
+	}
 	var wg sync.WaitGroup
 	for i := 0; i < s.Flags.Local; i++ {
 		w := &Worker{
@@ -99,7 +104,7 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_ = w.Run(workerCtx)
+			_ = w.loop(workerCtx)
 		}()
 	}
 
@@ -109,7 +114,7 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 		select {
 		case <-ctx.Done():
 			s.draining.Store(true)
-			s.logf("serve: draining — refusing new jobs, finishing leased cells")
+			s.logf("serve: draining — refusing new jobs, finishing claimed cells")
 			stopWorkers()
 			wg.Wait()
 			s.supervise() // cells committed during the drain may finish a job
@@ -129,7 +134,7 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	}
 }
 
-// superviseEvery is the supervision cadence: fast enough that a dead
+// superviseEvery is the supervision cadence: fast enough that a silent
 // worker's cells requeue within about a lease, frequent enough that
 // job completion is detected promptly, but never busier than the
 // worker poll interval.
@@ -144,13 +149,11 @@ func (s *Server) superviseEvery() time.Duration {
 	return d
 }
 
-// supervise is one pass of the coordinator's control loop: break
-// leases of dead/wedged workers, then finish any job whose cells have
-// all resolved.
+// supervise is one pass of the coordinator's control loop: break the
+// claims of dead or silent workers, then finish any job whose cells
+// have all resolved.
 func (s *Server) supervise() {
-	if n := s.Store.BreakExpiredLeases(); n > 0 {
-		s.logf("serve: requeued %d cell(s) from dead or wedged workers", n)
-	}
+	s.Store.BreakStaleClaims()
 	for _, id := range ListJobs(s.Store.Dir()) {
 		st, err := s.planner.status(id, false)
 		if err != nil {
@@ -438,6 +441,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 			h.Jobs[st.State]++
 		}
 	}
-	h.Leases = len(s.Store.Leases())
+	h.Leases = len(s.Store.Claims())
 	writeJSON(w, http.StatusOK, h)
 }

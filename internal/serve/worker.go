@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"time"
 
@@ -13,19 +12,19 @@ import (
 )
 
 // Worker is one cell-execution loop: it scans the durable jobs for
-// claimable cells, acquires a store lease per cell, heartbeats the
-// lease while the simulation runs, and commits through the runner's
-// full supervision contract (store lookup, timeout, retry,
-// quarantine, atomic Put). Workers share nothing but the store
-// directory — there is no registration, no connection to the
-// coordinator, and nothing a SIGKILL can corrupt: an unreleased lease
-// simply expires and the cell is claimed by someone else.
+// claimable cells, claims each through the store (TryLock), and
+// commits through the runner's full supervision contract (store
+// lookup, timeout, retry, quarantine, atomic Put). Workers share
+// nothing but the store directory — there is no registration, no
+// connection to the coordinator, and nothing a SIGKILL can corrupt: a
+// dead worker's claim is stale and the cell is claimed by someone
+// else.
 type Worker struct {
 	Store       *store.Store
 	Flags       cliflags.Serve
 	CellTimeout time.Duration
 	Retries     int
-	Owner       string                           // lease owner label; defaults to host/pid
+	Owner       string                           // names the worker in logs and failure records
 	Logf        func(format string, args ...any) // nil = silent
 
 	planner *planner
@@ -37,24 +36,23 @@ func (w *Worker) logf(format string, args ...any) {
 	}
 }
 
-func (w *Worker) init() {
-	if w.Owner == "" {
-		host, _ := os.Hostname()
-		w.Owner = fmt.Sprintf("%s/pid%d", host, os.Getpid())
-	}
+// Run executes cells until ctx is canceled. Cancellation is the drain
+// signal: the cell in flight is finished and committed (the process's
+// heartbeat keeps its claim alive meanwhile), no further cells are
+// claimed, and Run returns. It never returns a non-nil error for
+// ordinary cell failures — those become durable failure records; only
+// a canceled context ends the loop.
+func (w *Worker) Run(ctx context.Context) error {
+	defer w.Store.Heartbeat(w.Flags.Lease)()
+	return w.loop(ctx)
+}
+
+// loop is Run without the heartbeat, for workers that share their
+// process's.
+func (w *Worker) loop(ctx context.Context) error {
 	if w.planner == nil {
 		w.planner = newPlanner(w.Store, w.CellTimeout, w.Retries)
 	}
-}
-
-// Run executes cells until ctx is canceled. Cancellation is the drain
-// signal: the cell in flight is finished and committed (leases keep
-// being renewed for it), no further cells are claimed, and Run
-// returns. It never returns a non-nil error for ordinary cell
-// failures — those become durable failure records; only a canceled
-// context ends the loop.
-func (w *Worker) Run(ctx context.Context) error {
-	w.init()
 	for {
 		worked := false
 		for _, id := range ListJobs(w.Store.Dir()) {
@@ -112,51 +110,26 @@ func (w *Worker) processJob(ctx context.Context, id string) (bool, error) {
 		if _, failed := failures[store.HashKey(c.Key)]; failed {
 			continue
 		}
-		lease, err := w.Store.AcquireLease(c.Key, w.Owner, w.Flags.Lease)
+		claim, err := w.Store.TryLock(c.Key)
 		if err != nil {
 			return worked, err
 		}
-		if lease == nil {
+		if claim == nil {
 			continue // held by a live peer, or store read-only
 		}
 		worked = true
-		w.executeLeased(pl, c, lease, id)
+		w.execute(pl, c, claim, id)
 	}
 	return worked, nil
 }
 
-// executeLeased runs one claimed cell under a heartbeat and records
-// the outcome durably. The heartbeat goroutine renews the lease at
-// the configured interval; if the lease is lost (we looked dead to a
-// peer), the simulation still finishes — the commit is idempotent and
-// byte-identical — but renewal stops.
-func (w *Worker) executeLeased(pl *jobPlan, c experiments.DeclaredCell, lease *store.CellLease, id string) {
-	stop := make(chan struct{})
-	hbDone := make(chan struct{})
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(w.Flags.Heartbeat)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				if err := lease.Renew(w.Flags.Lease); err != nil {
-					if errors.Is(err, store.ErrLeaseLost) {
-						w.logf("worker: lease on %s lost mid-flight; finishing (commit is idempotent)", c.Label)
-						return
-					}
-					// Transient renewal trouble: keep trying on the next tick.
-				}
-			}
-		}
-	}()
-
+// execute runs one claimed cell, releases the claim and records the
+// outcome durably. A claim broken meanwhile (this process looked dead
+// or silent to a peer) costs at most a duplicate simulation: the
+// commit is idempotent and byte-identical.
+func (w *Worker) execute(pl *jobPlan, c experiments.DeclaredCell, claim *store.Lock, id string) {
 	tm, err := pl.runner.ExecuteDeclared(c)
-	close(stop)
-	<-hbDone
-	lease.Release()
+	claim.Unlock()
 
 	switch {
 	case err == nil:

@@ -229,7 +229,8 @@ func TestKillResumeByteIdentical(t *testing.T) {
 
 // TestConcurrentSweepsShareOneStore: two whole processes racing on one
 // store must both complete with reference-identical tables, and the
-// store must end consistent (every cell committed, no stuck locks).
+// store must end consistent: every cell committed, and no claim or
+// owner file, since a sweep takes no claim.
 func TestConcurrentSweepsShareOneStore(t *testing.T) {
 	ref, refExp := runToCompletion(t, filepath.Join(t.TempDir(), "refstore"))
 	storeDir := filepath.Join(t.TempDir(), "store")
@@ -263,8 +264,13 @@ func TestConcurrentSweepsShareOneStore(t *testing.T) {
 	if got := len(committedHashes(t, storeDir)); got != len(refExp.Cells) {
 		t.Errorf("store holds %d cells after concurrent sweeps, want %d", got, len(refExp.Cells))
 	}
-	locks, err := os.ReadDir(filepath.Join(storeDir, "locks"))
-	if err == nil && len(locks) != 0 {
-		t.Errorf("%d lock files left behind after clean completion", len(locks))
+	for _, sub := range []string{"locks", "owners"} {
+		entries, err := os.ReadDir(filepath.Join(storeDir, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 0 {
+			t.Errorf("%d files in %s/ after two sweeps", len(entries), sub)
+		}
 	}
 }

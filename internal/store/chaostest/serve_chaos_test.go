@@ -5,8 +5,8 @@
 //     single-process sdsp-exp run of the same sweep;
 //   - no cell committed before the kill is ever recomputed (proved by
 //     record snapshots: a commit appends a record, never rewrites one);
-//   - every lease is either committed or expired-and-requeued — the
-//     leases directory is empty once the job finishes.
+//   - every claim is either released after its commit or broken as
+//     stale and requeued — locks/ is empty once the job finishes.
 //
 // Kill points are seeded on worker commit lines (like the sdsp-exp
 // chaos tests), so failures reproduce. SDSP_CHAOS_OUT preserves the
@@ -33,10 +33,10 @@ import (
 	"repro/internal/store"
 )
 
-// Short lease + fast heartbeat so a killed worker's cells requeue
-// within test time, with enough renewal slack (10x) that a live
-// worker on a loaded box never looks dead.
-var serveArgs = []string{"-lease", "2s", "-heartbeat", "200ms", "-poll", "50ms"}
+// A short lease, so a silent worker's cells would requeue within test
+// time; a killed worker's requeue at once. A live worker touches its
+// claims six times a lease, so on a loaded box it never looks silent.
+var serveArgs = []string{"-lease", "2s", "-poll", "50ms"}
 
 // proc is one supervised sdsp-serve process with a scanned stderr.
 type proc struct {
@@ -255,11 +255,11 @@ func assertUntouched(t *testing.T, storeDir string, snap map[string][]store.Reco
 	}
 }
 
-// assertNoLeases proves no cell is orphaned: once the job finished,
-// every lease was either released after commit or broken and requeued.
-func assertNoLeases(t *testing.T, storeDir string) {
+// assertNoClaims proves no cell is orphaned: once the job finished,
+// every claim was either released after commit or broken and requeued.
+func assertNoClaims(t *testing.T, storeDir string) {
 	t.Helper()
-	entries, err := os.ReadDir(filepath.Join(storeDir, "leases"))
+	entries, err := os.ReadDir(filepath.Join(storeDir, "locks"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func assertNoLeases(t *testing.T, storeDir string) {
 		for _, e := range entries {
 			names = append(names, e.Name())
 		}
-		t.Errorf("%d orphaned leases after completion: %v", len(entries), names)
+		t.Errorf("%d orphaned claims after completion: %v", len(entries), names)
 	}
 }
 
@@ -301,7 +301,7 @@ func TestServeWorkerKillResume(t *testing.T) {
 		t.Errorf("resumed job tables differ from uninterrupted sdsp-exp (%d vs %d bytes)", len(got), len(ref))
 	}
 	assertUntouched(t, storeDir, snap)
-	assertNoLeases(t, storeDir)
+	assertNoClaims(t, storeDir)
 
 	replacement.drain()
 	coord.drain()
@@ -339,7 +339,7 @@ func TestServeCoordinatorKillResume(t *testing.T) {
 		t.Errorf("post-restart tables differ from uninterrupted sdsp-exp (%d vs %d bytes)", len(got), len(ref))
 	}
 	assertUntouched(t, storeDir, snap)
-	assertNoLeases(t, storeDir)
+	assertNoClaims(t, storeDir)
 
 	worker.drain()
 	coord2.drain()
@@ -348,7 +348,7 @@ func TestServeCoordinatorKillResume(t *testing.T) {
 // TestServeTotalKillResume: SIGKILL coordinator AND worker at once —
 // the whole fleet dies mid-sweep. A fresh coordinator with local
 // workers resumes from durable state alone: byte-identical tables,
-// zero recompute, no orphaned leases, and any lease the dead worker
+// zero recompute, no orphaned claims, and any claim the dead worker
 // held is broken and requeued.
 func TestServeTotalKillResume(t *testing.T) {
 	ref, refExp := runToCompletion(t, filepath.Join(t.TempDir(), "refstore"))
@@ -377,6 +377,6 @@ func TestServeTotalKillResume(t *testing.T) {
 		t.Errorf("fleet-restart tables differ from uninterrupted sdsp-exp (%d vs %d bytes)", len(got), len(ref))
 	}
 	assertUntouched(t, storeDir, snap)
-	assertNoLeases(t, storeDir)
+	assertNoClaims(t, storeDir)
 	coord2.drain()
 }

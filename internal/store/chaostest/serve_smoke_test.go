@@ -64,7 +64,7 @@ func TestServeSmoke(t *testing.T) {
 	for _, w := range []*proc{w1, w2} {
 		w.waitLine(" committed (", time.Second)
 	}
-	assertNoLeases(t, storeDir)
+	assertNoClaims(t, storeDir)
 
 	w1.drain()
 	w2.drain()

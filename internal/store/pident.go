@@ -9,7 +9,8 @@ import (
 	"syscall"
 )
 
-// procIdent identifies a process for lock/lease staleness decisions.
+// procIdent identifies a process, to decide whether a claim's owner or
+// a segment's writer is gone.
 // A bare PID is not an identity: PIDs are recycled, and once workers
 // churn constantly a lock naming PID 4321 may outlive its owner and be
 // "kept alive" by a completely unrelated process that happened to get
@@ -34,10 +35,10 @@ var selfIdent = sync.OnceValue(func() procIdent {
 })
 
 // alive reports whether the process this identity names still exists.
-// It is the staleness oracle for lock and lease files: a dead PID is
-// stale, and a live PID whose start time does not match the recorded
-// one is a *different* process that recycled the number — equally
-// stale.
+// It is the staleness oracle for claims and segment writers: a dead
+// PID is stale, and a live PID whose start time does not match the
+// recorded one is a *different* process that recycled the number —
+// equally stale.
 func (p procIdent) alive() bool {
 	if p.PID <= 0 || !pidAlive(p.PID) {
 		return false

@@ -2,7 +2,7 @@
 // result store behind `sdsp-exp -store` / `sdsp-report -store`: a log
 // of checksummed JSON records, one per completed experiment cell, keyed
 // by the experiment runner's cell ID, which is derived from the cell's
-// complete machine configuration (fault spec, predictor, timing mode,
+// complete machine configuration (fault spec, predictor, fetch policy,
 // ...), its programs and the model digest. Repeated sweeps — and
 // concurrent sweeps from several processes — share cells instead of
 // re-simulating them, while the runner's byte-identical `-j` output
@@ -13,9 +13,8 @@
 //
 //	VERSION                           layout marker
 //	segments/<pid>-<start>-<nonce>.seg  one append-only record log per writing handle
-//	owners/<pid>-<start>.owner        one identity file per locking process
-//	locks/<sha256>.lock               a hard link to the holder's owner file
-//	leases/<sha256>.lease             worker claims (see lease.go)
+//	owners/<pid>-<start>.owner        one identity file per claiming process
+//	locks/<sha256>.lock               a cell claim: a hard link to the holder's owner file
 //	quarantine/<sha256>.json          deterministic-failure verdicts
 //
 // Crash-safety contract:
@@ -43,14 +42,11 @@
 //     first reads what other writers appended since: one directory
 //     read, then a stat of each segment whose writer was alive when
 //     last checked. A dead writer's segment is read once and sealed.
-//   - Writers coordinate through per-cell lock files: hard links to the
-//     owning process's owner file, which names its PID and start time.
-//     Locks are advisory (they avoid duplicate work, they do not gate
-//     correctness): a live holder makes other processes simulate the
-//     cell themselves and commit too — the simulator is deterministic,
-//     so racing writers append identical records. A lock whose owner
-//     is gone is stale and is broken on sight, and Open removes the
-//     owner files of dead processes.
+//   - Writers need no coordination: the simulator is deterministic, so
+//     racing writers append identical records. Sweeps take no claim;
+//     sdsp-serve workers claim cells through lock files (lock.go) so
+//     that a fleet does not duplicate work, and Open removes the owner
+//     files of dead processes.
 //
 // A handle's lifecycle, from Open to Close:
 //
@@ -88,6 +84,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -112,22 +109,20 @@ var versionMagic = fmt.Sprintf("sdsp-store v%d\n", Version)
 // deduplicated cell, independent of worker count), which is what makes
 // the j1-vs-j8 counter identity testable.
 type Stats struct {
-	Hits              uint64 `json:"hits"`                // cells served from disk
-	Misses            uint64 `json:"misses"`              // lookups that found no usable cell
-	Repairs           uint64 `json:"repairs"`             // corrupt/torn/mis-keyed records dropped (each also a miss)
-	Commits           uint64 `json:"commits"`             // cells durably written
-	PutFailures       uint64 `json:"put_failures"`        // commit attempts that failed (e.g. read-only dir)
-	StaleLocksBroken  uint64 `json:"stale_locks_broken"`  // dead-owner lock files removed
-	LeasesAcquired    uint64 `json:"leases_acquired"`     // worker cell claims granted
-	StaleLeasesBroken uint64 `json:"stale_leases_broken"` // expired/dead-owner leases broken (cells requeued)
+	Hits             uint64 `json:"hits"`               // cells served from disk
+	Misses           uint64 `json:"misses"`             // lookups that found no usable cell
+	Repairs          uint64 `json:"repairs"`            // corrupt/torn/mis-keyed records dropped (each also a miss)
+	Commits          uint64 `json:"commits"`            // cells durably written
+	PutFailures      uint64 `json:"put_failures"`       // commit attempts that failed (e.g. read-only dir)
+	StaleLocksBroken uint64 `json:"stale_locks_broken"` // stale cell claims broken (cells requeued)
 }
 
 // Store is one handle on an on-disk cell store. Safe for concurrent use
-// by multiple goroutines and, through its own segment and the lock-file
-// protocol, by multiple handles and processes.
+// by multiple goroutines and, through its own segment, by multiple
+// handles and processes.
 type Store struct {
 	dir string
-	// logf receives one line per degradation (repair, stale lock break,
+	// logf receives one line per degradation (repair, stale claim break,
 	// failed commit). Never nil after Open.
 	logf func(format string, args ...any)
 	// readOnly marks a store whose directory rejects writes: reads keep
@@ -136,6 +131,9 @@ type Store struct {
 	// owner publishes this process's owner file on first use and
 	// returns its path.
 	owner func() (string, error)
+	// lease is the claim horizon Heartbeat declared, in nanoseconds,
+	// written into the owner file when it is published.
+	lease atomic.Int64
 
 	mu    sync.Mutex
 	st    Stats
@@ -217,7 +215,6 @@ func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
 	if err := s.checkVersion(); err != nil {
 		return nil, err
 	}
-	s.sweepTempFiles()
 	s.removeDeadOwners()
 	s.mu.Lock()
 	notes, _ := s.refresh()
@@ -234,7 +231,7 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) ReadOnly() bool { return s.readOnly }
 
 // ForceReadOnly degrades the store to read-only mode: reads keep
-// working, commits, locks, and leases refuse with diagnostics. It
+// working, commits and claims refuse with diagnostics. It
 // exists for operators and tests that need the degradation path without
 // depending on file modes (which root ignores); a store never upgrades
 // back — reopen it instead. Like Open, it must be called from a single
@@ -267,7 +264,7 @@ func (s *Store) checkVersion() error {
 	case !errors.Is(err, os.ErrNotExist):
 		return fmt.Errorf("store: %w", err)
 	}
-	for _, sub := range []string{"segments", "owners", "locks", "leases", "quarantine"} {
+	for _, sub := range []string{"segments", "owners", "locks", "quarantine"} {
 		if err := os.MkdirAll(filepath.Join(s.dir, sub), 0o755); err != nil {
 			s.readOnly = true
 		}
@@ -282,20 +279,6 @@ func (s *Store) checkVersion() error {
 		s.logf("store: %s is not writable (%v); continuing without persistence", s.dir, werr)
 	}
 	return nil
-}
-
-// sweepTempFiles removes temp files a killed writer left behind. Best
-// effort: a leftover temp file is inert either way (commits are
-// renames and links), this just keeps the tree tidy.
-func (s *Store) sweepTempFiles() {
-	for _, sub := range []string{"leases", "quarantine"} {
-		_ = filepath.WalkDir(filepath.Join(s.dir, sub), func(path string, d os.DirEntry, err error) error {
-			if err == nil && !d.IsDir() && strings.Contains(d.Name(), ".tmp") {
-				_ = os.Remove(path)
-			}
-			return nil
-		})
-	}
 }
 
 func (s *Store) quarantinePath(key string) string {
@@ -384,9 +367,8 @@ func (s *Store) locate(h [sha256.Size]byte) (path string, l loc, ok bool) {
 }
 
 // Committed reports whether a committed record exists for key, without
-// touching the hit/miss counters or verifying the contents. Callers
-// that already counted a miss use this to decide whether a re-check
-// (after acquiring the cell lock) is worthwhile.
+// touching the hit/miss counters or verifying the contents: the serve
+// plane's test for work left to claim.
 func (s *Store) Committed(key string) bool {
 	_, _, ok := s.locate(sha256.Sum256([]byte(key)))
 	return ok
@@ -683,8 +665,8 @@ func (s *Store) count(f func(*Stats)) {
 // fsync of the directory: the file is either fully present with
 // exactly these bytes, or absent, and once it returns the name
 // survives power loss. A writer killed before the rename leaves an
-// inert "<name>.tmp*" file beside path, which Open sweeps only from
-// leases/ and quarantine/.
+// inert "<name>.tmp*" file beside path, which nothing removes: no
+// reader can tell it from a live writer's temp file.
 func AtomicWrite(path string, data []byte) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -726,8 +708,8 @@ func syncDir(dir string) error {
 	return err
 }
 
-// transientError marks failures that merit a bounded retry (store I/O,
-// lock contention) as opposed to deterministic simulation failures.
+// transientError marks failures that merit a bounded retry (store I/O)
+// as opposed to deterministic simulation failures.
 type transientError struct{ err error }
 
 func (e *transientError) Error() string   { return e.err.Error() }

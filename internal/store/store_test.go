@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -297,9 +298,9 @@ func TestDamagedSegmentIsSealed(t *testing.T) {
 	}
 }
 
-// TestColdCellsLeaveOneSegment: a cold sweep's cells on one handle go
-// to one segment, its locks link to one owner file, and no lock
-// outlives its cell.
+// TestColdCellsLeaveOneSegment: cells claimed and committed on one
+// handle go to one segment, their claims link to one owner file, and
+// no claim outlives its cell.
 func TestColdCellsLeaveOneSegment(t *testing.T) {
 	for _, n := range []int{1, 200} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
@@ -407,38 +408,64 @@ func TestOpenRemovesDeadOwners(t *testing.T) {
 	}
 }
 
-// TestTempFilesAreInertAndSwept: a temp file a killed writer leaves
-// next to a quarantine entry or a lease changes nothing, and reopening
-// sweeps it.
-func TestTempFilesAreInertAndSwept(t *testing.T) {
+// TestTempFilesAreInert: a temp file a killed writer leaves next to a
+// quarantine entry changes nothing, before or after a reopen.
+func TestTempFilesAreInert(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
 	s := open(t, dir)
 	if err := s.Quarantine(QuarantineEntry{Key: "k", Reason: "twice"}); err != nil {
 		t.Fatal(err)
 	}
-	leftovers := []string{
-		s.quarantinePath("k") + ".tmp12345",
-		s.leasePath("k") + ".tmp12345",
+	if err := os.WriteFile(s.quarantinePath("k")+".tmp12345", []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range leftovers {
-		if err := os.WriteFile(p, []byte("{torn"), 0o644); err != nil {
-			t.Fatal(err)
+	for _, h := range []*Store{s, open(t, dir)} {
+		if e, ok := h.Quarantined("k"); !ok || e.Reason != "twice" {
+			t.Fatal("temp file disturbed the quarantine entry")
 		}
 	}
-	if e, ok := s.Quarantined("k"); !ok || e.Reason != "twice" {
-		t.Fatal("temp file disturbed the quarantine entry")
-	}
-	if len(s.Leases()) != 0 {
-		t.Fatal("temp file read as a lease")
-	}
-	s2 := open(t, dir)
-	for _, p := range leftovers {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Errorf("reopen did not sweep %s", filepath.Base(p))
+}
+
+// TestReopenKeepsLiveTempFiles: opening a store removes no temp file, so
+// a quarantine write in flight while another handle opens the store
+// still lands.
+func TestReopenKeepsLiveTempFiles(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := open(t, dir)
+	done, reopens := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				reopens <- n
+				return
+			default:
+			}
+			r, err := Open(dir, discard)
+			if err != nil {
+				t.Error(err)
+			} else {
+				r.Close()
+			}
+			n++
+		}
+	}()
+	const writes = 200
+	failed := 0
+	var first error
+	for i := 0; i < writes; i++ {
+		if err := s.Quarantine(QuarantineEntry{Key: fmt.Sprintf("k%d", i), Reason: "twice"}); err != nil {
+			failed++
+			first = cmp.Or(first, err)
 		}
 	}
-	if _, ok := s2.Quarantined("k"); !ok {
-		t.Error("sweep removed a committed quarantine entry")
+	close(done)
+	if n := <-reopens; n == 0 {
+		t.Error("no reopen overlapped the writes")
+	}
+	if failed > 0 {
+		t.Errorf("%d of %d quarantine writes failed while the store was reopened; first: %v", failed, writes, first)
 	}
 }
 
