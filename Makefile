@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check perfbench-check check report
+.PHONY: all build vet fmt lint test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check bench-ab perfbench-check check report
 
 all: check
 
@@ -136,6 +136,18 @@ bench:
 # wall-clock throughput may regress at most the tolerance.
 bench-check:
 	$(GO) run ./cmd/sdsp-bench -check BENCH_sim.json
+
+# Paired comparison of the working tree against BASE, a git revision,
+# on the repository benchmark (BENCHMARK.json): PAIRS alternating runs
+# of every workload, or of WORKLOAD (comma-separated), at its
+# run_seconds. Prints each end-to-end metric's medians and quartiles,
+# the ratio, the pairs won and whether the paired rule holds, and fails
+# when a change median is worse than its bound or a run failed a cell.
+# Everything it builds and runs stays under .bench_build/ab/.
+PAIRS ?= 10
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [WORKLOAD=name,...] [PAIRS=10]" >&2; exit 2; }
+	$(GO) run ./cmd/sdsp-benchab -base '$(BASE)' -workload '$(WORKLOAD)' -pairs $(PAIRS)
 
 # The repository benchmark harness (perfbench/, its own module, so the
 # root's ./... never compiles it) must still build, vet and pass its

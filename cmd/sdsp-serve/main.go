@@ -63,6 +63,9 @@ func main() {
 	if err := sf.Validate(*worker); err != nil {
 		fail(err)
 	}
+	if err := sup.Validate(); err != nil {
+		fail(err)
+	}
 
 	if *submit {
 		runSubmit(&sf, *expFlag, *scale, *bpred, *fetch, *fault, *wait)

@@ -14,8 +14,8 @@ import (
 )
 
 // Supervision collects the shared flag values. Register installs the
-// flags, Apply validates them and configures a runner, and Close
-// releases the store Apply opened.
+// flags, Validate checks them, Apply validates them and configures a
+// runner, and Close releases the store Apply opened.
 type Supervision struct {
 	StoreDir    string
 	CellTimeout time.Duration
@@ -44,6 +44,24 @@ func (s *Supervision) Apply(r *experiments.Runner, jobs int, logf func(format st
 	if jobs < 1 {
 		return fmt.Errorf("-j must be at least 1 (got %d)", jobs)
 	}
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if s.StoreDir != "" {
+		st, err := store.Open(s.StoreDir, logf)
+		if err != nil {
+			return err
+		}
+		r.Store, s.st = st, st
+	}
+	r.CellTimeout = s.CellTimeout
+	return nil
+}
+
+// Validate checks the shared flags without side effects, so a command
+// that opens the store itself (sdsp-serve) can reject a bad value
+// before the store directory exists. Apply calls it.
+func (s *Supervision) Validate() error {
 	// The zero default means "unlimited", but an explicit -cell-timeout 0
 	// (or a negative value) is a contradiction worth rejecting: the user
 	// asked for a budget that can never be met.
@@ -58,14 +76,6 @@ func (s *Supervision) Apply(r *experiments.Runner, jobs int, logf func(format st
 	if s.CellTimeout < 0 || (explicitTimeout && s.CellTimeout == 0) {
 		return fmt.Errorf("-cell-timeout must be positive (got %v)", s.CellTimeout)
 	}
-	if s.StoreDir != "" {
-		st, err := store.Open(s.StoreDir, logf)
-		if err != nil {
-			return err
-		}
-		r.Store, s.st = st, st
-	}
-	r.CellTimeout = s.CellTimeout
 	return nil
 }
 

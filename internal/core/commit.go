@@ -167,10 +167,8 @@ func (m *Machine) commitEntry(e *suEntry) {
 		m.failMem("commit", e, "%v committed an illegal address (outside its segment, or unaligned)", e.inst)
 		return
 	}
-	if e.writesReg() {
-		if p := m.physReg(e.thread, e.inst.Rd); p >= 0 {
-			m.regs[p] = e.result
-		}
+	if e.dst >= 0 {
+		m.regs[e.dst] = e.result
 	}
 	switch {
 	case e.inst.Op == isa.SW || e.inst.Op == isa.FSTW:

@@ -33,13 +33,13 @@ type Machine struct {
 	// by adding the thread's physBase the moment they are validated, so
 	// every address the cache, store buffer, and sync controller see is
 	// physical and slot isolation is structural.
-	texts     [][]isa.Inst // per-slot predecoded text segments
-	slotOf    []int        // thread -> slot index
-	physBase  []uint32     // thread -> slot physical base address
-	regBase   []int        // thread -> first physical register
-	regBudget []int        // thread -> logical register budget
-	vtid      []int        // thread -> rank within its slot's thread group (TID)
-	vnth      []int        // thread -> its slot's thread-group size (NTH)
+	texts     [][]decoded // per-slot predecoded text segments
+	slotOf    []int       // thread -> slot index
+	physBase  []uint32    // thread -> slot physical base address
+	regBase   []int       // thread -> first physical register
+	regBudget []int       // thread -> logical register budget
+	vtid      []int       // thread -> rank within its slot's thread group (TID)
+	vnth      []int       // thread -> its slot's thread-group size (NTH)
 
 	regs [isa.NumPhysRegs]uint32
 
@@ -179,7 +179,7 @@ func New(obj *loader.Object, cfg Config) (*Machine, error) {
 		dcache:       cache.New(cfg.Cache, m0),
 		sync:         syncctl.New(m0),
 		preds:        preds,
-		texts:        make([][]isa.Inst, len(mix.Slots)),
+		texts:        make([][]decoded, len(mix.Slots)),
 		slotOf:       make([]int, cfg.Threads),
 		physBase:     make([]uint32, cfg.Threads),
 		regBase:      make([]int, cfg.Threads),
@@ -206,7 +206,7 @@ func New(obj *loader.Object, cfg Config) (*Machine, error) {
 		if len(mix.Slots) > 1 {
 			where = fmt.Sprintf("mix slot %d ", s)
 		}
-		text := make([]isa.Inst, len(slot.Object.Text))
+		text := make([]decoded, len(slot.Object.Text))
 		for i, w := range slot.Object.Text {
 			in, err := isa.Decode(w)
 			if err != nil {
@@ -219,7 +219,7 @@ func New(obj *loader.Object, cfg Config) (*Machine, error) {
 				return nil, fmt.Errorf("core: %stext word %d (%v at %#x) uses r%d, but its partition on the %d-thread machine is %d registers per thread",
 					where, i, in, uint32(i)*4, r, cfg.Threads, budget)
 			}
-			text[i] = in
+			text[i] = decode(in)
 		}
 		m.texts[s] = text
 		for k := 0; k < slot.Threads; k++ {
@@ -527,9 +527,6 @@ func (m *Machine) physReg(t int, r uint8) int {
 	}
 	return m.regBase[t] + int(r)
 }
-
-// writesReg reports whether e architecturally writes a register.
-func (e *suEntry) writesReg() bool { return e.inst.Op.WritesRd() && e.inst.Rd != 0 }
 
 // dump renders machine state for runaway diagnostics.
 func (m *Machine) dump() string {

@@ -74,7 +74,8 @@ func (m *Machine) markCoverageApplicability() {
 	// Program gates, from the predecoded text.
 	var hasLoad, hasSW, hasStore, hasFSTW, hasFLDW, hasFAI, hasPredCT, hasAnyCT bool
 	for _, text := range m.texts {
-		for _, in := range text {
+		for _, d := range text {
+			in := d.inst
 			switch {
 			case in.Op == isa.SW:
 				hasSW, hasStore = true, true

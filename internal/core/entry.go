@@ -51,6 +51,13 @@ type suEntry struct {
 	inst     isa.Inst
 	state    entryState
 
+	// Facts fixed at dispatch, so no later stage consults the opcode
+	// table or the register partition again (the invariant checker
+	// re-derives them each cycle).
+	class isa.Class // functional unit pool
+	ct    bool      // control transfer (branch, jump, halt)
+	dst   int16     // physical destination register, -1 when none
+
 	src  [2]operand
 	nsrc int
 
@@ -121,11 +128,46 @@ func (b *block) done() bool { return b.pending == 0 }
 // noEntries initialises a block's slots to the empty index.
 var noEntries = [BlockSize]int32{-1, -1, -1, -1}
 
+// decoded is one text word as the pipeline reads it: the instruction
+// plus the facts dispatch would otherwise derive from its opcode on
+// every fetch. New fills one per text word, next to isa.Decode.
+type decoded struct {
+	inst    isa.Inst
+	class   isa.Class // functional unit pool
+	ct      bool      // control transfer (branch, jump, halt)
+	trigger bool      // CondSwitch thread-switch trigger
+	rd      uint8     // logical destination register, 0 when none is written
+	nsrc    uint8     // register sources read: srcs[:nsrc]
+	srcs    [2]uint8  // logical source registers
+	hasImm  bool      // the second operand is the immediate, immOp
+	immOp   uint32
+}
+
+// decode derives in's pipeline facts.
+func decode(in isa.Inst) decoded {
+	d := decoded{
+		inst:    in,
+		class:   in.Op.FUClass(),
+		ct:      in.Op.IsCT(),
+		trigger: in.Op.SwitchTrigger(),
+		hasImm:  isa.HasImmOperand(in.Op),
+	}
+	if in.Op.WritesRd() {
+		d.rd = in.Rd
+	}
+	r1, r2, n := in.SrcRegs()
+	d.srcs, d.nsrc = [2]uint8{r1, r2}, uint8(n)
+	if d.hasImm {
+		d.immOp = isa.EvalImmOperand(in.Op, in.Imm)
+	}
+	return d
+}
+
 // fetchBlock is the decode latch: one fetched block awaiting dispatch.
 type fetchBlock struct {
 	thread int
 	pcs    [BlockSize]uint32
-	insts  [BlockSize]isa.Inst
+	insts  [BlockSize]decoded
 	valid  [BlockSize]bool
 	pred   [BlockSize]predInfo
 }

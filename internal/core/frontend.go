@@ -287,11 +287,11 @@ func (m *Machine) fetchBlockFor(t int) {
 		if idx >= uint32(len(text)) {
 			break
 		}
-		op := text[idx].Op
-		if op == isa.HALT || op == isa.JAL {
+		d := &text[idx]
+		if op := d.inst.Op; op == isa.HALT || op == isa.JAL {
 			break
 		}
-		if op.IsCT() {
+		if d.ct {
 			m.probePCs[np] = addr
 			np++
 		}
@@ -321,12 +321,13 @@ func (m *Machine) fetchBlockFor(t int) {
 		if idx >= uint32(len(text)) {
 			break // wrong-path fetch beyond text: empty slots
 		}
-		in := text[idx]
-		fb.insts[s] = in
+		d := &text[idx]
+		fb.insts[s] = *d
 		fb.pcs[s] = addr
 		fb.valid[s] = true
 		anyValid = true
 
+		in := d.inst
 		if in.Op == isa.HALT {
 			// Predecode stops fetch at HALT; resumed only by a squash.
 			m.fetchStopped[t] = true
@@ -336,7 +337,7 @@ func (m *Machine) fetchBlockFor(t int) {
 			next = addr + 4
 			break
 		}
-		if !in.Op.IsCT() {
+		if !d.ct {
 			continue
 		}
 		var taken bool
@@ -411,7 +412,7 @@ func (m *Machine) dispatch() {
 		if !fb.valid[s] {
 			continue
 		}
-		in := fb.insts[s]
+		d := &fb.insts[s]
 		m.nextTag++
 		ei := m.newEntry()
 		e := &m.ents[ei]
@@ -419,25 +420,25 @@ func (m *Machine) dispatch() {
 		e.tag = m.nextTag
 		e.thread = fb.thread
 		e.pc = fb.pcs[s]
-		e.inst = in
+		e.inst = d.inst
+		e.class, e.ct = d.class, d.ct
+		e.dst = int16(m.physReg(fb.thread, d.rd))
 		e.predTaken = fb.pred[s].taken
 		e.predTarget = fb.pred[s].target
 		// Rename before registering e's own destination, so an
 		// instruction reading its destination register sees the previous
 		// writer, not itself.
-		m.renameSources(e)
+		m.renameSources(e, d)
 		e.blk = b
 		e.blkID = b.id
 		e.slot = int8(s)
 		b.entries[s] = ei
 		m.suEnter(e)
-		if in.Op.WritesRd() && in.Rd != 0 {
-			if p := m.physReg(fb.thread, in.Rd); p >= 0 {
-				m.busyReg[p] = e.tag + 1
-				m.regProd[p] = ei
-			}
+		if e.dst >= 0 {
+			m.busyReg[e.dst] = e.tag + 1
+			m.regProd[e.dst] = ei
 		}
-		if in.Op.SwitchTrigger() {
+		if d.trigger {
 			trigger = true
 		}
 	}
@@ -464,34 +465,29 @@ func (m *Machine) latchWAWStalled() bool {
 		if !fb.valid[s] {
 			continue
 		}
-		in := fb.insts[s]
-		if in.Op.WritesRd() && in.Rd != 0 {
-			if p := m.physReg(fb.thread, in.Rd); p >= 0 && m.busyReg[p] != 0 {
-				return true
-			}
+		if p := m.physReg(fb.thread, fb.insts[s].rd); p >= 0 && m.busyReg[p] != 0 {
+			return true
 		}
 	}
 	return false
 }
 
-// renameSources resolves e's source operands against the newest
-// in-flight producers (including earlier slots of the block being
-// dispatched, which registered themselves just before) then the
-// register file.
-func (m *Machine) renameSources(e *suEntry) {
-	r1, r2, n := e.inst.SrcRegs()
-	e.nsrc = n
-	regs := [2]uint8{r1, r2}
-	for i := 0; i < n; i++ {
-		e.src[i] = m.lookupOperand(e.thread, regs[i])
+// renameSources resolves the source operands of e, decoded as d,
+// against the newest in-flight producers (including earlier slots of
+// the block being dispatched, which registered themselves just before)
+// then the register file.
+func (m *Machine) renameSources(e *suEntry, d *decoded) {
+	e.nsrc = int(d.nsrc)
+	for i := 0; i < e.nsrc; i++ {
+		e.src[i] = m.lookupOperand(e.thread, d.srcs[i])
 	}
 	// Immediate-operand ALU forms carry the immediate as the second
 	// operand value. LUI has no register source at all.
-	if isa.HasImmOperand(e.inst.Op) {
+	if d.hasImm {
 		if e.nsrc == 0 {
 			e.src[0] = operand{ready: true}
 		}
-		e.src[1] = operand{ready: true, value: isa.EvalImmOperand(e.inst.Op, e.inst.Imm)}
+		e.src[1] = operand{ready: true, value: d.immOp}
 		e.nsrc = 2
 	}
 }

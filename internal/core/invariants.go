@@ -64,6 +64,19 @@ func (m *Machine) CheckInvariants() error {
 			if r := e.inst.MaxReg(); int(r) >= m.regBudget[e.thread] {
 				return fmt.Errorf("%v uses r%d outside the %d-register partition", e, r, m.regBudget[e.thread])
 			}
+			// The facts dispatch fixed must equal a fresh decode of the
+			// entry's instruction in its thread's partition.
+			if e.class != e.inst.Op.FUClass() || e.ct != e.inst.Op.IsCT() || int(e.dst) != m.decodedDst(e) {
+				return fmt.Errorf("%v carries class %v, ct %v, dst %d; its instruction gives %v, %v, %d",
+					e, e.class, e.ct, e.dst, e.inst.Op.FUClass(), e.inst.Op.IsCT(), m.decodedDst(e))
+			}
+			_, _, nsrc := e.inst.SrcRegs()
+			if isa.HasImmOperand(e.inst.Op) {
+				nsrc = 2
+			}
+			if e.nsrc != nsrc {
+				return fmt.Errorf("%v carries %d source operands; its instruction has %d", e, e.nsrc, nsrc)
+			}
 			// Operand tags must reference an older in-flight producer.
 			for i := 0; i < e.nsrc; i++ {
 				if !e.src[i].ready && e.src[i].tag >= e.tag {
@@ -121,14 +134,14 @@ func (m *Machine) CheckInvariants() error {
 		if !ok {
 			return fmt.Errorf("scoreboard claim on phys r%d by tag %d, which is not in the SU", p, claim-1)
 		}
-		if e.squashed || e.state == stDone || !e.writesReg() {
+		if e.squashed || e.state == stDone || e.dst < 0 {
 			return fmt.Errorf("scoreboard claim on phys r%d by %v (squashed=%v)", p, e, e.squashed)
 		}
 		if p < m.regBase[e.thread] || p >= m.regBase[e.thread]+m.regBudget[e.thread] {
 			return fmt.Errorf("scoreboard claim on phys r%d outside thread %d's partition", p, e.thread)
 		}
-		if want := m.regBase[e.thread] + int(e.inst.Rd); p != want {
-			return fmt.Errorf("scoreboard claim on phys r%d but %v writes phys r%d", p, e, want)
+		if p != int(e.dst) {
+			return fmt.Errorf("scoreboard claim on phys r%d but %v writes phys r%d", p, e, e.dst)
 		}
 	}
 
@@ -191,6 +204,16 @@ func (m *Machine) CheckInvariants() error {
 	// A halted thread must not have a stopped-fetch latch pending.
 	if m.latch != nil && m.halted[m.latch.thread] {
 		return fmt.Errorf("halted thread %d owns the fetch latch", m.latch.thread)
+	}
+	// Every fetched word passes through the latch, so checking its
+	// slots against a fresh decode covers the predecoded text.
+	if fb := m.latch; fb != nil {
+		for s := range fb.insts {
+			if fb.valid[s] && fb.insts[s] != decode(fb.insts[s].inst) {
+				return fmt.Errorf("latch slot %d holds %+v; %v decodes to %+v",
+					s, fb.insts[s], fb.insts[s].inst, decode(fb.insts[s].inst))
+			}
+		}
 	}
 
 	return m.checkSoA()
@@ -264,10 +287,8 @@ func (m *Machine) checkSoA() error {
 					ctU[e.thread]++
 				}
 			}
-			if e.writesReg() {
-				if p := m.regBase[e.thread] + int(e.inst.Rd); int(e.inst.Rd) < m.regBudget[e.thread] {
-					regProd[p] = ei
-				}
+			if p := m.decodedDst(e); p >= 0 {
+				regProd[p] = ei
 			}
 		}
 		if pending != b.pending {
@@ -354,4 +375,15 @@ func (m *Machine) checkSoA() error {
 		}
 	}
 	return nil
+}
+
+// decodedDst re-derives, from e's instruction and thread alone, the
+// physical destination register dispatch stored in e.dst: -1 when the
+// instruction writes no register (or only r0).
+func (m *Machine) decodedDst(e *suEntry) int {
+	rd := int(e.inst.Rd)
+	if !e.inst.Op.WritesRd() || rd == 0 || rd >= m.regBudget[e.thread] {
+		return -1
+	}
+	return m.regBase[e.thread] + rd
 }

@@ -16,10 +16,19 @@ import (
 // waiting-entry bitset one block group at a time, so cycles with no
 // issue candidates cost a counter test and blocks with no waiting
 // entries cost one shift.
+//
+// Once a store is refused a buffer slot, every younger store is
+// refused for the rest of the cycle without a verdict, and each such
+// refusal is still counted. Nothing in the scan can undo the first
+// refusal: issuing only takes slots, and the refused store stays
+// waiting, so every younger store's reservation counts at least the
+// waiting stores the refused one counted, plus the refused store
+// itself when it lies in a later block.
 func (m *Machine) issue() {
 	if m.fault != nil || m.waitCnt == 0 {
 		return
 	}
+	storeFull := false // a store was refused a buffer slot this cycle
 	issued := 0
 	firstThread := -1
 	crossed := false
@@ -36,9 +45,13 @@ scan:
 			if !e.ready(m.now) {
 				continue
 			}
-			if m.tryIssue(e) {
+			if e.class == isa.ClassStore && storeFull {
+				m.noteRefusal(refStoreFull)
+				continue
+			}
+			if m.tryIssue(e, &storeFull) {
 				if m.Trace != nil {
-					m.trace("issue    %v -> %v unit %d", e, e.inst.Op.FUClass(), e.fuUnit)
+					m.trace("issue    %v -> %v unit %d", e, e.class, e.fuUnit)
 				}
 				issued++
 				if firstThread < 0 {
@@ -117,12 +130,13 @@ type loadPath struct {
 	sameBlock bool   // the forwarding store is in the load's own block
 }
 
-// issueVerdict decides whether the ready waiting entry e, of FU class
-// class, issues this cycle: the unit it would take, or the refusal and
-// -1. It changes nothing but *ld, which it fills for loads. The unit
-// check comes last, after every ordering and resource rule of the
-// entry's class.
-func (m *Machine) issueVerdict(e *suEntry, class isa.Class, ld *loadPath) (refusal, int) {
+// issueVerdict decides whether the ready waiting entry e issues this
+// cycle: the unit it would take, or the refusal and -1. It changes
+// nothing but *ld, which it fills for loads, and *storeFull, which it
+// sets when it refuses a store a buffer slot. The unit check comes
+// last, after every ordering and resource rule of the entry's class.
+func (m *Machine) issueVerdict(e *suEntry, storeFull *bool, ld *loadPath) (refusal, int) {
+	class := e.class
 	switch class {
 	case isa.ClassLoad:
 		// Acquire ordering: a load may not issue past an older unresolved
@@ -169,6 +183,7 @@ func (m *Machine) issueVerdict(e *suEntry, class isa.Class, ld *loadPath) (refus
 		// capped so the effective buffer never drops below BlockSize and
 		// the reservation argument above still goes through.
 		if m.cfg.StoreBuffer-len(m.storeBuf)-m.sbHeld <= m.waitingStoresBelow(e) {
+			*storeFull = true
 			return refStoreFull, -1
 		}
 	case isa.ClassSync:
@@ -191,12 +206,13 @@ func (m *Machine) issueVerdict(e *suEntry, class isa.Class, ld *loadPath) (refus
 }
 
 // tryIssue issues e if its verdict allows, and begins execution.
-// Reports whether the instruction left the window.
-func (m *Machine) tryIssue(e *suEntry) bool {
+// Reports whether the instruction left the window. It sets *storeFull
+// when it refuses a store a buffer slot.
+func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 	op := e.inst.Op
-	class := op.FUClass()
+	class := e.class
 	var ld loadPath
-	ref, unit := m.issueVerdict(e, class, &ld)
+	ref, unit := m.issueVerdict(e, storeFull, &ld)
 	// A sync op that passed its ordering rules asks the controller for
 	// its grant before taking a unit, and fault injection may hold it.
 	if (ref == refNone || ref == refFUExhausted) && class == isa.ClassSync &&
@@ -450,7 +466,7 @@ func (m *Machine) olderUnresolvedCT(e *suEntry) bool {
 			pos := int32((wi << 6) + bits.TrailingZeros64(w))
 			w &= w - 1
 			c := &m.ents[m.entryAt(pos)]
-			if c.tag < e.tag && c.inst.Op.IsCT() && c.state != stDone {
+			if c.tag < e.tag && c.ct && c.state != stDone {
 				return true
 			}
 		}
@@ -563,7 +579,7 @@ func (m *Machine) olderUnresolvedSync(e *suEntry) bool {
 			pos := int32((wi << 6) + bits.TrailingZeros64(w))
 			w &= w - 1
 			c := &m.ents[m.entryAt(pos)]
-			if c.tag < e.tag && c.inst.Op.FUClass() == isa.ClassSync && c.state != stDone {
+			if c.tag < e.tag && c.class == isa.ClassSync && c.state != stDone {
 				return true
 			}
 		}

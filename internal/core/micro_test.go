@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/cover"
 	"repro/internal/isa"
 	"repro/internal/loader"
 )
@@ -446,21 +447,70 @@ func TestScoreboardWAWStall(t *testing.T) {
 	}
 }
 
-// The store buffer capacity limit is enforced and visible in stats.
+// The store buffer capacity limit is enforced and visible in stats,
+// and every refused issue attempt is counted. After a cycle's first
+// store-buffer refusal the issue scan refuses every younger store in
+// bulk, so the counts are pinned exactly: each refused store must
+// still count once, and no other class's refusals may move.
 func TestStoreBufferPressure(t *testing.T) {
+	cases := []struct {
+		threads int
+		want    refusalCounts
+	}{
+		{1, refusalCounts{storeFull: 534, loadBlocked: 0, covStoreFull: 534, covFUExhausted: 14}},
+		{2, refusalCounts{storeFull: 1464, loadBlocked: 251, covStoreFull: 1464, covFUExhausted: 26}},
+	}
+	for _, tc := range cases {
+		t.Run(itoa(tc.threads)+"t", func(t *testing.T) {
+			cfg := cfg1t()
+			cfg.Threads = tc.threads
+			cfg.StoreBuffer = 4
+			cfg.Coverage = cover.NewSet()
+			st := run(t, newMachine(t, storePressureSource(tc.threads), cfg))
+			if st.StoreBufferFull == 0 {
+				t.Error("24 back-to-back stores never filled a 4-entry store buffer")
+			}
+			got := refusalCounts{
+				storeFull:      st.StoreBufferFull,
+				loadBlocked:    st.LoadBlocked,
+				covStoreFull:   st.Coverage.Count(cover.EvStoreBufferFull),
+				covFUExhausted: st.Coverage.Count(cover.EvIssueFUExhausted),
+			}
+			if got != tc.want {
+				t.Errorf("refusals %+v, want %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// refusalCounts are the issue-refusal tallies a run reports.
+type refusalCounts struct {
+	storeFull, loadBlocked, covStoreFull, covFUExhausted uint64
+}
+
+// storePressureSource is 24 back-to-back stores per thread into the
+// thread's own 128-byte window, each behind the ALU op making its
+// data. With two threads it ends in eight loads of the words its last
+// eight stores wrote: under the restricted load/store policy each waits
+// for its store to drain, while stores of both threads back up across
+// several blocks.
+func storePressureSource(threads int) string {
 	var sb strings.Builder
 	sb.WriteString("main: li r1, buf\n")
+	if threads > 1 {
+		sb.WriteString("tid r3\nslli r3, r3, 7\nadd r1, r1, r3\n")
+	}
 	for i := 0; i < 24; i++ {
-		sb.WriteString("addi r2, r0, 1\n")
+		sb.WriteString("addi r2, r0, " + itoa(i+1) + "\n")
 		sb.WriteString("sw r2, " + itoa(i*4) + "(r1)\n")
 	}
-	sb.WriteString("halt\n.data\nbuf: .space 96\n")
-	cfg := cfg1t()
-	cfg.StoreBuffer = 4
-	st := run(t, newMachine(t, sb.String(), cfg))
-	if st.StoreBufferFull == 0 {
-		t.Error("24 back-to-back stores never filled a 4-entry store buffer")
+	if threads > 1 {
+		for i := 0; i < 8; i++ {
+			sb.WriteString("lw r" + itoa(5+i) + ", " + itoa((16+i)*4) + "(r1)\n")
+		}
 	}
+	sb.WriteString("halt\n.data\nbuf: .space " + itoa(128*threads) + "\n")
+	return sb.String()
 }
 
 func itoa(v int) string {

@@ -130,10 +130,10 @@ func (m *Machine) suEnter(e *suEntry) {
 		bsSet(m.fstwBits, pos)
 		m.fstwPend[e.thread]++
 	}
-	if e.inst.Op.FUClass() == isa.ClassSync {
+	if e.class == isa.ClassSync {
 		m.syncUndone[e.thread]++
 	}
-	if e.inst.Op.IsCT() {
+	if e.ct {
 		m.ctUnres[e.thread]++
 	}
 	e.blk.pending++
@@ -154,10 +154,10 @@ func (m *Machine) noteIssued(e *suEntry) {
 // block is necessarily still in the SU: a block cannot commit while
 // any of its live entries is unfinished.
 func (m *Machine) noteDone(e *suEntry) {
-	if e.inst.Op.FUClass() == isa.ClassSync {
+	if e.class == isa.ClassSync {
 		m.syncUndone[e.thread]--
 	}
-	if e.inst.Op.IsCT() {
+	if e.ct {
 		m.ctUnres[e.thread]--
 	}
 	b := e.blk
@@ -184,10 +184,10 @@ func (m *Machine) noteSquashed(e *suEntry) {
 		m.fstwPend[e.thread]--
 	}
 	if e.state != stDone {
-		if e.inst.Op.FUClass() == isa.ClassSync {
+		if e.class == isa.ClassSync {
 			m.syncUndone[e.thread]--
 		}
-		if e.inst.Op.IsCT() {
+		if e.ct {
 			m.ctUnres[e.thread]--
 		}
 		b := e.blk
@@ -224,10 +224,8 @@ func (m *Machine) suExitBlock(b *block) {
 			continue
 		}
 		e := &m.ents[ei]
-		if e.valid && !e.squashed && e.writesReg() {
-			if p := m.physReg(e.thread, e.inst.Rd); p >= 0 && m.regProd[p] == e.idx {
-				m.regProd[p] = -1
-			}
+		if e.valid && !e.squashed && e.dst >= 0 && m.regProd[e.dst] == e.idx {
+			m.regProd[e.dst] = -1
 		}
 	}
 	if b.pending == 0 {
@@ -253,10 +251,8 @@ func (m *Machine) rebuildRegProd(t int) {
 				continue
 			}
 			e := &m.ents[ei]
-			if e.valid && !e.squashed && e.writesReg() {
-				if p := m.physReg(t, e.inst.Rd); p >= 0 {
-					m.regProd[p] = e.idx
-				}
+			if e.valid && !e.squashed && e.dst >= 0 {
+				m.regProd[e.dst] = e.idx
 			}
 		}
 	}

@@ -64,13 +64,13 @@ func (m *Machine) writeback() {
 		if m.Trace != nil {
 			m.trace("wb       %v = %#x", e, e.result)
 		}
-		if e.writesReg() {
+		if e.dst >= 0 {
 			m.broadcast(e)
-			if p := m.physReg(e.thread, e.inst.Rd); p >= 0 && m.busyReg[p] == e.tag+1 {
-				m.busyReg[p] = 0
+			if m.busyReg[e.dst] == e.tag+1 {
+				m.busyReg[e.dst] = 0
 			}
 		}
-		if e.inst.Op.IsCT() {
+		if e.ct {
 			e.resolved = true
 			m.handleResolvedCT(e)
 		}
@@ -201,10 +201,8 @@ func (m *Machine) squashYounger(ct *suEntry) {
 			// containment (same thread, older tag) from this.
 			e.squashedBy = ct.tag
 			m.stats.Squashed++
-			if e.writesReg() {
-				if p := m.physReg(e.thread, e.inst.Rd); p >= 0 && m.busyReg[p] == e.tag+1 {
-					m.busyReg[p] = 0
-				}
+			if e.dst >= 0 && m.busyReg[e.dst] == e.tag+1 {
+				m.busyReg[e.dst] = 0
 			}
 		}
 	}

@@ -108,14 +108,16 @@ func (s *Store) Heartbeat(lease time.Duration) (stop func()) {
 		return func() {}
 	}
 	s.lease.Store(int64(lease))
-	owner, err := s.owner()
-	if err != nil {
-		return func() {}
-	}
 	// A failed touch needs no handling: the claims age, and once past
 	// their lease they are broken and their cells recomputed, which the
-	// idempotent commit makes safe.
-	touch := func() { now := time.Now(); _ = os.Chtimes(owner, now, now) }
+	// idempotent commit makes safe. A failed publish is retried at the
+	// next beat.
+	touch := func() {
+		if owner, err := s.owner(); err == nil {
+			now := time.Now()
+			_ = os.Chtimes(owner, now, now)
+		}
+	}
 	touch()
 	done, exited := make(chan struct{}), make(chan struct{})
 	go func() {
@@ -132,6 +134,23 @@ func (s *Store) Heartbeat(lease time.Duration) (stop func()) {
 		}
 	}()
 	return sync.OnceFunc(func() { close(done); <-exited })
+}
+
+// owner returns this process's owner file, publishing it on the first
+// call that succeeds. Only a success is kept: after a failed publish
+// (owners/ unwritable, say) the next call tries again, so a handle
+// claims once the store can hold its owner file.
+func (s *Store) owner() (string, error) {
+	s.ownerMu.Lock()
+	defer s.ownerMu.Unlock()
+	if s.ownerPath == "" {
+		path, err := s.publishOwner()
+		if err != nil {
+			return "", err
+		}
+		s.ownerPath = path
+	}
+	return s.ownerPath, nil
 }
 
 // publishOwner writes this process's owner file, which every claim it

@@ -338,6 +338,35 @@ func TestForceReadOnlyRefusesWritesAndLeases(t *testing.T) {
 	}
 }
 
+// TestTryLockRetriesOwnerPublish: a failed owner-file publish does not
+// stick to the handle. Once owners/ is a directory again, the same
+// handle that failed to claim claims.
+func TestTryLockRetriesOwnerPublish(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	s := open(t, dir)
+	owners := filepath.Join(dir, "owners")
+	if err := os.RemoveAll(owners); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(owners, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := s.TryLock("k"); err == nil || l != nil {
+		t.Fatalf("TryLock with owners/ a regular file = (%v, %v), want an error", l, err)
+	}
+	if err := os.Remove(owners); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(owners, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	l, err := s.TryLock("k")
+	if err != nil || l == nil {
+		t.Fatalf("TryLock once owners/ is restored = (%v, %v), want a claim", l, err)
+	}
+	l.Unlock()
+}
+
 // TestTryLockReportsUnclaimableStore: a writable store that cannot hold
 // a claim, because its locks/ or owners/ directory is a regular file,
 // fails TryLock with an error instead of declining as if a live peer

@@ -128,9 +128,10 @@ type Store struct {
 	// readOnly marks a store whose directory rejects writes: reads keep
 	// working, commits and repairs degrade to logged no-ops.
 	readOnly bool
-	// owner publishes this process's owner file on first use and
-	// returns its path.
-	owner func() (string, error)
+	// ownerPath is this process's owner file once published (see
+	// owner); ownerMu serializes publishing.
+	ownerMu   sync.Mutex
+	ownerPath string
 	// lease is the claim horizon Heartbeat declared, in nanoseconds,
 	// written into the owner file when it is published.
 	lease atomic.Int64
@@ -208,7 +209,6 @@ func Open(dir string, logf func(format string, args ...any)) (*Store, error) {
 		index: map[[sha256.Size]byte]loc{}, known: map[string]bool{}}
 	s.files.byID = map[int32]*segFile{}
 	s.files.idle.L = &s.files.mu
-	s.owner = sync.OnceValues(s.publishOwner)
 	if err := os.Mkdir(dir, 0o755); err != nil && !errors.Is(err, os.ErrExist) {
 		return nil, fmt.Errorf("store: create %s: %w", dir, err)
 	}
