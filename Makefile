@@ -38,11 +38,14 @@ fuzz-seeds:
 	$(GO) test -run=FuzzVerify ./sdsp
 	$(GO) test -run=FuzzDecodeStats ./internal/store
 
-# Every paper kernel under full per-cycle invariant checking, and the
-# experiment pipeline in paranoid mode at small scale.
+# Every paper kernel under full per-cycle invariant checking, the
+# experiment pipeline in paranoid mode at small scale, and the
+# Paper-scale thread sweeps (figs 5 and 6), so every invariant is also
+# checked at the scale EXPERIMENTS.md reports.
 paranoid:
 	$(GO) test ./sdsp -run TestAllKernelsParanoid
 	$(GO) run ./cmd/sdsp-exp -scale small -paranoid > /dev/null
+	$(GO) run ./cmd/sdsp-exp -scale paper -exp fig5,fig6 -paranoid > /dev/null
 
 # Fault-injection smoke matrix: one preset per mechanism through the
 # CLI, with invariants armed; each run must still validate its golden

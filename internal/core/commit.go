@@ -135,11 +135,9 @@ func (m *Machine) commit() {
 	if m.Trace != nil {
 		m.trace("commit   t%d block from window slot %d", b.thread, chosen)
 	}
-	for _, ei := range b.entries {
-		if ei < 0 {
-			continue
-		}
-		e := &m.ents[ei]
+	es := m.blockEnts(b)
+	for s := range es {
+		e := &es[s]
 		if !e.valid || e.squashed {
 			continue
 		}
@@ -150,11 +148,6 @@ func (m *Machine) commit() {
 	}
 	m.suExitBlock(b)
 	m.su = append(m.su[:chosen], m.su[chosen+1:]...)
-	for _, ei := range b.entries {
-		if ei >= 0 {
-			m.release(&m.ents[ei]) // drop the block's reference
-		}
-	}
 	m.freeBlock(b)
 	m.lastProgress = m.now
 }
@@ -172,7 +165,7 @@ func (m *Machine) commitEntry(e *suEntry) {
 	}
 	switch {
 	case e.inst.Op == isa.SW || e.inst.Op == isa.FSTW:
-		m.releaseStore(e)
+		m.commitStore(e)
 	case e.inst.Op.IsBranch() || e.inst.Op == isa.JALR:
 		correct := e.actualTaken == e.predTaken &&
 			(!e.actualTaken || e.actualTarget == e.predTarget)
@@ -189,13 +182,13 @@ func (m *Machine) commitEntry(e *suEntry) {
 	m.stats.CommittedByThread[e.thread]++
 }
 
-// releaseStore marks e's store buffer entry committed and queues it for
+// commitStore marks e's store buffer entry committed and queues it for
 // draining in commit order, stamping the commit-order sequence the
 // invariant checker uses to verify in-order drain.
-func (m *Machine) releaseStore(e *suEntry) {
+func (m *Machine) commitStore(e *suEntry) {
 	for _, soi := range m.storeBuf {
 		so := &m.sops[soi]
-		if so.entry == e.idx {
+		if so.tag == e.tag {
 			so.committed = true
 			m.storeSeq++
 			so.seq = m.storeSeq

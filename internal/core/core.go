@@ -44,26 +44,24 @@ type Machine struct {
 	regs [isa.NumPhysRegs]uint32
 
 	// Scheduling unit: su[0] is the bottom (oldest) block. Blocks point
-	// into the fixed block arena; entries and store ops live in growable
-	// arenas and are referenced by index (see pool.go and soa.go).
-	su          []*block
-	suCap       int // capacity in blocks
-	nextTag     uint64
-	nextBlockID uint64
+	// into the fixed block arena; entries live at their scoreboard bit
+	// and, like store ops, are referenced by index (see pool.go and
+	// soa.go).
+	su      []*block
+	suCap   int // capacity in blocks
+	nextTag uint64
 
-	// Arenas and free lists (see pool.go). The cycle loop is
-	// allocation-free once warm: entries, blocks, and store ops recycle
-	// through the index free lists, and the per-stage scratch slices
-	// keep their capacity between cycles.
+	// Arenas and free lists (see pool.go), all fixed at New. The cycle
+	// loop is allocation-free: blocks (and with them their entries) and
+	// store ops recycle through the index free lists, and the per-stage
+	// scratch slices keep their capacity between cycles.
 	ents        []suEntry
 	blocks      []block
 	sops        []storeOp
-	entryFree   []int32
 	blockFree   []int32
 	storeOpFree []int32
 	fbuf        fetchBlock                 // the single decode latch, reused across fetches
 	wbDue       []int32                    // writeback: completions due this cycle
-	fwdCands    []int32                    // forwardFromStore: candidate older stores
 	icountOcc   []int                      // ICount policy: per-thread in-flight counts
 	probePCs    [BlockSize]uint32          // fetch: batched BTB probe addresses
 	probeOut    [BlockSize]bpred.BlockPred // fetch: batched BTB probe results
@@ -76,10 +74,7 @@ type Machine struct {
 	swBits      []uint64
 	fstwBits    []uint64
 	threadBits  [][]uint64
-	suOcc       int     // live SU entries
-	waitCnt     int     // live entries in stWaiting
 	doneBlocks  int     // SU blocks with every live entry done
-	occByThread []int32 // live SU entries per thread
 	syncUndone  []int32 // per thread: live sync-class entries not yet done
 	ctUnres     []int32 // per thread: live CT entries not yet done
 	fstwPend    []int32 // per thread: FSTW live in SU or undrained in buffer
@@ -467,11 +462,9 @@ func (m *Machine) watchdogCheck() {
 	if len(m.su) > 0 {
 		b := m.su[0]
 		thread = b.thread
-		for _, ei := range b.entries {
-			if ei < 0 {
-				continue
-			}
-			e := &m.ents[ei]
+		es := m.blockEnts(b)
+		for s := range es {
+			e := &es[s]
 			if e.valid && !e.squashed {
 				pc = e.pc
 				why = fmt.Sprintf("bottom block is thread %d at pc %#x, oldest state %v", b.thread, e.pc, e.state)
@@ -479,21 +472,22 @@ func (m *Machine) watchdogCheck() {
 			}
 		}
 	} else if len(m.drainQueue) > 0 {
-		e := &m.ents[m.sops[m.drainQueue[0]].entry]
-		thread, pc = e.thread, e.pc
-		why = fmt.Sprintf("store to %#x committed but never drained", e.addr)
+		so := &m.sops[m.drainQueue[0]]
+		thread, pc = so.thread, so.pc
+		why = fmt.Sprintf("store to %#x committed but never drained", so.addr)
 	}
 	m.failf(FaultDeadlock, "watchdog", thread, pc,
 		"no commit or store drain for %d cycles; %s", m.now-m.lastProgress, why)
 }
 
 func (m *Machine) cycleStats() {
-	m.stats.SUOccupancy += uint64(m.suOcc)
+	occ := bsCount(m.liveBits)
+	m.stats.SUOccupancy += uint64(occ)
 	if len(m.su) == m.suCap {
 		m.stats.SUFullCycles++
 	}
 	if m.cov != nil {
-		if m.suOcc == 0 {
+		if occ == 0 {
 			for _, h := range m.halted {
 				if !h {
 					m.cov.Hit(cover.EvSUEmptyBubble)
@@ -501,8 +495,8 @@ func (m *Machine) cycleStats() {
 				}
 			}
 		} else if m.cfg.Threads > 1 {
-			for t, n := range m.occByThread {
-				if n == 0 && !m.halted[t] {
+			for t, tb := range m.threadBits {
+				if !bsAny(tb) && !m.halted[t] {
 					m.cov.Hit(cover.EvThreadStarved)
 					break
 				}
@@ -535,11 +529,9 @@ func (m *Machine) dump() string {
 		s += fmt.Sprintf("  thread %d: pc=%#x halted=%v stopped=%v\n", t, m.pc[t], m.halted[t], m.fetchStopped[t])
 	}
 	for i, b := range m.su {
-		for _, ei := range b.entries {
-			if ei < 0 {
-				continue
-			}
-			e := &m.ents[ei]
+		es := m.blockEnts(b)
+		for k := range es {
+			e := &es[k]
 			if e.valid {
 				sq := ""
 				if e.squashed {
@@ -553,9 +545,7 @@ func (m *Machine) dump() string {
 		len(m.storeBuf), len(m.drainQueue), len(m.completions), len(m.pendingLoads))
 	for _, si := range m.storeBuf {
 		so := &m.sops[si]
-		e := &m.ents[so.entry]
-		s += fmt.Sprintf("  storeBuf: %v addr=%#x committed=%v drained=%v squashed=%v\n",
-			e, e.addr, so.committed, so.drained, e.squashed)
+		s += fmt.Sprintf("  storeBuf: %v addr=%#x committed=%v\n", so, so.addr, so.committed)
 	}
 	cs := m.dcache.Stats()
 	s += fmt.Sprintf("  dcache: reads=%d writes=%d hits=%d misses=%d writebacks=%d pending=%v\n",

@@ -27,24 +27,16 @@ type operand struct {
 // suEntry is one instruction's scheduling unit slot. All cross-stage
 // state lives here; stages communicate only through these entries.
 //
-// Entries live in a per-machine arena (m.ents, see pool.go) and are
-// named by their int32 arena index everywhere a reference is stored;
-// *suEntry pointers are taken transiently within a stage and are never
-// held across newEntry (the arena may grow). refs counts the containers
-// that may still reach the entry — its block while that block sits in
-// the SU, the completion queue, the pending-load list, and a store
-// buffer slot — and the entry's index returns to the free list when the
-// last reference is dropped. blkID is the owning block's unique id;
-// same-block checks against entries whose block has already committed
-// (and possibly been recycled) must compare blkID, never blk.
+// Entries live in a fixed per-machine arena (m.ents) at their
+// scoreboard bit: slot s of block bi is m.ents[bi*BlockSize+s], and idx
+// is that position. An entry therefore lives as long as its block:
+// dispatch overwrites it when it takes the block position again.
+// pool.go lists the two kinds of reference that outlive a block and
+// how each is settled.
 type suEntry struct {
 	valid    bool // false: empty fetch slot or squashed hole
 	squashed bool
-	blk      *block // owning block (stable: blocks live in a fixed arena)
-	blkID    uint64 // owning block's unique id (stable across pooling)
-	idx      int32  // this entry's own arena index
-	slot     int8   // slot within the owning block (bitset position)
-	refs     int8   // live container references; 0 returns the entry to the pool
+	idx      int32 // arena index and scoreboard bit: block*BlockSize + slot
 	tag      uint64
 	thread   int
 	pc       uint32
@@ -79,13 +71,11 @@ type suEntry struct {
 	predTarget   uint32
 	actualTaken  bool
 	actualTarget uint32
-	resolved     bool // CT outcome known
 
 	// Memory reference bookkeeping.
 	addr      uint32
 	addrValid bool
 	counted   bool // first cache attempt already counted for hit rate
-	storeData uint32
 }
 
 func (e *suEntry) String() string {
@@ -108,25 +98,19 @@ func (e *suEntry) ready(now uint64) bool {
 
 // block is a fetch-aligned group of BlockSize entries, all from one
 // thread. Invalid slots are holes (pre-PC slots, post-taken-branch
-// slots, or squashed instructions). id is unique for the machine's
-// lifetime even though the block struct itself is pooled; bi is the
-// block's fixed arena index, which doubles as its bitset group (slot s
-// of block bi is scoreboard bit bi*BlockSize+s, see soa.go).
+// slots, or squashed instructions). bi is the block's fixed arena
+// index; its entries are m.ents[bi*BlockSize:][:BlockSize], and slot s
+// is scoreboard bit bi*BlockSize+s (see soa.go).
 type block struct {
 	thread  int
-	id      uint64
 	bi      int32
 	pending int8 // live entries not yet written back; 0 = committable
-	entries [BlockSize]int32
 }
 
 // done reports whether every live entry has its result. pending is
 // maintained incrementally (dispatch, writeback, squash) and asserted
 // against the slow scan by the invariant checker.
 func (b *block) done() bool { return b.pending == 0 }
-
-// noEntries initialises a block's slots to the empty index.
-var noEntries = [BlockSize]int32{-1, -1, -1, -1}
 
 // decoded is one text word as the pipeline reads it: the instruction
 // plus the facts dispatch would otherwise derive from its opcode on
@@ -179,13 +163,24 @@ type predInfo struct {
 
 // storeOp is a store buffer entry. A store occupies the buffer from
 // issue until it drains to the cache after its block commits (the
-// paper's restricted load/store policy). Store ops live in an arena
-// (m.sops) and are named by index in the buffer and drain queue.
+// paper's restricted load/store policy), so a committed store outlives
+// its SU entry. It therefore copies at issue every fact its readers
+// need: the drain, forwarding, the flag-store fence, the squash kill
+// and fault reports. Store ops live in a fixed arena (m.sops) and are
+// named by index in the buffer and drain queue.
 type storeOp struct {
-	entry     int32 // arena index of the owning suEntry
 	idx       int32 // this op's own arena index
 	committed bool
-	drained   bool
 	counted   bool   // cache access counted on first drain attempt
 	seq       uint64 // commit order, for the in-order-drain invariant
+	tag       uint64
+	thread    int
+	pc        uint32
+	inst      isa.Inst
+	addr      uint32 // physical address
+	data      uint32
+}
+
+func (so *storeOp) String() string {
+	return fmt.Sprintf("t%d#%d %v@%#x", so.thread, so.tag, so.inst, so.pc)
 }

@@ -152,16 +152,17 @@ func (m *Machine) selectThread() int {
 	return -1
 }
 
-// icountTally refreshes m.icountOcc from the per-thread occupancy
-// counters and returns the total in-flight count (window occupancy
-// plus the latch). O(threads), not O(window): the SU scoreboards
-// already maintain the tallies incrementally.
+// icountTally refreshes m.icountOcc from the per-thread live-entry
+// bitsets and returns the total in-flight count (window occupancy plus
+// the latch). Each live entry has exactly one thread bit, so the
+// per-thread popcounts sum to the window occupancy.
 func (m *Machine) icountTally() int {
 	counts := m.icountOcc
+	total := 0
 	for t := range counts {
-		counts[t] = int(m.occByThread[t])
+		counts[t] = bsCount(m.threadBits[t])
+		total += counts[t]
 	}
-	total := m.suOcc
 	if m.latch != nil {
 		counts[m.latch.thread] += BlockSize
 		total += BlockSize
@@ -407,16 +408,17 @@ func (m *Machine) dispatch() {
 	}
 
 	b := m.newBlock(fb.thread)
+	es := m.blockEnts(b)
 	trigger := false
-	for s := 0; s < BlockSize; s++ {
+	for s := range es {
+		e := &es[s]
 		if !fb.valid[s] {
+			e.valid = false // a hole
 			continue
 		}
 		d := &fb.insts[s]
 		m.nextTag++
-		ei := m.newEntry()
-		e := &m.ents[ei]
-		e.valid = true
+		*e = suEntry{valid: true, idx: b.bi*BlockSize + int32(s)}
 		e.tag = m.nextTag
 		e.thread = fb.thread
 		e.pc = fb.pcs[s]
@@ -429,14 +431,10 @@ func (m *Machine) dispatch() {
 		// instruction reading its destination register sees the previous
 		// writer, not itself.
 		m.renameSources(e, d)
-		e.blk = b
-		e.blkID = b.id
-		e.slot = int8(s)
-		b.entries[s] = ei
 		m.suEnter(e)
 		if e.dst >= 0 {
 			m.busyReg[e.dst] = e.tag + 1
-			m.regProd[e.dst] = ei
+			m.regProd[e.dst] = e.idx
 		}
 		if d.trigger {
 			trigger = true
@@ -444,9 +442,9 @@ func (m *Machine) dispatch() {
 	}
 	m.su = append(m.su, b)
 	if m.Trace != nil {
-		for _, ei := range b.entries {
-			if ei >= 0 {
-				m.trace("dispatch %v", &m.ents[ei])
+		for s := range es {
+			if es[s].valid {
+				m.trace("dispatch %v", &es[s])
 			}
 		}
 	}

@@ -32,17 +32,14 @@ func (m *Machine) CheckInvariants() error {
 		if b.thread < 0 || b.thread >= m.cfg.Threads {
 			return fmt.Errorf("block %d has thread %d", bi, b.thread)
 		}
-		for si, ei := range b.entries {
-			if ei < 0 {
-				continue
-			}
-			e := &m.ents[ei]
+		es := m.blockEnts(b)
+		for si := range es {
+			e := &es[si]
 			if !e.valid {
 				continue
 			}
-			if e.blk != b || int(e.slot) != si || e.idx != ei {
-				return fmt.Errorf("entry %v back-references block %d slot %d idx %d, found at block %d slot %d idx %d",
-					e, e.blk.bi, e.slot, e.idx, b.bi, si, ei)
+			if pos := b.bi*BlockSize + int32(si); e.idx != pos {
+				return fmt.Errorf("entry %v carries index %d, found at %d", e, e.idx, pos)
 			}
 			if e.thread != b.thread {
 				return fmt.Errorf("entry %v in block %d of thread %d", e, bi, b.thread)
@@ -152,26 +149,20 @@ func (m *Machine) CheckInvariants() error {
 	}
 	for _, soi := range m.storeBuf {
 		so := &m.sops[soi]
-		se := &m.ents[so.entry]
-		if cl := se.inst.Op.FUClass(); cl != isa.ClassStore {
-			return fmt.Errorf("non-store %v in store buffer", se)
-		}
-		if so.drained {
-			return fmt.Errorf("drained store %v still buffered", se)
+		if cl := so.inst.Op.FUClass(); cl != isa.ClassStore {
+			return fmt.Errorf("non-store %v in store buffer", so)
 		}
 	}
 	lastSeq := uint64(0)
 	for _, soi := range m.drainQueue {
 		so := &m.sops[soi]
-		se := &m.ents[so.entry]
-		if !so.committed || so.drained {
-			return fmt.Errorf("drain queue holds %v (committed=%v drained=%v)",
-				se, so.committed, so.drained)
+		if !so.committed {
+			return fmt.Errorf("drain queue holds uncommitted %v", so)
 		}
 		// Stores drain strictly in commit order (§3.6).
 		if so.seq <= lastSeq {
 			return fmt.Errorf("drain queue out of commit order: %v (seq %d after %d)",
-				se, so.seq, lastSeq)
+				so, so.seq, lastSeq)
 		}
 		lastSeq = so.seq
 		// Every queued drain still occupies its store buffer slot.
@@ -183,19 +174,32 @@ func (m *Machine) CheckInvariants() error {
 			}
 		}
 		if !found {
-			return fmt.Errorf("drain queue holds %v with no store buffer slot", se)
+			return fmt.Errorf("drain queue holds %v with no store buffer slot", so)
 		}
 	}
 
-	// Completions reference issued, not-yet-done entries.
+	// Completions reference issued, not-yet-done entries. Every queued
+	// index, squashed or not, lies in a block resident in the SU:
+	// serviceLoads and writeback drop squashed entries before dispatch
+	// can reuse their block.
+	resident := make([]bool, len(m.blocks))
+	for _, b := range m.su {
+		resident[b.bi] = true
+	}
 	for _, ei := range m.completions {
 		e := &m.ents[ei]
+		if !resident[ei/BlockSize] || !e.valid {
+			return fmt.Errorf("completion queue holds index %d outside the resident SU", ei)
+		}
 		if e.state != stIssued && !e.squashed {
 			return fmt.Errorf("completion queue holds %v in state %d", e, e.state)
 		}
 	}
 	for _, ei := range m.pendingLoads {
 		e := &m.ents[ei]
+		if !resident[ei/BlockSize] || !e.valid {
+			return fmt.Errorf("pending load list holds index %d outside the resident SU", ei)
+		}
 		if !e.squashed && (e.state != stIssued || e.inst.Op != isa.LW) {
 			return fmt.Errorf("pending load list holds %v", e)
 		}
@@ -234,8 +238,7 @@ func (m *Machine) checkSoA() error {
 	for t := range thr {
 		thr[t] = make([]uint64, nw)
 	}
-	occ, waitCnt, doneBlocks := 0, 0, 0
-	occT := make([]int32, m.cfg.Threads)
+	doneBlocks := 0
 	syncU := make([]int32, m.cfg.Threads)
 	ctU := make([]int32, m.cfg.Threads)
 	fstwP := make([]int32, m.cfg.Threads)
@@ -247,22 +250,17 @@ func (m *Machine) checkSoA() error {
 
 	for _, b := range m.su {
 		pending := int8(0)
-		for _, ei := range b.entries {
-			if ei < 0 {
-				continue
-			}
-			e := &m.ents[ei]
+		es := m.blockEnts(b)
+		for si := range es {
+			e := &es[si]
 			if !e.valid || e.squashed {
 				continue
 			}
-			pos := e.bitPos()
+			pos := e.idx
 			bsSet(live, pos)
 			bsSet(thr[e.thread], pos)
-			occ++
-			occT[e.thread]++
 			if e.state == stWaiting {
 				bsSet(wait, pos)
-				waitCnt++
 				for i := 0; i < e.nsrc; i++ {
 					if !e.src[i].ready {
 						bsSet(unready, pos)
@@ -288,7 +286,7 @@ func (m *Machine) checkSoA() error {
 				}
 			}
 			if p := m.decodedDst(e); p >= 0 {
-				regProd[p] = ei
+				regProd[p] = pos
 			}
 		}
 		if pending != b.pending {
@@ -300,16 +298,12 @@ func (m *Machine) checkSoA() error {
 	}
 	// Committed, undrained buffered stores extend the per-thread
 	// pending-store counts (their entries have left the SU).
-	for _, soi := range m.storeBuf {
+	for _, soi := range m.drainQueue {
 		so := &m.sops[soi]
-		if !so.committed || so.drained {
-			continue
-		}
-		se := &m.ents[so.entry]
-		if se.inst.Op == isa.FSTW {
-			fstwP[se.thread]++
+		if so.inst.Op == isa.FSTW {
+			fstwP[so.thread]++
 		} else {
-			swP[se.thread]++
+			swP[so.thread]++
 		}
 	}
 
@@ -332,19 +326,11 @@ func (m *Machine) checkSoA() error {
 			}
 		}
 	}
-	if occ != m.suOcc {
-		return fmt.Errorf("suOcc counter %d, recount %d", m.suOcc, occ)
-	}
-	if waitCnt != m.waitCnt {
-		return fmt.Errorf("waitCnt counter %d, recount %d", m.waitCnt, waitCnt)
-	}
 	if doneBlocks != m.doneBlocks {
 		return fmt.Errorf("doneBlocks counter %d, recount %d", m.doneBlocks, doneBlocks)
 	}
 	for t := 0; t < m.cfg.Threads; t++ {
 		switch {
-		case occT[t] != m.occByThread[t]:
-			return fmt.Errorf("occByThread[%d] counter %d, recount %d", t, m.occByThread[t], occT[t])
 		case syncU[t] != m.syncUndone[t]:
 			return fmt.Errorf("syncUndone[%d] counter %d, recount %d", t, m.syncUndone[t], syncU[t])
 		case ctU[t] != m.ctUnres[t]:

@@ -14,8 +14,8 @@ import (
 // IssueWidth per cycle. It is thread-blind — dependencies are entirely
 // expressed by tags — exactly as the paper argues. The scan walks the
 // waiting-entry bitset one block group at a time, so cycles with no
-// issue candidates cost a counter test and blocks with no waiting
-// entries cost one shift.
+// issue candidates cost a word test and blocks with no waiting entries
+// cost one shift.
 //
 // Once a store is refused a buffer slot, every younger store is
 // refused for the rest of the cycle without a verdict, and each such
@@ -25,7 +25,7 @@ import (
 // waiting stores the refused one counted, plus the refused store
 // itself when it lies in a later block.
 func (m *Machine) issue() {
-	if m.fault != nil || m.waitCnt == 0 {
+	if m.fault != nil || !bsAny(m.waitBits) {
 		return
 	}
 	storeFull := false // a store was refused a buffer slot this cycle
@@ -41,7 +41,7 @@ scan:
 			if issued >= m.cfg.IssueWidth {
 				break scan
 			}
-			e := &m.ents[b.entries[s]]
+			e := &m.ents[b.bi*BlockSize+int32(s)]
 			if !e.ready(m.now) {
 				continue
 			}
@@ -78,7 +78,6 @@ const spuriousWakeupBackoff = 4
 
 // toCompletions moves an issued entry onto the completion queue.
 func (m *Machine) toCompletions(e *suEntry) {
-	m.retain(e)
 	m.completions = append(m.completions, e.idx)
 }
 
@@ -150,24 +149,18 @@ func (m *Machine) issueVerdict(e *suEntry, storeFull *bool, ld *loadPath) (refus
 		// stores latch physical addresses, and same-thread translation is
 		// a constant offset, so equality is unchanged from virtual space.
 		ld.addr = m.physAddr(e.thread, isa.EffAddr(e.src[0].value, e.inst.Imm))
-		val, src, blocked := m.forwardFromStore(e, ld.addr)
 		// An older store to the same address supplies the value. With the
 		// StoreForwarding extension any store forwards. Under the paper's
 		// restricted policy only a store in the load's own commit block
 		// may forward — without that, a same-block store→load alias
 		// deadlocks (the load waits for the drain, the drain waits for
 		// commit, commit waits for the load); a cross-block alias waits
-		// for the drain as the paper says. Block identity is compared by
-		// id: a committed store's block has left the SU and its struct may
-		// already be recycled.
+		// for the drain as the paper says.
 		switch {
-		case blocked:
+		case m.forwardFromStore(e, ld):
 			return refAlias, -1
-		case src != nil && !m.cfg.StoreForwarding && src.blkID != e.blkID:
+		case ld.fwd && !m.cfg.StoreForwarding && !ld.sameBlock:
 			return refCrossAlias, -1
-		}
-		if src != nil {
-			ld.fwd, ld.val, ld.sameBlock = true, val, src.blkID == e.blkID
 		}
 	case isa.ClassStore:
 		// Deadlock avoidance: a store may take a slot only if enough free
@@ -270,7 +263,6 @@ func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 		// The load holds its unit until the cache responds.
 		pool.issue(unit, m.now)
 		pool.hold(unit, e, m.now)
-		m.retain(e)
 		m.pendingLoads = append(m.pendingLoads, e.idx)
 		return true
 
@@ -278,12 +270,11 @@ func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 		va := isa.EffAddr(a, e.inst.Imm)
 		e.addr = m.physAddr(e.thread, va)
 		e.addrValid = true
-		e.storeData = bv // FmtB: src[1] is rs2, the store data
 		// SW must land in the data segment, FSTW in the flag segment —
 		// the same rule funcsim enforces, so the invariant checker's slot
 		// containment assertion holds for every non-bad store. badAddr is
-		// never consulted on timing paths (only commit/drain), so marking
-		// is timing-neutral.
+		// never consulted on timing paths (only at commit), so marking is
+		// timing-neutral.
 		bad := (va & 3) != 0
 		if op == isa.FSTW {
 			bad = bad || !loader.IsFlagAddr(va)
@@ -447,7 +438,7 @@ func (m *Machine) waitingStoresBelow(e *suEntry) int {
 		if w != 0 {
 			n += bits.OnesCount64(w & (bsGroup(m.swBits, b.bi) | bsGroup(m.fstwBits, b.bi)))
 		}
-		if b == e.blk {
+		if b.bi == e.idx/BlockSize {
 			break
 		}
 	}
@@ -465,7 +456,7 @@ func (m *Machine) olderUnresolvedCT(e *suEntry) bool {
 		for w != 0 {
 			pos := int32((wi << 6) + bits.TrailingZeros64(w))
 			w &= w - 1
-			c := &m.ents[m.entryAt(pos)]
+			c := &m.ents[pos]
 			if c.tag < e.tag && c.ct && c.state != stDone {
 				return true
 			}
@@ -475,66 +466,65 @@ func (m *Machine) olderUnresolvedCT(e *suEntry) bool {
 }
 
 // forwardFromStore finds the youngest older same-thread store to the
-// load's address. The caller decides whether its value may forward (any
-// aliasing store under the StoreForwarding extension; only a same-block
-// store under the paper's restricted policy — the one case that would
-// otherwise deadlock block-granularity commit). blocked=true means an
-// older store's address or data is still unknown, so the load cannot
-// issue yet either way. Candidates are collected from the live-SW
-// bitset and the store buffer, then tag-sorted, so the walk order is
-// age order regardless of arena layout; the per-thread pending-SW
-// counter skips the whole function for store-free threads.
-func (m *Machine) forwardFromStore(e *suEntry, addr uint32) (value uint32, src *suEntry, blocked bool) {
+// load's address and, when it knows the store's data, records it in
+// *ld. The caller decides whether the value may forward (any aliasing
+// store under the StoreForwarding extension; only a same-block store
+// under the paper's restricted policy — the one case that would
+// otherwise deadlock block-granularity commit). It reports blocked
+// when an older store's address or data is still unknown, so the load
+// cannot issue yet either way. The per-thread pending-SW counter skips
+// the whole function for store-free threads.
+//
+// The search is youngest first: the thread's stores in the SU from the
+// top block down, then its committed buffered stores in reverse commit
+// order. Within a thread blocks commit in order, so every committed
+// store is older than the load and than every same-thread store still
+// in the SU, and it never shares the load's block.
+func (m *Machine) forwardFromStore(e *suEntry, ld *loadPath) (blocked bool) {
 	if m.swPend[e.thread] == 0 {
-		return 0, nil, false
+		return false
 	}
-	cands := m.fwdCands[:0]
-	tb := m.threadBits[e.thread]
-	for wi, w := range m.swBits {
-		g := w & tb[wi]
-		for g != 0 {
-			pos := int32((wi << 6) + bits.TrailingZeros64(g))
-			g &= g - 1
-			si := m.entryAt(pos)
-			if m.ents[si].tag < e.tag {
-				cands = append(cands, si)
+	for i := len(m.su) - 1; i >= 0; i-- {
+		b := m.su[i]
+		if b.thread != e.thread {
+			continue
+		}
+		for g := bsGroup(m.swBits, b.bi); g != 0; {
+			s := 63 - bits.LeadingZeros64(g)
+			g &^= 1 << uint(s)
+			c := &m.ents[b.bi*BlockSize+int32(s)]
+			if c.tag > e.tag {
+				continue // younger than the load
 			}
+			saddr := c.addr
+			if !c.addrValid {
+				if !c.src[0].ready {
+					return true // address unknown: cannot disambiguate
+				}
+				// Same thread as the load, so translation is the same
+				// constant offset applied to the load's address.
+				saddr = m.physAddr(c.thread, isa.EffAddr(c.src[0].value, c.inst.Imm))
+			}
+			if saddr != ld.addr {
+				continue
+			}
+			// An issued store's data operand was ready at issue.
+			if !c.src[1].ready {
+				return true // aliasing store's data not produced yet
+			}
+			ld.fwd, ld.val, ld.sameBlock = true, c.src[1].value, b.bi == e.idx/BlockSize
+			return false
 		}
 	}
 	// Committed stores have left the SU but may still be draining.
-	for _, soi := range m.storeBuf {
-		so := &m.sops[soi]
-		s := &m.ents[so.entry]
-		if so.committed && !so.drained && s.thread == e.thread &&
-			s.tag < e.tag && s.inst.Op == isa.SW {
-			cands = append(cands, so.entry)
+	for i := len(m.drainQueue) - 1; i >= 0; i-- {
+		so := &m.sops[m.drainQueue[i]]
+		if so.thread == e.thread && so.inst.Op == isa.SW && so.addr == ld.addr {
+			ld.fwd, ld.val = true, so.data
+			return false
 		}
 	}
-	m.fwdCands = cands
-	m.sortIdxByTagDesc(cands)
-	for _, ci := range cands {
-		s := &m.ents[ci]
-		saddr := s.addr
-		if !s.addrValid {
-			if !s.src[0].ready {
-				return 0, nil, true // address unknown: cannot disambiguate
-			}
-			// Same thread as the load, so translation is the same constant
-			// offset applied to the caller's addr.
-			saddr = m.physAddr(s.thread, isa.EffAddr(s.src[0].value, s.inst.Imm))
-		}
-		if saddr != addr {
-			continue
-		}
-		if s.addrValid {
-			return s.storeData, s, false // issued: data already latched
-		}
-		if s.src[1].ready {
-			return s.src[1].value, s, false
-		}
-		return 0, nil, true // aliasing store's data not produced yet
-	}
-	return 0, nil, false
+	return false
 }
 
 // olderPendingFlagStore reports whether an older same-thread FSTW has
@@ -551,16 +541,14 @@ func (m *Machine) olderPendingFlagStore(e *suEntry) bool {
 		for g != 0 {
 			pos := int32((wi << 6) + bits.TrailingZeros64(g))
 			g &= g - 1
-			if m.ents[m.entryAt(pos)].tag < e.tag {
+			if m.ents[pos].tag < e.tag {
 				return true
 			}
 		}
 	}
 	for _, soi := range m.storeBuf {
 		so := &m.sops[soi]
-		s := &m.ents[so.entry]
-		if !so.drained && s.thread == e.thread &&
-			s.tag < e.tag && s.inst.Op == isa.FSTW {
+		if so.thread == e.thread && so.tag < e.tag && so.inst.Op == isa.FSTW {
 			return true
 		}
 	}
@@ -578,7 +566,7 @@ func (m *Machine) olderUnresolvedSync(e *suEntry) bool {
 		for w != 0 {
 			pos := int32((wi << 6) + bits.TrailingZeros64(w))
 			w &= w - 1
-			c := &m.ents[m.entryAt(pos)]
+			c := &m.ents[pos]
 			if c.tag < e.tag && c.class == isa.ClassSync && c.state != stDone {
 				return true
 			}
@@ -603,7 +591,6 @@ func (m *Machine) serviceLoads() {
 		e := &m.ents[ei]
 		if e.squashed {
 			pool.release(e.fuUnit, m.now)
-			m.release(e)
 			continue
 		}
 		live = append(live, ei)
@@ -634,21 +621,17 @@ func (m *Machine) drainStores() {
 		return
 	}
 	so := &m.sops[m.drainQueue[0]]
-	e := &m.ents[so.entry]
-	if e.badAddr {
-		m.failMem("drain", e, "%v committed an illegal store address", e.inst)
-		return
-	}
-	if e.inst.Op == isa.FSTW {
-		if err := m.sync.Write(e.addr, e.storeData); err != nil {
-			// Unreachable: badAddr covers segment violations at issue.
-			m.failf(FaultInternal, "drain", e.thread, e.pc,
-				"sync controller rejected validated FSTW address %#x: %v", e.addr, err)
+	if so.inst.Op == isa.FSTW {
+		if err := m.sync.Write(so.addr, so.data); err != nil {
+			// Unreachable: a store whose address was illegal at issue
+			// faults at commit and never reaches the drain.
+			m.failf(FaultInternal, "drain", so.thread, so.pc,
+				"sync controller rejected validated FSTW address %#x: %v", so.addr, err)
 			return
 		}
-		m.fstwPend[e.thread]--
+		m.fstwPend[so.thread]--
 	} else {
-		res := m.dcache.Write(e.addr, e.storeData, m.now, !so.counted)
+		res := m.dcache.Write(so.addr, so.data, m.now, !so.counted)
 		so.counted = true
 		if res != cache.Hit { // miss or busy: head-of-line retry next cycle
 			if m.cov != nil {
@@ -656,9 +639,8 @@ func (m *Machine) drainStores() {
 			}
 			return
 		}
-		m.swPend[e.thread]--
+		m.swPend[so.thread]--
 	}
-	so.drained = true
 	m.popDrainQueue()
 	m.removeFromStoreBuf(so.idx)
 	m.freeStoreOp(so)

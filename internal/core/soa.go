@@ -8,7 +8,8 @@ import (
 )
 
 // Struct-of-arrays scoreboards. Every SU entry owns one bit position,
-// fixed for as long as its block sits in the SU:
+// which is also its index in the entry arena, fixed for as long as its
+// block sits in the SU:
 //
 //	pos = block.bi*BlockSize + slot
 //
@@ -28,11 +29,13 @@ import (
 // Bit order within the arenas is allocation order, NOT age order — age
 // logic either walks m.su (whose block order is age order; the tag
 // uniqueness/monotonicity invariant pins this) and extracts per-block
-// groups, or compares tags per candidate and sorts, so recycling order
-// is never observable. Alongside the bitsets, a set of incremental
-// counters replaces whole-window tallies; the invariant checker
-// re-derives every bitset and counter from the entry arrays each time
-// it runs (-paranoid), so the mirrors cannot drift silently.
+// groups, or compares tags per candidate, so recycling order is never
+// observable. Occupancy counts are popcounts of these bitsets.
+// Alongside them, a few incremental counters hold facts no bitset
+// holds (blocks with every entry done, entries not yet done, and
+// stores committed but not drained); the invariant checker re-derives
+// every bitset and counter from the entry arrays each time it runs
+// (-paranoid), so the mirrors cannot drift silently.
 
 func bsSet(bs []uint64, pos int32)   { bs[pos>>6] |= 1 << uint(pos&63) }
 func bsClear(bs []uint64, pos int32) { bs[pos>>6] &^= 1 << uint(pos&63) }
@@ -47,20 +50,44 @@ func bsClearGroup(bs []uint64, bi int32) {
 	bs[bi>>4] &^= 0xF << uint((bi&15)*4)
 }
 
+// bsCount returns the number of set bits.
+func bsCount(bs []uint64) int {
+	n := 0
+	for _, w := range bs {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// bsAny reports whether any bit is set.
+func bsAny(bs []uint64) bool {
+	for _, w := range bs {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // initSoA sizes the arenas, bitsets, and counters for the configured
-// SU geometry. The block arena is fixed (suCap+1, one slot of margin)
-// so *block pointers stay stable; entry and store-op arenas may grow.
+// SU geometry. Every arena is fixed here: suCap+1 blocks (one of
+// margin) with BlockSize entries each, and StoreBuffer store ops.
 func (m *Machine) initSoA() {
 	nblocks := m.suCap + 1
-	nwords := (nblocks*BlockSize + 63) / 64
+	nents := nblocks * BlockSize
+	nwords := (nents + 63) / 64
 	m.blocks = make([]block, nblocks)
 	m.blockFree = make([]int32, nblocks)
 	for i := range m.blocks {
 		m.blocks[i].bi = int32(i)
 		m.blockFree[i] = int32(nblocks - 1 - i)
 	}
-	m.ents = make([]suEntry, 0, m.suCap*BlockSize+m.cfg.StoreBuffer+16)
-	m.sops = make([]storeOp, 0, m.cfg.StoreBuffer+4)
+	m.ents = make([]suEntry, nents)
+	m.sops = make([]storeOp, m.cfg.StoreBuffer)
+	m.storeOpFree = make([]int32, len(m.sops))
+	for i := range m.storeOpFree {
+		m.storeOpFree[i] = int32(len(m.sops) - 1 - i)
+	}
 
 	m.liveBits = make([]uint64, nwords)
 	m.waitBits = make([]uint64, nwords)
@@ -72,7 +99,6 @@ func (m *Machine) initSoA() {
 		m.threadBits[t] = make([]uint64, nwords)
 	}
 
-	m.occByThread = make([]int32, m.cfg.Threads)
 	m.syncUndone = make([]int32, m.cfg.Threads)
 	m.ctUnres = make([]int32, m.cfg.Threads)
 	m.fstwPend = make([]int32, m.cfg.Threads)
@@ -81,38 +107,23 @@ func (m *Machine) initSoA() {
 	// Queues and scratch lists, preallocated to their occupancy bounds so
 	// a machine allocates nothing after construction, from its very first
 	// cycle on (TestRunAllocFreeMissBound measures fresh machines).
-	// Entry-indexed lists are bounded by the entry arena's initial
-	// capacity; the rare arena growth beyond it just reallocates.
-	entCap := cap(m.ents)
-	m.entryFree = make([]int32, 0, entCap)
-	m.storeOpFree = make([]int32, 0, cap(m.sops))
 	m.su = make([]*block, 0, m.suCap)
-	m.completions = make([]int32, 0, entCap)
-	m.pendingLoads = make([]int32, 0, entCap)
-	m.loadReqs = make([]cache.ReadReq, 0, entCap)
+	m.completions = make([]int32, 0, nents)
+	m.pendingLoads = make([]int32, 0, nents)
+	m.loadReqs = make([]cache.ReadReq, 0, nents)
 	m.storeBuf = make([]int32, 0, m.cfg.StoreBuffer)
 	m.drainQueue = make([]int32, 0, m.cfg.StoreBuffer)
-	m.wbDue = make([]int32, 0, entCap)
-	m.fwdCands = make([]int32, 0, entCap)
+	m.wbDue = make([]int32, 0, nents)
 	for i := range m.regProd {
 		m.regProd[i] = -1
 	}
-}
-
-// bitPos returns e's scoreboard bit. Valid only while e's block is in
-// the SU (afterwards the bits have already been cleared).
-func (e *suEntry) bitPos() int32 { return e.blk.bi*BlockSize + int32(e.slot) }
-
-// entryAt maps a scoreboard bit back to its entry index.
-func (m *Machine) entryAt(pos int32) int32 {
-	return m.blocks[pos>>2].entries[pos&3]
 }
 
 // suEnter registers a freshly dispatched entry in every scoreboard and
 // counter. Called once per entry, after renaming (the unready bit
 // depends on the renamed sources).
 func (m *Machine) suEnter(e *suEntry) {
-	pos := e.bitPos()
+	pos := e.idx
 	bsSet(m.liveBits, pos)
 	bsSet(m.waitBits, pos)
 	bsSet(m.threadBits[e.thread], pos)
@@ -136,18 +147,13 @@ func (m *Machine) suEnter(e *suEntry) {
 	if e.ct {
 		m.ctUnres[e.thread]++
 	}
-	e.blk.pending++
-	m.waitCnt++
-	m.suOcc++
-	m.occByThread[e.thread]++
+	m.blockOf(e).pending++
 }
 
 // noteIssued records e leaving the waiting state (issue succeeded).
 func (m *Machine) noteIssued(e *suEntry) {
-	pos := e.bitPos()
-	bsClear(m.waitBits, pos)
-	bsClear(m.unreadyBits, pos)
-	m.waitCnt--
+	bsClear(m.waitBits, e.idx)
+	bsClear(m.unreadyBits, e.idx)
 }
 
 // noteDone records e's writeback (stIssued -> stDone). The entry's
@@ -160,7 +166,7 @@ func (m *Machine) noteDone(e *suEntry) {
 	if e.ct {
 		m.ctUnres[e.thread]--
 	}
-	b := e.blk
+	b := m.blockOf(e)
 	b.pending--
 	if b.pending == 0 {
 		m.doneBlocks++
@@ -170,7 +176,7 @@ func (m *Machine) noteDone(e *suEntry) {
 // noteSquashed updates every scoreboard and counter for a live SU
 // entry being marked squashed. The caller flips e.squashed.
 func (m *Machine) noteSquashed(e *suEntry) {
-	pos := e.bitPos()
+	pos := e.idx
 	bsClear(m.liveBits, pos)
 	bsClear(m.waitBits, pos)
 	bsClear(m.unreadyBits, pos)
@@ -190,40 +196,30 @@ func (m *Machine) noteSquashed(e *suEntry) {
 		if e.ct {
 			m.ctUnres[e.thread]--
 		}
-		b := e.blk
+		b := m.blockOf(e)
 		b.pending--
 		if b.pending == 0 {
 			m.doneBlocks++
 		}
 	}
-	if e.state == stWaiting {
-		m.waitCnt--
-	}
-	m.suOcc--
-	m.occByThread[e.thread]--
 }
 
-// suExitBlock clears a committed block's scoreboard group and settles
-// the counters for its retiring entries. Live entries are all done at
-// this point (commit chose the block); committed stores stay
-// forwarding candidates through their buffer slots, so swPend/fstwPend
-// are not touched here.
+// suExitBlock clears a committed block's scoreboard group, retires its
+// entries from the register-producer table, and settles doneBlocks.
+// Live entries are all done at this point (commit chose the block);
+// committed stores stay forwarding candidates through their buffer
+// slots, so swPend/fstwPend are not touched here.
 func (m *Machine) suExitBlock(b *block) {
 	bi := b.bi
-	n := int32(bits.OnesCount64(bsGroup(m.liveBits, bi)))
-	m.suOcc -= int(n)
-	m.occByThread[b.thread] -= n
 	bsClearGroup(m.liveBits, bi)
 	bsClearGroup(m.waitBits, bi)
 	bsClearGroup(m.unreadyBits, bi)
 	bsClearGroup(m.swBits, bi)
 	bsClearGroup(m.fstwBits, bi)
 	bsClearGroup(m.threadBits[b.thread], bi)
-	for _, ei := range b.entries {
-		if ei < 0 {
-			continue
-		}
-		e := &m.ents[ei]
+	es := m.blockEnts(b)
+	for s := range es {
+		e := &es[s]
 		if e.valid && !e.squashed && e.dst >= 0 && m.regProd[e.dst] == e.idx {
 			m.regProd[e.dst] = -1
 		}
@@ -246,11 +242,9 @@ func (m *Machine) rebuildRegProd(t int) {
 		if b.thread != t {
 			continue
 		}
-		for _, ei := range b.entries {
-			if ei < 0 {
-				continue
-			}
-			e := &m.ents[ei]
+		es := m.blockEnts(b)
+		for s := range es {
+			e := &es[s]
 			if e.valid && !e.squashed && e.dst >= 0 {
 				m.regProd[e.dst] = e.idx
 			}

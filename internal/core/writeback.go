@@ -21,8 +21,7 @@ func (m *Machine) writeback() {
 	for _, ei := range m.completions {
 		e := &m.ents[ei]
 		if e.squashed {
-			m.release(e) // dropped; its block slot is a hole
-			continue
+			continue // dropped; its block slot is a hole
 		}
 		if e.completeAt <= m.now {
 			// Fault injection: hold the result off the writeback bus for a
@@ -55,8 +54,7 @@ func (m *Machine) writeback() {
 	for _, ei := range due {
 		e := &m.ents[ei]
 		if e.squashed {
-			m.release(e) // squashed by an older CT written back just before
-			continue
+			continue // squashed by an older CT written back just before
 		}
 		e.state = stDone
 		e.wbCycle = m.now
@@ -71,10 +69,8 @@ func (m *Machine) writeback() {
 			}
 		}
 		if e.ct {
-			e.resolved = true
 			m.handleResolvedCT(e)
 		}
-		m.release(e) // consumed from the completion queue
 	}
 }
 
@@ -95,7 +91,7 @@ func (m *Machine) broadcast(e *suEntry) {
 		for g != 0 {
 			pos := int32((wi << 6) + bits.TrailingZeros64(g))
 			g &= g - 1
-			w := &m.ents[m.entryAt(pos)]
+			w := &m.ents[pos]
 			still := false
 			for i := 0; i < w.nsrc; i++ {
 				if !w.src[i].ready {
@@ -183,11 +179,9 @@ func (m *Machine) squashYounger(ct *suEntry) {
 			}
 			continue
 		}
-		for _, ei := range b.entries {
-			if ei < 0 {
-				continue
-			}
-			e := &m.ents[ei]
+		es := m.blockEnts(b)
+		for s := range es {
+			e := &es[s]
 			if !e.valid || e.squashed {
 				continue
 			}
@@ -217,11 +211,12 @@ func (m *Machine) squashYounger(ct *suEntry) {
 			m.cov.Hit(cover.EvSquashSparesOthers)
 		}
 	}
-	// Uncommitted stores by squashed entries free their buffer slots.
+	// Uncommitted stores by squashed entries free their buffer slots:
+	// those of the squashing thread younger than the CT.
 	keep := m.storeBuf[:0]
 	for _, soi := range m.storeBuf {
 		so := &m.sops[soi]
-		if m.ents[so.entry].squashed && !so.committed {
+		if !so.committed && so.thread == ct.thread && so.tag > ct.tag {
 			if m.cov != nil {
 				m.cov.Hit(cover.EvSquashKilledStore)
 			}

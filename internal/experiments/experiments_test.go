@@ -76,9 +76,16 @@ func TestFigureCoverage(t *testing.T) {
 // scale: flexible commit never loses, and the commit-stall counter
 // drops with it.
 func TestFlexibleCommitClaim(t *testing.T) {
-	for _, row := range tablesOf(t, "fig13")[0].Rows {
-		multi, _ := strconv.Atoi(row[1])
-		lowest, _ := strconv.Atoi(row[2])
+	rows := tablesOf(t, "fig13")[0].Rows
+	if len(rows) == 0 {
+		t.Fatal("fig13 has no rows")
+	}
+	for _, row := range rows {
+		multi, err1 := strconv.Atoi(row[1])
+		lowest, err2 := strconv.Atoi(row[2])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("%s: unreadable cycle counts %q and %q", row[0], row[1], row[2])
+		}
 		if multi > lowest {
 			t.Errorf("%s: flexible commit (%d) slower than lowest-only (%d)", row[0], multi, lowest)
 		}

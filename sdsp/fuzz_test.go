@@ -1,10 +1,12 @@
 package sdsp_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/cover"
 	"repro/internal/fault"
 	"repro/internal/progen"
 	"repro/sdsp"
@@ -15,20 +17,35 @@ import (
 // is non-nil. The derivation lives in buildFuzzCase so the corpus
 // counter test (hier_test.go) replays entries bit-for-bit.
 type fuzzCase struct {
-	obj *sdsp.Object
-	mix *sdsp.Mix
-	cfg sdsp.Config
-	src string // generated source(s), for failure reports
+	obj   *sdsp.Object
+	mix   *sdsp.Mix
+	cfg   sdsp.Config
+	src   string    // generated source(s), for failure reports
+	slack slackKind // resource the slack check enlarges
 }
+
+// slackKind names the resource FuzzVerify's slack check enlarges.
+type slackKind uint64
+
+const (
+	slackNone slackKind = iota
+	slackSU
+	slackStoreBuffer
+	slackFUs
+)
 
 // buildFuzzCase decodes the fuzz inputs:
 //
 //   - threads%6+1 is the thread count; bits 16+ of threads pick the
 //     fetch policy.
-//   - bits 16–17 of faultSeed pick the branch predictor; bits 18+
+//   - bits 16–17 of faultSeed pick the branch predictor; bits 18–19
 //     select a heterogeneous pairing (0 = classic homogeneous run,
 //     1–3 = two progen programs with different register-budget splits)
-//     that only engages with at least two threads.
+//     that only engages with at least two threads; bits 20+ choose the
+//     resource the slack check enlarges (1 = the SU, 2 = the store
+//     buffer, 3 = FUs; see checkSlack). Progen's store bursts refuse
+//     stores on the paper's 8-entry buffer in every program tried, so
+//     the store-buffer choice starts from a 16-entry one.
 //   - intensity%20 scales the fault rates; bits 16–18 of intensity gate
 //     the memory hierarchy (bit 16 = L2, bit 17 = victim buffer, bit
 //     18 = prefetcher), shrinking the L1 to 1 KB so fuzz-sized programs
@@ -36,7 +53,8 @@ type fuzzCase struct {
 //     intensity are unused.
 //
 // Every pre-existing corpus value is below 2^16 in the high halves, so
-// old entries keep exercising the paper-default single-level machine.
+// old entries keep exercising the paper-default single-level machine,
+// and no entry but the slack seeds sets bits 20+ of faultSeed.
 func buildFuzzCase(t *testing.T, progSeed int64, faultSeed, threads, intensity uint64) fuzzCase {
 	t.Helper()
 	n := int(threads%6) + 1
@@ -45,7 +63,7 @@ func buildFuzzCase(t *testing.T, progSeed int64, faultSeed, threads, intensity u
 	if err != nil {
 		t.Fatalf("progen seed %d emitted unassemblable source: %v", progSeed, err)
 	}
-	fc := fuzzCase{cfg: sdsp.DefaultConfig(n), src: p.Source}
+	fc := fuzzCase{cfg: sdsp.DefaultConfig(n), src: p.Source, slack: slackKind((faultSeed >> 20) % 4)}
 	fc.cfg.Predictor = core.PredictorKind((faultSeed >> 16) % 4)
 	fc.cfg.FetchPolicy = core.FetchPolicy((threads >> 16) % 6)
 	if fc.cfg.Predictor != sdsp.PredTwoBit {
@@ -62,6 +80,9 @@ func buildFuzzCase(t *testing.T, progSeed int64, faultSeed, threads, intensity u
 		if (hier & 4) != 0 {
 			fc.cfg.Cache.Prefetch = true
 		}
+	}
+	if fc.slack == slackStoreBuffer {
+		fc.cfg.StoreBuffer = 16
 	}
 	fc.cfg.CheckInvariants = true
 	fc.cfg.Watchdog = 200_000
@@ -113,6 +134,79 @@ func buildFuzzCase(t *testing.T, progSeed int64, faultSeed, threads, intensity u
 	return fc
 }
 
+// checkSlack is the slack-invariance property: a fault-free run that
+// never ran short of fc.slack must reproduce its Stats exactly once
+// that resource is enlarged, apart from the resource's own shape (the
+// usage rows of added units, the store buffer's saturation event). The
+// SU counts as used under ICountFeedback, which reads its size. An FU
+// class was not short when no class was ever exhausted, or when its
+// last unit never worked (issue takes the lowest free unit); each such
+// class gains a unit. checkSlack reports whether the first run left
+// the resource slack, so that the enlarged run was compared.
+func checkSlack(t *testing.T, fc fuzzCase) bool {
+	t.Helper()
+	run := func(cfg sdsp.Config) *sdsp.Stats {
+		cfg.Coverage = cover.NewSet()
+		var st *sdsp.Stats
+		var err error
+		if fc.mix != nil {
+			st, err = sdsp.RunMix(fc.mix, cfg)
+		} else {
+			st, err = sdsp.Run(fc.obj, cfg)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	base := run(fc.cfg)
+	big := fc.cfg
+	shape := cover.NumEvents // no event describes the resource's size
+	switch fc.slack {
+	case slackSU:
+		if base.SUFullCycles != 0 || fc.cfg.FetchPolicy == core.ICountFeedback {
+			return false
+		}
+		big.SUEntries *= 2
+	case slackStoreBuffer:
+		if base.StoreBufferFull != 0 {
+			return false
+		}
+		big.StoreBuffer *= 2
+		shape = cover.EvStoreBufferSaturated
+	case slackFUs:
+		none := base.Coverage.Count(cover.EvIssueFUExhausted) == 0
+		for cl, row := range base.FUUsage {
+			if none || row[len(row)-1] == 0 {
+				big.FUs.Count[cl]++
+			}
+		}
+		if big.FUs == fc.cfg.FUs {
+			return false
+		}
+	}
+	st := run(big)
+	for cl, row := range st.FUUsage {
+		if n := len(base.FUUsage[cl]); len(row) > n {
+			if row[n] != 0 {
+				t.Fatalf("added unit of class %d was used for %d cycles", cl, row[n])
+			}
+			st.FUUsage[cl] = row[:n]
+		}
+	}
+	a, b := *base, *st
+	a.Coverage, b.Coverage = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("slack %d: enlarged run differs:\n%+v\n%+v", fc.slack, a, b)
+	}
+	for _, ev := range cover.Events() {
+		if ev != shape && base.Coverage.Count(ev) != st.Coverage.Count(ev) {
+			t.Fatalf("slack %d: coverage event %v: %d vs %d", fc.slack, ev, base.Coverage.Count(ev), st.Coverage.Count(ev))
+		}
+	}
+	return true
+}
+
 // FuzzVerify feeds randomly generated SPMD programs through the full
 // differential pipeline (funcsim vs timing core) under seeded fault
 // schedules, with per-cycle invariant checking on. Any divergence in
@@ -120,7 +214,8 @@ func buildFuzzCase(t *testing.T, progSeed int64, faultSeed, threads, intensity u
 // the fuzzer minimizes. The generator's seed is the fuzz input, so
 // every interesting program is reproducible from the corpus entry.
 // See buildFuzzCase for how the inputs select predictor, fetch policy,
-// memory hierarchy, and heterogeneous pairings.
+// memory hierarchy, heterogeneous pairings, and the slack resource; a
+// fault-free case with a slack resource also runs checkSlack.
 //
 // Seed corpus lives in testdata/fuzz/FuzzVerify; run with
 //
@@ -164,5 +259,38 @@ func FuzzVerify(f *testing.F) {
 			t.Fatalf("seed %d threads %d pred %v fetch %v schedule %v: %v\n%s",
 				progSeed, fc.cfg.Threads, fc.cfg.Predictor, fc.cfg.FetchPolicy, fc.cfg.Injector, err, fc.src)
 		}
+		if fc.slack != slackNone && fc.cfg.Injector == nil {
+			checkSlack(t, fc)
+		}
 	})
+}
+
+// TestFuzzCorpusSlackEntries pins the slack corpus entries to what they
+// were chosen for: each decodes to its resource with the injector off,
+// and its first run leaves the resource slack, so FuzzVerify compares
+// an enlarged run. If progen or the input packing drifts, this fails
+// instead of the entries silently skipping the comparison.
+func TestFuzzCorpusSlackEntries(t *testing.T) {
+	cases := []struct {
+		name                          string
+		progSeed                      int64
+		faultSeed, threads, intensity uint64
+		want                          slackKind
+	}{
+		{"seed-slack-su", 2, 1 << 20, 1, 0, slackSU},
+		{"seed-slack-storebuf", 3, 2 << 20, 0, 0, slackStoreBuffer},
+		{"seed-slack-fus", 4, 3 << 20, 3, 0, slackFUs},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			fc := buildFuzzCase(t, c.progSeed, c.faultSeed, c.threads, c.intensity)
+			if fc.slack != c.want || fc.cfg.Injector != nil {
+				t.Fatalf("entry decodes to slack %d with injector %v, want slack %d and none", fc.slack, fc.cfg.Injector, c.want)
+			}
+			if !checkSlack(t, fc) {
+				t.Fatal("the first run ran short of the resource, so no enlarged run was compared")
+			}
+		})
+	}
 }
