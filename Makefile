@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt lint test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check bench-ab perfbench-check check report
+.PHONY: all build vet fmt lint test race fuzz-seeds paranoid fault-smoke cover-smoke examples chaos-smoke serve-smoke store-race determinism-smoke crash-replay-smoke golden cover-golden bench bench-check bench-ab perfbench-check check report
 
 all: check
 
@@ -41,11 +41,13 @@ fuzz-seeds:
 # Every paper kernel under full per-cycle invariant checking, the
 # experiment pipeline in paranoid mode at small scale, and the
 # Paper-scale thread sweeps (figs 5 and 6), so every invariant is also
-# checked at the scale EXPERIMENTS.md reports.
+# checked at the scale EXPERIMENTS.md reports; their tables must match
+# the committed Paper-scale golden.
 paranoid:
 	$(GO) test ./sdsp -run TestAllKernelsParanoid
 	$(GO) run ./cmd/sdsp-exp -scale small -paranoid > /dev/null
-	$(GO) run ./cmd/sdsp-exp -scale paper -exp fig5,fig6 -paranoid > /dev/null
+	$(GO) run ./cmd/sdsp-exp -scale paper -exp fig5,fig6 -paranoid > /tmp/paranoid-paper.txt
+	cmp /tmp/paranoid-paper.txt internal/experiments/testdata/paper_fig5_fig6.golden
 
 # Fault-injection smoke matrix: one preset per mechanism through the
 # CLI, with invariants armed; each run must still validate its golden
@@ -69,6 +71,17 @@ cover-smoke:
 	done > /tmp/coverage-tables.txt
 	$(GO) test ./sdsp -run 'TestKernelCoverage|TestCoverageFloor' -v > /tmp/coverage-floor.txt 2>&1; \
 		status=$$?; cat /tmp/coverage-floor.txt; exit $$status
+
+# Every example program runs to completion, and the pipeline trace
+# example prints each stage it renders.
+examples:
+	for ex in cachestudy customprogram fetchpolicy miniccompile quickstart; do \
+		$(GO) run ./examples/$$ex > /dev/null || exit 1; \
+	done
+	$(GO) run ./examples/pipetrace > /tmp/pipetrace.txt
+	for stage in fetch dispatch issue wb commit; do \
+		grep -Eq "^ +[0-9]+  $$stage " /tmp/pipetrace.txt || { echo "pipetrace printed no $$stage line"; exit 1; }; \
+	done
 
 # Crash-safety chaos harness: kill real sdsp-exp sweeps at seeded
 # mid-flight points, resume against the same store, and require
@@ -117,12 +130,13 @@ crash-replay-smoke:
 	/tmp/sdsp-sim -bench Matrix -threads 4 -fault cache-storm,seed=3 -watchdog 3 -crashdir /tmp/crash && exit 1 || true
 	/tmp/sdsp-sim -replay /tmp/crash/sdsp-crash-*
 
-# Regenerate the small-scale golden tables after an intentional change
-# to a kernel, the core, or an experiment. This also rewrites the model
-# digest that every cell ID folds in, so the change renames every cell
-# and warm stores recompute instead of serving stale results.
+# Regenerate the small-scale golden tables, and the Paper-scale fig5/fig6
+# golden, after an intentional change to a kernel, the core, or an
+# experiment. This also rewrites the model digest that every cell ID
+# folds in, so the change renames every cell and warm stores recompute
+# instead of serving stale results. The digest sees the Small sweep only.
 golden:
-	$(GO) test ./internal/experiments -run TestGoldenSmallTables -update
+	$(GO) test ./internal/experiments -run 'TestGoldenSmallTables|TestGoldenPaperThreads' -update
 
 # Regenerate the committed unguided coverage-gap list after an
 # intentional change to the event model or the generator.
@@ -160,7 +174,7 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
 
 # Everything CI runs.
-check: vet fmt lint build test race fuzz-seeds paranoid fault-smoke cover-smoke chaos-smoke serve-smoke store-race determinism-smoke bench-check crash-replay-smoke perfbench-check
+check: vet fmt lint build test race fuzz-seeds paranoid fault-smoke cover-smoke examples chaos-smoke serve-smoke store-race determinism-smoke bench-check crash-replay-smoke perfbench-check
 
 # Full paper-scale experiment report (several minutes; all cores).
 report:

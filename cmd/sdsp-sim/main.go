@@ -144,12 +144,7 @@ func main() {
 		fatal("%v", err)
 	}
 	if *trace > 0 {
-		limit := *trace
-		m.Trace = func(format string, args ...any) {
-			if m.Now() <= limit {
-				fmt.Printf(format+"\n", args...)
-			}
-		}
+		m.Observe(sdsp.Trace(os.Stdout, *trace))
 	}
 	stopProf, perr := prof.Start(*cpuprofile, *memprofile)
 	if perr != nil {

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"repro/sdsp"
 )
@@ -40,12 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	const traceCycles = 30
-	m.Trace = func(format string, args ...any) {
-		if m.Now() <= traceCycles {
-			fmt.Printf(format+"\n", args...)
-		}
-	}
+	m.Observe(sdsp.Trace(os.Stdout, 30)) // the first 30 cycles
 	st, err := m.Run()
 	if err != nil {
 		log.Fatal(err)

@@ -256,10 +256,9 @@ type Cache struct {
 	FaultDelay func(now uint64, addr uint32, write bool) uint64
 	delays     map[uint32]uint64 // addr -> cycle the forced delay expires
 
-	// Cover, when set, receives the cache's coverage events: refill-
-	// overlap hits, second-miss blocking, blocked and port rejects, and
-	// dirty evictions (internal/cover; the core wires it for the D-cache).
-	Cover *cover.Set
+	// Observer, when set, receives the cache's coverage events
+	// (internal/cover; the core wires it for the D-cache).
+	Observer cover.Sink
 
 	stats Stats
 }
@@ -314,7 +313,7 @@ func (c *Cache) lookup(addr uint32) *line {
 func (c *Cache) Tick(now uint64) {
 	for c.active.valid && now >= c.active.readyAt {
 		finished := c.active.readyAt
-		c.install(c.active.addr)
+		c.install(c.active.addr, now)
 		c.active = c.pending
 		c.pending = refill{}
 		if c.active.valid {
@@ -336,10 +335,12 @@ func (c *Cache) missLatency(la uint32, now uint64) uint64 {
 	switch {
 	case c.victimProbe(la):
 		lat = victimHitLatency
+		cover.Hit(c.Observer, cover.EvCacheVictimHit, now)
 	case c.prefetchProbe(la, now):
 		lat = prefetchHitLatency
+		cover.Hit(c.Observer, cover.EvCachePrefetchHit, now)
 	case c.l2 != nil:
-		lat = c.l2Probe(la)
+		lat = c.l2Probe(la, now)
 	}
 	if c.cfg.Prefetch {
 		c.trainPrefetch(la, now)
@@ -353,9 +354,6 @@ func (c *Cache) victimProbe(la uint32) bool {
 		if c.victim[i].valid && c.victim[i].tag == la {
 			c.victim[i].valid = false
 			c.stats.VictimHits++
-			if c.Cover != nil {
-				c.Cover.Hit(cover.EvCacheVictimHit)
-			}
 			return true
 		}
 	}
@@ -378,9 +376,6 @@ func (c *Cache) prefetchProbe(la uint32, now uint64) bool {
 		if c.pfBuf[i].valid && c.pfBuf[i].tag == la && now >= c.pfBuf[i].readyAt {
 			c.pfBuf[i].valid = false
 			c.stats.PrefetchHits++
-			if c.Cover != nil {
-				c.Cover.Hit(cover.EvCachePrefetchHit)
-			}
 			return true
 		}
 	}
@@ -426,9 +421,7 @@ func (c *Cache) issuePrefetch(tag uint32, now uint64) {
 	}
 	if c.pfBuf[c.pfHead].valid {
 		c.stats.PrefetchEvictions++
-		if c.Cover != nil {
-			c.Cover.Hit(cover.EvCachePrefetchEvict)
-		}
+		cover.Hit(c.Observer, cover.EvCachePrefetchEvict, now)
 	}
 	lat := c.cfg.MissPenalty
 	if c.cfg.L2 != nil {
@@ -441,16 +434,14 @@ func (c *Cache) issuePrefetch(tag uint32, now uint64) {
 
 // l2Probe looks la up in the tag-only L2 and returns the resulting L1
 // refill latency, allocating the tag (LRU) on a miss.
-func (c *Cache) l2Probe(la uint32) uint64 {
+func (c *Cache) l2Probe(la uint32, now uint64) uint64 {
 	set := c.l2[(la/c.cfg.LineBytes)%c.l2nsets]
 	c.useClock++
 	for w := range set {
 		if set[w].valid && set[w].tag == la {
 			set[w].lastUsed = c.useClock
 			c.stats.L2Hits++
-			if c.Cover != nil {
-				c.Cover.Hit(cover.EvCacheL2Hit)
-			}
+			cover.Hit(c.Observer, cover.EvCacheL2Hit, now)
 			return c.cfg.L2.HitLatency
 		}
 	}
@@ -470,7 +461,7 @@ func (c *Cache) l2Probe(la uint32) uint64 {
 }
 
 // install fills addr's line from memory, evicting the LRU victim.
-func (c *Cache) install(addr uint32) {
+func (c *Cache) install(addr uint32, now uint64) {
 	set := c.sets[c.setIndex(addr)]
 	victim := &set[0]
 	for w := 1; w < len(set); w++ {
@@ -483,9 +474,7 @@ func (c *Cache) install(addr uint32) {
 		}
 	}
 	if victim.valid && victim.dirty {
-		if c.Cover != nil {
-			c.Cover.Hit(cover.EvCacheEvictDirty)
-		}
+		cover.Hit(c.Observer, cover.EvCacheEvictDirty, now)
 		c.writeback(victim)
 	}
 	if victim.valid && c.victim != nil {
@@ -517,9 +506,7 @@ func (c *Cache) blocked() bool { return c.pending.valid }
 func (c *Cache) request(addr uint32, now uint64, count, write bool) (*line, Result) {
 	if c.blocked() {
 		c.stats.BlockedRejects++
-		if c.Cover != nil {
-			c.Cover.Hit(cover.EvCacheBlockedReject)
-		}
+		cover.Hit(c.Observer, cover.EvCacheBlockedReject, now)
 		return nil, Busy
 	}
 	if c.cfg.Ports > 0 {
@@ -528,9 +515,7 @@ func (c *Cache) request(addr uint32, now uint64, count, write bool) (*line, Resu
 		}
 		if c.portsUsed >= c.cfg.Ports {
 			c.stats.PortRejects++
-			if c.Cover != nil {
-				c.Cover.Hit(cover.EvCachePortReject)
-			}
+			cover.Hit(c.Observer, cover.EvCachePortReject, now)
 			return nil, Busy
 		}
 		c.portsUsed++
@@ -557,8 +542,8 @@ func (c *Cache) request(addr uint32, now uint64, count, write bool) (*line, Resu
 		if count {
 			c.stats.Hits++
 		}
-		if c.Cover != nil && c.active.valid {
-			c.Cover.Hit(cover.EvCacheRefillOverlap)
+		if c.active.valid {
+			cover.Hit(c.Observer, cover.EvCacheRefillOverlap, now)
 		}
 		return l, Hit
 	}
@@ -570,9 +555,7 @@ func (c *Cache) request(addr uint32, now uint64, count, write bool) (*line, Resu
 		// Second miss: queue it and block the cache. Its latency is
 		// resolved when the active refill finishes and it is promoted.
 		c.pending = refill{addr: la, valid: true}
-		if c.Cover != nil {
-			c.Cover.Hit(cover.EvCacheSecondMiss)
-		}
+		cover.Hit(c.Observer, cover.EvCacheSecondMiss, now)
 		if count {
 			c.stats.Misses++
 		}
@@ -619,9 +602,7 @@ func (c *Cache) ReadMany(now uint64, reqs []ReadReq) {
 				c.stats.Reads++
 			}
 			c.stats.BlockedRejects++
-			if c.Cover != nil {
-				c.Cover.Hit(cover.EvCacheBlockedReject)
-			}
+			cover.Hit(c.Observer, cover.EvCacheBlockedReject, now)
 			reqs[i].Val, reqs[i].Res = 0, Busy
 		}
 		return

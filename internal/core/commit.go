@@ -36,24 +36,11 @@ func (m *Machine) commit() {
 	if window > len(m.su) {
 		window = len(m.su)
 	}
-
-	// Fast path: with no complete block anywhere in the SU the selection
-	// loop cannot choose, so only the no-commit bookkeeping remains.
-	// (The injector consult above still ran — its fault count must not
-	// depend on this shortcut.)
+	// With no complete block anywhere in the SU the selection loop cannot
+	// choose, so it is skipped. (The injector consult above still ran —
+	// its fault count must not depend on this shortcut.)
 	if m.doneBlocks == 0 {
-		if len(m.su) > 0 {
-			m.maskedThread = m.su[0].thread
-		} else {
-			m.maskedThread = -1
-		}
-		if len(m.su) == m.suCap {
-			m.stats.SUStalls++
-			if m.cov != nil {
-				m.cov.Hit(cover.EvSUStallFull)
-			}
-		}
-		return
+		window = 0
 	}
 
 	chosen := -1
@@ -70,9 +57,7 @@ func (m *Machine) commit() {
 			}
 		}
 		if clash {
-			if m.cov != nil {
-				m.cov.Hit(cover.EvCommitBlockedClash)
-			}
+			m.hit(cover.EvCommitBlockedClash)
 			continue
 		}
 		chosen = i
@@ -90,25 +75,16 @@ func (m *Machine) commit() {
 	if chosen < 0 {
 		if len(m.su) == m.suCap {
 			m.stats.SUStalls++
-			if m.cov != nil {
-				m.cov.Hit(cover.EvSUStallFull)
-			}
+			m.hit(cover.EvSUStallFull)
 		}
 		return
 	}
 
 	m.stats.CommitsPerWin[chosen]++
-	if m.cov != nil {
-		if chosen == 0 {
-			m.cov.Hit(cover.EvCommitBottom)
-		} else {
-			m.cov.Hit(cover.EvCommitAhead)
-			if chosen >= 2 {
-				m.cov.Hit(cover.EvCommitAheadDeep)
-			}
-		}
-	}
 	b := m.su[chosen]
+	if m.obs != nil {
+		m.obs.Observe(cover.Record{Kind: cover.KindCommit, Cycle: m.now, Thread: b.thread, A: uint64(chosen)})
+	}
 	// Paranoid mode re-verifies Flexible Result Commit legality against
 	// the paper's rule (§3.5) independently of the selection loop above:
 	// the chosen block must be complete, inside the window, and its
@@ -131,9 +107,6 @@ func (m *Machine) commit() {
 		if m.fault != nil {
 			return
 		}
-	}
-	if m.Trace != nil {
-		m.trace("commit   t%d block from window slot %d", b.thread, chosen)
 	}
 	es := m.blockEnts(b)
 	for s := range es {
@@ -170,13 +143,13 @@ func (m *Machine) commitEntry(e *suEntry) {
 		correct := e.actualTaken == e.predTaken &&
 			(!e.actualTaken || e.actualTarget == e.predTarget)
 		m.predFor(e.thread).Update(e.thread, e.pc, e.actualTaken, e.actualTarget, correct)
-		m.covBTBTrained(e.thread, e.pc)
+		if m.obs != nil && m.sharedBTB() {
+			m.obs.Observe(cover.Record{Kind: cover.KindBTBTrain, Cycle: m.now, Thread: e.thread, PC: e.pc})
+		}
 	case e.inst.Op == isa.HALT:
 		m.halted[e.thread] = true
 		m.stats.HaltCycleByThread[e.thread] = m.now
-		if m.cov != nil {
-			m.cov.Hit(cover.EvCommitHalt)
-		}
+		m.hit(cover.EvCommitHalt)
 	}
 	m.stats.Committed++
 	m.stats.CommittedByThread[e.thread]++

@@ -268,8 +268,8 @@ type Config struct {
 	// CheckInvariants enables the per-cycle invariant checker: SU age
 	// ordering, rename-tag uniqueness, register-partition isolation,
 	// store-buffer capacity and in-order drain, flexible-commit legality,
-	// and selective-squash containment. Roughly doubles simulation time;
-	// exposed as -paranoid on the CLIs.
+	// and selective-squash containment. Costs about 12x the simulation
+	// time; exposed as -paranoid on the CLIs.
 	CheckInvariants bool
 
 	// PhaseTiming enables the per-phase wall-clock breakdown: each stage

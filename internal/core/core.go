@@ -120,26 +120,8 @@ type Machine struct {
 	storeSeq     uint64        // commit-order sequence stamped on drained stores
 	sbHeld       int           // store-buffer slots held this cycle by fault injection
 
-	// Coverage layer (see internal/cover); all nil/empty when disabled.
-	cov          *cover.Set
-	covFLDWAddr  []uint32       // per-thread: last FLDW address
-	covFLDWVal   []uint32       // per-thread: last FLDW value read
-	covFLDWSeen  []bool         // per-thread: covFLDWAddr/Val are valid
-	covFAIAddr   uint32         // last FAI address machine-wide
-	covFAIThread int            // thread of the last FAI, or -1
-	covBTBTrain  map[uint32]int // shared-BTB trainer thread per branch PC
-
-	// Trace, when set, receives one line per pipeline event (fetch,
-	// dispatch, issue, writeback, mispredict, commit), prefixed with the
-	// cycle number. Heavy; intended for debugging and teaching.
-	Trace func(format string, args ...any)
-}
-
-// trace emits a pipeline event when tracing is enabled.
-func (m *Machine) trace(format string, args ...any) {
-	if m.Trace != nil {
-		m.Trace("%8d  "+format, append([]any{m.now}, args...)...)
-	}
+	// obs receives the machine's event records, or is nil (see observe.go).
+	obs cover.Sink
 }
 
 // New builds a machine for obj under cfg. A heterogeneous machine is
@@ -255,7 +237,8 @@ func New(obj *loader.Object, cfg Config) (*Machine, error) {
 		}
 	}
 	if cfg.Coverage != nil {
-		m.initCoverage()
+		m.markCoverageApplicability()
+		m.Observe(cover.NewRecorder(cfg.Coverage))
 	}
 	m.stats.CommittedByThread = make([]uint64, cfg.Threads)
 	m.stats.HaltCycleByThread = make([]uint64, cfg.Threads)
@@ -363,7 +346,7 @@ func (m *Machine) finishStats() {
 		m.stats.ICache = m.icache.Stats()
 	}
 	m.stats.Sync = m.sync.Stats()
-	m.stats.Coverage = m.cov
+	m.stats.Coverage = m.cfg.Coverage
 	m.stats.PhaseTime = m.phaseTime
 	for cl := range m.pools {
 		for u := range m.pools[cl].units {
@@ -486,20 +469,17 @@ func (m *Machine) cycleStats() {
 	if len(m.su) == m.suCap {
 		m.stats.SUFullCycles++
 	}
-	if m.cov != nil {
-		if occ == 0 {
-			for _, h := range m.halted {
-				if !h {
-					m.cov.Hit(cover.EvSUEmptyBubble)
-					break
-				}
-			}
-		} else if m.cfg.Threads > 1 {
-			for t, tb := range m.threadBits {
-				if !bsAny(tb) && !m.halted[t] {
-					m.cov.Hit(cover.EvThreadStarved)
-					break
-				}
+	// An unhalted thread meets an empty SU (a bubble) or has no entry in a non-empty one.
+	if m.obs != nil {
+		for t, tb := range m.threadBits {
+			switch {
+			case m.halted[t]:
+			case occ == 0:
+				m.hit(cover.EvSUEmptyBubble)
+				return
+			case !bsAny(tb):
+				m.hit(cover.EvThreadStarved)
+				return
 			}
 		}
 	}

@@ -2,14 +2,17 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/cover"
 	"repro/internal/loader"
 )
 
-// The trace hook must fire for every stage with cycle-prefixed lines.
+// The trace renderer, attached as the machine's sink, must print every
+// stage with cycle-prefixed lines.
 func TestTraceEvents(t *testing.T) {
 	src := `
 		main: addi r1, r0, 3
@@ -22,24 +25,24 @@ func TestTraceEvents(t *testing.T) {
 		out: .word 0
 	`
 	m := newMachine(t, src, cfg1t())
-	var lines []string
-	m.Trace = func(format string, args ...any) {
-		lines = append(lines, sprintf(format, args...))
-	}
+	var b strings.Builder
+	m.Observe(cover.NewTrace(&b, math.MaxUint64))
 	run(t, m)
-	joined := strings.Join(lines, "\n")
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
 	for _, stage := range []string{"fetch", "dispatch", "issue", "wb", "commit", "mispredict"} {
-		if !strings.Contains(joined, stage) {
+		if !strings.Contains(b.String(), "  "+stage+" ") {
 			t.Errorf("trace has no %q events", stage)
+		}
+	}
+	for _, l := range lines {
+		var cycle uint64
+		if _, err := fmt.Sscanf(l, "%d", &cycle); err != nil || cycle == 0 {
+			t.Fatalf("trace line without a cycle: %q", l)
 		}
 	}
 	if len(lines) < 20 {
 		t.Errorf("suspiciously short trace: %d lines", len(lines))
 	}
-}
-
-func sprintf(format string, args ...any) string {
-	return fmt.Sprintf(format, args...)
 }
 
 // ICount must starve a thread whose instructions pile up in the SU and

@@ -26,16 +26,14 @@ func (m *Machine) fetch() {
 	t := m.selectThread()
 	if t < 0 {
 		m.stats.FetchIdle++
-		if m.cov != nil {
-			m.cov.Hit(cover.EvFetchIdle)
-		}
+		m.hit(cover.EvFetchIdle)
 		return
 	}
 	if inj := m.cfg.Injector; inj != nil && inj.FetchMisdecide(m.now) {
 		if alt := m.nextEligibleAfter(t); alt != t {
 			m.stats.Faults.Add(ChanFetchMisdecide)
-			if m.Trace != nil {
-				m.trace("fetch misdecide t%d -> t%d (injected)", t, alt)
+			if m.obs != nil {
+				m.obs.Observe(cover.Record{Kind: cover.KindFetchMisdecide, Cycle: m.now, Thread: t, A: uint64(alt)})
 			}
 			t = alt
 		}
@@ -89,8 +87,8 @@ func (m *Machine) selectThread() int {
 		for i := 0; i < n; i++ {
 			t := (m.rrCounter + i) % n
 			if m.eligible(t) && t != m.maskedThread {
-				if m.cov != nil && m.maskedThread >= 0 && m.eligible(m.maskedThread) {
-					m.cov.Hit(cover.EvFetchMaskedSkip)
+				if m.obs != nil && m.maskedThread >= 0 && m.eligible(m.maskedThread) {
+					m.hit(cover.EvFetchMaskedSkip)
 				}
 				m.rrCounter = t + 1
 				return t
@@ -104,9 +102,7 @@ func (m *Machine) selectThread() int {
 				if t != m.curThread {
 					m.stats.CondSwitches++
 					m.curThread = t
-					if m.cov != nil {
-						m.cov.Hit(cover.EvFetchCondRotate)
-					}
+					m.hit(cover.EvFetchCondRotate)
 				}
 				return t
 			}
@@ -121,9 +117,7 @@ func (m *Machine) selectThread() int {
 		// the backend drains instead of stacking more work behind a stall.
 		if total := m.icountTally(); total*4 > m.cfg.SUEntries*3 {
 			m.stats.FetchThrottled++
-			if m.cov != nil {
-				m.cov.Hit(cover.EvFetchFeedbackHold)
-			}
+			m.hit(cover.EvFetchFeedbackHold)
 			return -1
 		}
 		return m.icountPick(n)
@@ -135,9 +129,7 @@ func (m *Machine) selectThread() int {
 		// is TrueRR's rotation.
 		if gap := m.throttleGap(); gap > 1 && m.now%gap != 0 {
 			m.stats.FetchThrottled++
-			if m.cov != nil {
-				m.cov.Hit(cover.EvFetchConfThrottle)
-			}
+			m.hit(cover.EvFetchConfThrottle)
 			return -1
 		}
 		t := m.rrCounter % n
@@ -186,10 +178,10 @@ func (m *Machine) icountPick(n int) int {
 		}
 	}
 	if best >= 0 {
-		if m.cov != nil {
+		if m.obs != nil {
 			for t := 0; t < n; t++ {
 				if t != best && m.eligible(t) && counts[t] > bestCount {
-					m.cov.Hit(cover.EvFetchICountSteer)
+					m.hit(cover.EvFetchICountSteer)
 					break
 				}
 			}
@@ -225,26 +217,21 @@ func (m *Machine) noteConf(conf bool) {
 	if m.confMeter < 0 {
 		m.confMeter = 0
 	}
-	if m.cov != nil {
-		m.cov.Hit(cover.EvFetchLowConf)
-	}
 }
 
 // rotateThread moves CondSwitch to the next thread (called when the
-// decoder sees a switch trigger).
-func (m *Machine) rotateThread() {
+// decoder sees a switch trigger), and reports whether one was eligible.
+func (m *Machine) rotateThread() bool {
 	n := m.cfg.Threads
 	for i := 1; i <= n; i++ {
 		t := (m.curThread + i) % n
 		if m.eligible(t) {
 			m.curThread = t
 			m.stats.CondSwitches++
-			if m.cov != nil {
-				m.cov.Hit(cover.EvFetchCondRotate)
-			}
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // fetchBlockFor reads the aligned 4-instruction block containing thread
@@ -262,15 +249,13 @@ func (m *Machine) fetchBlockFor(t int) {
 		if base/4 < uint32(len(text)) {
 			if _, res := m.icache.Read(m.physAddr(t, base), m.now, true); res != cache.Hit {
 				m.stats.ICacheStalls++
-				if m.cov != nil {
-					m.cov.Hit(cover.EvICacheMissStall)
-				}
+				m.hit(cover.EvICacheMissStall)
 				return
 			}
 		}
 	}
-	if m.cov != nil && pc != base {
-		m.cov.Hit(cover.EvFetchPartialBlock)
+	if pc != base {
+		m.hit(cover.EvFetchPartialBlock)
 	}
 	// Collect the block's predictor probes — branch and JALR addresses
 	// from the first fetched slot up to the first slot predecode itself
@@ -301,8 +286,16 @@ func (m *Machine) fetchBlockFor(t int) {
 	if np > 0 {
 		consumed = m.predFor(t).LookupBlock(t, m.probePCs[:np], m.probeOut[:np])
 		for k := 0; k < consumed; k++ {
-			m.covBTBLookup(t, m.probePCs[k])
-			m.noteConf(m.probeOut[k].Conf)
+			conf := m.probeOut[k].Conf
+			m.noteConf(conf)
+			if m.obs != nil {
+				if !conf {
+					m.hit(cover.EvFetchLowConf)
+				}
+				if m.sharedBTB() {
+					m.obs.Observe(cover.Record{Kind: cover.KindBTBLookup, Cycle: m.now, Thread: t, PC: m.probePCs[k]})
+				}
+			}
 		}
 	}
 	// The machine holds at most one latch, so the decode buffer is a
@@ -332,9 +325,7 @@ func (m *Machine) fetchBlockFor(t int) {
 		if in.Op == isa.HALT {
 			// Predecode stops fetch at HALT; resumed only by a squash.
 			m.fetchStopped[t] = true
-			if m.cov != nil {
-				m.cov.Hit(cover.EvFetchHaltStop)
-			}
+			m.hit(cover.EvFetchHaltStop)
 			next = addr + 4
 			break
 		}
@@ -355,8 +346,8 @@ func (m *Machine) fetchBlockFor(t int) {
 		}
 		fb.pred[s] = predInfo{taken: taken, target: target}
 		if taken {
-			if m.cov != nil && s < BlockSize-1 {
-				m.cov.Hit(cover.EvFetchTakenTrunc)
+			if s < BlockSize-1 {
+				m.hit(cover.EvFetchTakenTrunc)
 			}
 			next = target
 			break
@@ -364,14 +355,12 @@ func (m *Machine) fetchBlockFor(t int) {
 	}
 	m.pc[t] = next
 	if !anyValid {
-		if m.cov != nil {
-			m.cov.Hit(cover.EvFetchWrongPath)
-		}
+		m.hit(cover.EvFetchWrongPath)
 		return // wrong-path fetch produced nothing; PC still advances
 	}
 	m.latch = fb
-	if m.Trace != nil {
-		m.trace("fetch   t%d block @%#x (next pc %#x)", t, base, next)
+	if m.obs != nil {
+		m.obs.Observe(cover.Record{Kind: cover.KindFetch, Cycle: m.now, Thread: t, PC: base, A: uint64(next)})
 	}
 	m.stats.FetchedBlocks++
 	for s := 0; s < BlockSize; s++ {
@@ -392,18 +381,14 @@ func (m *Machine) dispatch() {
 	}
 	if len(m.su) == m.suCap {
 		m.stats.DispatchStall++
-		if m.cov != nil {
-			m.cov.Hit(cover.EvDispatchStallFull)
-		}
+		m.hit(cover.EvDispatchStallFull)
 		return
 	}
 	fb := m.latch
 
 	if !m.cfg.Renaming && m.latchWAWStalled() {
 		m.stats.DispatchStall++
-		if m.cov != nil {
-			m.cov.Hit(cover.EvDispatchWAWStall)
-		}
+		m.hit(cover.EvDispatchWAWStall)
 		return
 	}
 
@@ -441,16 +426,16 @@ func (m *Machine) dispatch() {
 		}
 	}
 	m.su = append(m.su, b)
-	if m.Trace != nil {
+	if m.obs != nil {
 		for s := range es {
 			if es[s].valid {
-				m.trace("dispatch %v", &es[s])
+				m.observe(cover.KindDispatch, &es[s], 0, 0)
 			}
 		}
 	}
 	m.latch = nil
-	if trigger && m.cfg.FetchPolicy == CondSwitch {
-		m.rotateThread()
+	if trigger && m.cfg.FetchPolicy == CondSwitch && m.rotateThread() {
+		m.hit(cover.EvFetchCondRotate)
 	}
 }
 

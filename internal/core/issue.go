@@ -30,8 +30,6 @@ func (m *Machine) issue() {
 	}
 	storeFull := false // a store was refused a buffer slot this cycle
 	issued := 0
-	firstThread := -1
-	crossed := false
 scan:
 	for _, b := range m.su {
 		g := bsGroup(m.waitBits, b.bi)
@@ -47,28 +45,17 @@ scan:
 			}
 			if e.class == isa.ClassStore && storeFull {
 				m.noteRefusal(refStoreFull)
+				m.observe(cover.KindRefusal, e, uint64(refStoreFull), 0)
 				continue
 			}
 			if m.tryIssue(e, &storeFull) {
-				if m.Trace != nil {
-					m.trace("issue    %v -> %v unit %d", e, e.class, e.fuUnit)
-				}
+				m.observe(cover.KindIssue, e, uint64(e.class), uint64(e.fuUnit))
 				issued++
-				if firstThread < 0 {
-					firstThread = e.thread
-				} else if e.thread != firstThread {
-					crossed = true
-				}
 			}
 		}
 	}
-	if m.cov != nil {
-		if issued >= m.cfg.IssueWidth {
-			m.cov.Hit(cover.EvIssueWidthSaturated)
-		}
-		if crossed {
-			m.cov.Hit(cover.EvIssueCrossThread)
-		}
+	if issued >= m.cfg.IssueWidth {
+		m.hit(cover.EvIssueWidthSaturated)
 	}
 }
 
@@ -81,42 +68,29 @@ func (m *Machine) toCompletions(e *suEntry) {
 	m.completions = append(m.completions, e.idx)
 }
 
-// refusal is why a ready waiting entry does not issue.
-type refusal uint8
+// refusal is why a ready waiting entry does not issue, named by its
+// coverage event.
+type refusal = cover.Event
 
 const (
-	refNone        refusal = iota // the entry issues
-	refSyncOrder                  // load behind an older unresolved sync primitive
-	refAlias                      // load behind an older store of unknown address or data
-	refCrossAlias                 // restricted policy: a cross-block alias waits for the drain
-	refStoreFull                  // the store buffer cannot reserve a slot
-	refFAISpec                    // FAI behind an older unresolved control transfer
-	refFlagFence                  // sync op behind an older undrained flag store
-	refFUExhausted                // every unit of the class is busy
+	refNone        = cover.NumEvents               // the entry issues
+	refSyncOrder   = cover.EvLoadBlockedSyncOrder  // load behind an older unresolved sync primitive
+	refAlias       = cover.EvLoadBlockedAlias      // load behind an older store of unknown address or data
+	refCrossAlias  = cover.EvLoadBlockedCrossAlias // restricted policy: a cross-block alias waits for the drain
+	refStoreFull   = cover.EvStoreBufferFull       // the store buffer cannot reserve a slot
+	refFAISpec     = cover.EvFAIBlockedSpec        // FAI behind an older unresolved control transfer
+	refFlagFence   = cover.EvSyncFencedFlagStore   // sync op behind an older undrained flag store
+	refFUExhausted = cover.EvIssueFUExhausted      // every unit of the class is busy
 )
 
-// refusalEvent is each refusal's coverage event.
-var refusalEvent = [...]cover.Event{
-	refSyncOrder:   cover.EvLoadBlockedSyncOrder,
-	refAlias:       cover.EvLoadBlockedAlias,
-	refCrossAlias:  cover.EvLoadBlockedCrossAlias,
-	refStoreFull:   cover.EvStoreBufferFull,
-	refFAISpec:     cover.EvFAIBlockedSpec,
-	refFlagFence:   cover.EvSyncFencedFlagStore,
-	refFUExhausted: cover.EvIssueFUExhausted,
-}
-
-// noteRefusal counts one refused issue attempt: the refusal's stat
-// counter, where it has one, and its coverage event.
+// noteRefusal counts one refused issue attempt in the refusal's stat
+// counter, where it has one. Its callers report the refusal record.
 func (m *Machine) noteRefusal(r refusal) {
 	switch r {
 	case refSyncOrder, refAlias, refCrossAlias:
 		m.stats.LoadBlocked++
 	case refStoreFull:
 		m.stats.StoreBufferFull++
-	}
-	if m.cov != nil {
-		m.cov.Hit(refusalEvent[r])
 	}
 }
 
@@ -214,6 +188,7 @@ func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 	}
 	if ref != refNone {
 		m.noteRefusal(ref)
+		m.observe(cover.KindRefusal, e, uint64(ref), 0)
 		return false
 	}
 	pool := &m.pools[class]
@@ -233,12 +208,10 @@ func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 			e.completeAt = pool.issue(unit, m.now)
 			m.toCompletions(e)
 			m.stats.LoadsForwarded++
-			if m.cov != nil {
-				if ld.sameBlock {
-					m.cov.Hit(cover.EvLoadForwardSameBlock)
-				} else {
-					m.cov.Hit(cover.EvLoadForwardCross)
-				}
+			if ld.sameBlock {
+				m.hit(cover.EvLoadForwardSameBlock)
+			} else {
+				m.hit(cover.EvLoadForwardCross)
 			}
 			return true
 		}
@@ -253,9 +226,7 @@ func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 			// flag it; committing such a load is a program error.
 			e.badAddr = true
 			e.result = 0
-			if m.cov != nil {
-				m.cov.Hit(cover.EvBadAddrSpeculative)
-			}
+			m.hit(cover.EvBadAddrSpeculative)
 			e.completeAt = pool.issue(unit, m.now)
 			m.toCompletions(e)
 			return true
@@ -283,15 +254,13 @@ func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 		}
 		if bad {
 			e.badAddr = true
-			if m.cov != nil {
-				m.cov.Hit(cover.EvBadAddrSpeculative)
-			}
+			m.hit(cover.EvBadAddrSpeculative)
 		}
 		e.completeAt = pool.issue(unit, m.now)
 		m.storeBuf = append(m.storeBuf, m.newStoreOp(e))
 		m.toCompletions(e)
-		if m.cov != nil && len(m.storeBuf) == m.cfg.StoreBuffer {
-			m.cov.Hit(cover.EvStoreBufferSaturated)
+		if len(m.storeBuf) == m.cfg.StoreBuffer {
+			m.hit(cover.EvStoreBufferSaturated)
 		}
 		return true
 
@@ -302,9 +271,7 @@ func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 		if !loader.IsFlagAddr(va) || (va&3) != 0 {
 			e.badAddr = true
 			e.result = 0
-			if m.cov != nil {
-				m.cov.Hit(cover.EvBadAddrSpeculative)
-			}
+			m.hit(cover.EvBadAddrSpeculative)
 		} else if op == isa.FAI {
 			v, err := m.sync.FetchAdd(e.addr)
 			if err != nil {
@@ -314,9 +281,7 @@ func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 					"sync controller rejected validated FAI address %#x: %v", e.addr, err)
 			}
 			e.result = v
-			if m.cov != nil {
-				m.covFAIObserve(e.thread, e.addr)
-			}
+			m.observe(cover.KindFAI, e, uint64(e.addr), 0)
 		} else { // FLDW
 			v, err := m.sync.Read(e.addr)
 			if err != nil {
@@ -324,9 +289,7 @@ func (m *Machine) tryIssue(e *suEntry, storeFull *bool) bool {
 					"sync controller rejected validated FLDW address %#x: %v", e.addr, err)
 			}
 			e.result = v
-			if m.cov != nil {
-				m.covFLDWObserve(e.thread, e.addr, v)
-			}
+			m.observe(cover.KindFLDW, e, uint64(e.addr), uint64(v))
 		}
 		e.completeAt = pool.issue(unit, m.now)
 		m.toCompletions(e)
@@ -381,9 +344,7 @@ func (m *Machine) syncHeld(e *suEntry) bool {
 		e.syncRolled = true
 		if d := m.sync.GrantDelay(m.now, pa, op == isa.FAI); d > 0 {
 			e.syncHoldUntil = m.now + d
-			if m.Trace != nil {
-				m.trace("sync hold %v for %d cycles (injected)", e, d)
-			}
+			m.observe(cover.KindSyncHold, e, d, 0)
 			return true
 		}
 	}
@@ -395,9 +356,7 @@ func (m *Machine) syncHeld(e *suEntry) bool {
 				_, _ = m.sync.Read(pa) // woken early: read and discard
 			}
 			e.syncHoldUntil = m.now + spuriousWakeupBackoff
-			if m.Trace != nil {
-				m.trace("spurious wakeup %v (injected)", e)
-			}
+			m.observe(cover.KindSpuriousWakeup, e, 0, 0)
 			return true
 		}
 	}
@@ -634,9 +593,7 @@ func (m *Machine) drainStores() {
 		res := m.dcache.Write(so.addr, so.data, m.now, !so.counted)
 		so.counted = true
 		if res != cache.Hit { // miss or busy: head-of-line retry next cycle
-			if m.cov != nil {
-				m.cov.Hit(cover.EvStoreDrainBlocked)
-			}
+			m.hit(cover.EvStoreDrainBlocked)
 			return
 		}
 		m.swPend[so.thread]--

@@ -5,32 +5,37 @@ import (
 	"repro/internal/isa"
 )
 
-// Coverage wiring. A machine built with Config.Coverage non-nil caches
-// the Set on m.cov, and every pipeline stage reports its named events
-// through one-branch hooks (`if m.cov != nil { m.cov.Hit(...) }`).
-// The handful of events that need state the pipeline doesn't otherwise
-// keep — the last FLDW observation per thread, the last FAI requester,
-// which thread last trained each BTB entry, per-thread SU occupancy —
-// get that state allocated here, only when coverage is on, so the
-// default hot path is untouched.
+// The observation hook: the machine, its data cache and its sync
+// controller report typed records (internal/cover) to one sink, m.obs.
+// Every site tests it once, so a machine without one pays a branch per
+// site and allocates nothing.
 
-// initCoverage wires cfg.Coverage into the machine and its cache and
-// sync controller, allocates coverage-only tracking state, and marks
-// the events this configuration and program cannot reach.
-func (m *Machine) initCoverage() {
-	cov := m.cfg.Coverage
-	m.cov = cov
-	m.dcache.Cover = cov
-	m.sync.Cover = cov
-	m.covFLDWAddr = make([]uint32, m.cfg.Threads)
-	m.covFLDWVal = make([]uint32, m.cfg.Threads)
-	m.covFLDWSeen = make([]bool, m.cfg.Threads)
-	m.covFAIThread = -1
-	if m.cfg.Threads > 1 && !m.cfg.PerThreadBTB {
-		m.covBTBTrain = make(map[uint32]int, 64)
-	}
-	m.markCoverageApplicability()
+// Observe attaches s to the machine's event stream, after the coverage
+// Recorder when Config.Coverage is set. Call it before the first Cycle.
+func (m *Machine) Observe(s cover.Sink) {
+	m.obs = cover.Chain(m.obs, s)
+	m.dcache.Observer = m.obs
+	m.sync.Observer = m.obs
 }
+
+// hit reports coverage event ev this cycle.
+func (m *Machine) hit(ev cover.Event) { cover.Hit(m.obs, ev, m.now) }
+
+// observe reports a record of kind k about entry e with payloads a and
+// b. It inlines to the nil check; emit builds the record.
+func (m *Machine) observe(k cover.Kind, e *suEntry, a, b uint64) {
+	if m.obs != nil {
+		m.emit(k, e, a, b)
+	}
+}
+
+func (m *Machine) emit(k cover.Kind, e *suEntry, a, b uint64) {
+	m.obs.Observe(cover.Record{Kind: k, Cycle: m.now, Thread: e.thread, PC: e.pc, Tag: e.tag, Inst: e.inst, A: a, B: b})
+}
+
+// sharedBTB reports whether threads share one BTB, the only case in
+// which a lookup can hit an entry another thread trained.
+func (m *Machine) sharedBTB() bool { return m.cfg.Threads > 1 && !m.cfg.PerThreadBTB }
 
 // markCoverageApplicability excludes events this machine cannot reach,
 // so coverage fractions never charge a run for states its configuration
@@ -38,7 +43,7 @@ func (m *Machine) initCoverage() {
 // count) or its program (no sync primitives, no stores, no predictable
 // control transfers) rules out.
 func (m *Machine) markCoverageApplicability() {
-	cov := m.cov
+	cov := m.cfg.Coverage
 	cfg := &m.cfg
 	mark := func(off bool, evs ...cover.Event) {
 		if off {
@@ -57,7 +62,7 @@ func (m *Machine) markCoverageApplicability() {
 	mark(cfg.FetchPolicy != ConfThrottle, cover.EvFetchConfThrottle)
 	mark(cfg.ICache == nil, cover.EvICacheMissStall)
 	mark(cfg.Renaming, cover.EvDispatchWAWStall)
-	mark(cfg.Threads < 2 || cfg.PerThreadBTB, cover.EvBTBCrossThreadHit)
+	mark(!m.sharedBTB(), cover.EvBTBCrossThreadHit)
 	mark(!cfg.StoreForwarding, cover.EvLoadForwardCross)
 	mark(cfg.StoreForwarding, cover.EvLoadBlockedCrossAlias)
 	mark(cfg.Cache.Ports == 0, cover.EvCachePortReject)
@@ -115,45 +120,4 @@ func (m *Machine) markCoverageApplicability() {
 	mark(!hasFLDW, cover.EvFLDWSleep, cover.EvFLDWWake)
 	mark(!hasFAI, cover.EvFAIBlockedSpec, cover.EvFAIContention)
 	mark(!hasFSTW || !hasSyncRead, cover.EvSyncFencedFlagStore, cover.EvFlagHandoff)
-}
-
-// covFLDWObserve classifies a completed FLDW against the thread's
-// previous read of the same flag: the same value is a spin iteration
-// (sleep), a changed value is a wakeup.
-func (m *Machine) covFLDWObserve(t int, addr, v uint32) {
-	if m.covFLDWSeen[t] && m.covFLDWAddr[t] == addr {
-		if m.covFLDWVal[t] == v {
-			m.cov.Hit(cover.EvFLDWSleep)
-		} else {
-			m.cov.Hit(cover.EvFLDWWake)
-		}
-	}
-	m.covFLDWSeen[t], m.covFLDWAddr[t], m.covFLDWVal[t] = true, addr, v
-}
-
-// covFAIObserve detects back-to-back FAIs on one address from
-// different threads — the contention the paper's barrier counters see.
-func (m *Machine) covFAIObserve(t int, addr uint32) {
-	if m.covFAIThread >= 0 && m.covFAIAddr == addr && m.covFAIThread != t {
-		m.cov.Hit(cover.EvFAIContention)
-	}
-	m.covFAIAddr, m.covFAIThread = addr, t
-}
-
-// covBTBLookup fires when thread t consults a shared-BTB entry last
-// trained by a different thread (constructive or destructive aliasing).
-func (m *Machine) covBTBLookup(t int, pc uint32) {
-	if m.covBTBTrain == nil {
-		return
-	}
-	if tr, ok := m.covBTBTrain[pc]; ok && tr != t {
-		m.cov.Hit(cover.EvBTBCrossThreadHit)
-	}
-}
-
-// covBTBTrained records the committing trainer of a BTB entry.
-func (m *Machine) covBTBTrained(t int, pc uint32) {
-	if m.covBTBTrain != nil {
-		m.covBTBTrain[pc] = t
-	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -27,7 +28,14 @@ import (
 //   - arena position: where a block lands in the fixed arena is not
 //     observable, so shuffling the block free list changes no Stats;
 //   - slack invariance: enlarging a resource the run never ran short of
-//     changes no Stats, apart from the resource's own shape.
+//     changes no Stats, apart from the resource's own shape;
+//   - the event stream: one dispatch record per committed or squashed
+//     instruction; per tag, dispatch, issue and writeback records arrive
+//     at most once each and in strictly increasing cycles; one commit
+//     record per CommitsPerWin count, in its window slot, and at most
+//     one per cycle;
+//   - observation: no observer, coverage, the trace, and both give
+//     identical Stats, and the two coverage runs identical counts.
 //
 // Out-of-order machines show timing anomalies, so "more resources are
 // never slower" is not asserted.
@@ -173,6 +181,85 @@ func statsDiff(a, b *Stats, skip ...cover.Event) string {
 	return ""
 }
 
+// observedRun runs c to completion with coverage on when cov is set and
+// sink, when non-nil, attached.
+func observedRun(t *testing.T, c propCase, cov bool, sink cover.Sink) *Stats {
+	t.Helper()
+	cfg := c.cfg
+	if cov {
+		cfg.Coverage = cover.NewSet()
+	}
+	m, err := New(c.obj, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	if sink != nil {
+		m.Observe(sink)
+	}
+	st, err := m.Run()
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	return st
+}
+
+// streamSink checks the stage records of one run as they arrive and
+// tallies what check compares with the run's Stats.
+type streamSink struct {
+	stages     map[uint64][3]uint64 // per tag: dispatch, issue, writeback cycle
+	dispatched uint64
+	commits    [BlockSize]uint64 // commit records per window slot
+	lastCommit uint64            // cycle of the last commit record
+	err        error
+}
+
+func (s *streamSink) Observe(r cover.Record) {
+	if s.err != nil {
+		return
+	}
+	stage := 0
+	switch r.Kind {
+	case cover.KindDispatch:
+		s.dispatched++
+	case cover.KindIssue:
+		stage = 1
+	case cover.KindWriteback:
+		stage = 2
+	case cover.KindCommit:
+		if r.Cycle == s.lastCommit {
+			s.err = fmt.Errorf("two commit records in cycle %d", r.Cycle)
+		}
+		s.commits[r.A]++
+		s.lastCommit = r.Cycle
+		return
+	default:
+		return
+	}
+	at := s.stages[r.Tag]
+	switch {
+	case at[stage] != 0:
+		s.err = fmt.Errorf("tag %d: a second record of stage %d in cycle %d", r.Tag, stage, r.Cycle)
+	case stage > 0 && (at[stage-1] == 0 || at[stage-1] >= r.Cycle):
+		s.err = fmt.Errorf("tag %d: stage %d in cycle %d, stage %d in cycle %d", r.Tag, stage, r.Cycle, stage-1, at[stage-1])
+	}
+	at[stage] = r.Cycle
+	s.stages[r.Tag] = at
+}
+
+// check compares the tallies with the run's Stats.
+func (s *streamSink) check(st *Stats) error {
+	if s.err != nil {
+		return s.err
+	}
+	if s.dispatched != st.Committed+st.Squashed {
+		return fmt.Errorf("%d dispatch records, %d committed + %d squashed", s.dispatched, st.Committed, st.Squashed)
+	}
+	if s.commits != st.CommitsPerWin {
+		return fmt.Errorf("commit records per window slot %v, CommitsPerWin %v", s.commits, st.CommitsPerWin)
+	}
+	return nil
+}
+
 // slackResource is one resource whose enlargement must not change a
 // run that never ran short of it. grow enlarges cfg's resource and
 // reports true when the run st left it slack.
@@ -266,6 +353,35 @@ func TestTimingProperties(t *testing.T) {
 		}
 		checked["arena position"]++
 
+		// The event stream, and observation changes nothing: the run
+		// with coverage only (base) against no observer, the trace only
+		// (with the stream checks riding on it) and both.
+		// The trace renders its first 100 cycles: a record reaches the
+		// renderer as a copy, so later cycles' text could change nothing.
+		streams := &streamSink{stages: map[uint64][3]uint64{}}
+		trace := func() cover.Sink { return cover.NewTrace(io.Discard, 100) }
+		plain := observedRun(t, c, false, nil)
+		traced := observedRun(t, c, false, cover.Chain(trace(), streams))
+		both := observedRun(t, c, true, trace())
+		if err := streams.check(traced); err != nil {
+			t.Errorf("%s: event stream: %v", c.name, err)
+		}
+		checked["event stream"]++
+		for _, o := range []struct {
+			name string
+			st   *Stats
+		}{{"no observer", plain}, {"the trace", traced}, {"coverage and the trace", both}} {
+			bc, oc := *base, *o.st
+			bc.Coverage, oc.Coverage = nil, nil
+			if !reflect.DeepEqual(bc, oc) {
+				t.Errorf("%s: coverage only vs %s: stats differ:\n%+v\n%+v", c.name, o.name, bc, oc)
+			}
+		}
+		if d := statsDiff(base, both); d != "" {
+			t.Errorf("%s: coverage only vs coverage and the trace: %s", c.name, d)
+		}
+		checked["observation"]++
+
 		for _, res := range slackResources {
 			cfg := c.cfg
 			if !res.grow(&cfg, base) {
@@ -284,7 +400,7 @@ func TestTimingProperties(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range []string{"identities", "arena position", "slack SU", "slack store buffer", "slack FUs", "slack FUs, no class exhausted"} {
+	for _, p := range []string{"identities", "arena position", "event stream", "observation", "slack SU", "slack store buffer", "slack FUs", "slack FUs, no class exhausted"} {
 		t.Logf("%s: %d cases", p, checked[p])
 		if checked[p] == 0 {
 			t.Errorf("property %q checked no case", p)

@@ -45,9 +45,7 @@ func (m *Machine) writeback() {
 	if len(due) > m.cfg.WritebackWidth {
 		rest = append(rest, due[m.cfg.WritebackWidth:]...)
 		due = due[:m.cfg.WritebackWidth]
-		if m.cov != nil {
-			m.cov.Hit(cover.EvWritebackSaturated)
-		}
+		m.hit(cover.EvWritebackSaturated)
 	}
 	m.completions = rest
 
@@ -59,9 +57,7 @@ func (m *Machine) writeback() {
 		e.state = stDone
 		e.wbCycle = m.now
 		m.noteDone(e)
-		if m.Trace != nil {
-			m.trace("wb       %v = %#x", e, e.result)
-		}
+		m.observe(cover.KindWriteback, e, uint64(e.result), 0)
 		if e.dst >= 0 {
 			m.broadcast(e)
 			if m.busyReg[e.dst] == e.tag+1 {
@@ -116,34 +112,24 @@ func (m *Machine) handleResolvedCT(e *suEntry) {
 	if e.inst.Op == isa.HALT {
 		return
 	}
-	correct := e.actualTaken == e.predTaken &&
-		(!e.actualTaken || e.actualTarget == e.predTarget)
-	if correct {
+	kind := cover.KindMispredict
+	if e.actualTaken == e.predTaken && (!e.actualTaken || e.actualTarget == e.predTarget) {
 		// Fault injection: force a correctly predicted CT through the full
 		// recovery path anyway. The redirect target is the true next PC,
 		// so the squash-and-refetch is timing-only.
-		if inj := m.cfg.Injector; inj != nil && inj.SpuriousSquash(m.now, e.tag) {
-			m.stats.Faults.Add(ChanSpuriousSquash)
-			if m.Trace != nil {
-				m.trace("spurious squash %v (injected)", e)
-			}
-			m.squashYounger(e)
-			if e.actualTaken {
-				m.pc[e.thread] = e.actualTarget
-			} else {
-				m.pc[e.thread] = e.pc + 4
-			}
-			m.reviveFetch(e.thread)
+		if inj := m.cfg.Injector; inj == nil || !inj.SpuriousSquash(m.now, e.tag) {
+			return
 		}
-		return
+		m.stats.Faults.Add(ChanSpuriousSquash)
+		kind = cover.KindSpuriousSquash
+	} else {
+		m.stats.Mispredicts++
 	}
-	m.stats.Mispredicts++
-	if m.cov != nil {
-		m.cov.Hit(cover.EvMispredictSquash)
+	taken := uint64(0)
+	if e.actualTaken {
+		taken = 1
 	}
-	if m.Trace != nil {
-		m.trace("mispredict %v (actual taken=%v target=%#x)", e, e.actualTaken, e.actualTarget)
-	}
+	m.observe(kind, e, uint64(e.actualTarget), taken)
 	m.squashYounger(e)
 	// Redirect the thread; the corrected PC is visible to fetch this
 	// cycle (the IU receives the resolution on the writeback bus).
@@ -153,17 +139,17 @@ func (m *Machine) handleResolvedCT(e *suEntry) {
 		m.pc[e.thread] = e.pc + 4
 	}
 	// A squashed HALT must not keep the thread's fetch stopped.
-	m.reviveFetch(e.thread)
+	if m.reviveFetch(e.thread) {
+		m.hit(cover.EvSquashRevivedFetch)
+	}
 }
 
-// reviveFetch clears a thread's HALT fetch stop after a squash.
-func (m *Machine) reviveFetch(t int) {
-	if m.fetchStopped[t] {
-		if m.cov != nil {
-			m.cov.Hit(cover.EvSquashRevivedFetch)
-		}
-		m.fetchStopped[t] = false
-	}
+// reviveFetch clears a thread's HALT fetch stop after a squash, and
+// reports whether there was one.
+func (m *Machine) reviveFetch(t int) bool {
+	stopped := m.fetchStopped[t]
+	m.fetchStopped[t] = false
+	return stopped
 }
 
 // squashYounger discards all younger same-thread entries: SU entries,
@@ -174,9 +160,7 @@ func (m *Machine) squashYounger(ct *suEntry) {
 	survivors, spared := 0, false
 	for _, b := range m.su {
 		if b.thread != ct.thread {
-			if m.cov != nil && !spared && bsGroup(m.liveBits, b.bi) != 0 {
-				spared = true
-			}
+			spared = spared || bsGroup(m.liveBits, b.bi) != 0
 			continue
 		}
 		es := m.blockEnts(b)
@@ -200,16 +184,14 @@ func (m *Machine) squashYounger(ct *suEntry) {
 			}
 		}
 	}
-	if m.cov != nil {
-		// The squashing CT itself is among the survivors; >= BlockSize
-		// means at least a block's worth of older same-thread work was
-		// selectively spared.
-		if survivors >= BlockSize {
-			m.cov.Hit(cover.EvSquashSurvivors)
-		}
-		if spared {
-			m.cov.Hit(cover.EvSquashSparesOthers)
-		}
+	// The squashing CT itself is among the survivors; >= BlockSize
+	// means at least a block's worth of older same-thread work was
+	// selectively spared.
+	if survivors >= BlockSize {
+		m.hit(cover.EvSquashSurvivors)
+	}
+	if spared {
+		m.hit(cover.EvSquashSparesOthers)
 	}
 	// Uncommitted stores by squashed entries free their buffer slots:
 	// those of the squashing thread younger than the CT.
@@ -217,9 +199,7 @@ func (m *Machine) squashYounger(ct *suEntry) {
 	for _, soi := range m.storeBuf {
 		so := &m.sops[soi]
 		if !so.committed && so.thread == ct.thread && so.tag > ct.tag {
-			if m.cov != nil {
-				m.cov.Hit(cover.EvSquashKilledStore)
-			}
+			m.hit(cover.EvSquashKilledStore)
 			m.freeStoreOp(so)
 			continue
 		}
@@ -228,9 +208,7 @@ func (m *Machine) squashYounger(ct *suEntry) {
 	m.storeBuf = keep
 	// The latch, if it holds this thread, is younger than any SU entry.
 	if m.latch != nil && m.latch.thread == ct.thread {
-		if m.cov != nil {
-			m.cov.Hit(cover.EvSquashKilledLatch)
-		}
+		m.hit(cover.EvSquashKilledLatch)
 		m.latch = nil
 	}
 	m.rebuildRegProd(ct.thread)

@@ -1,10 +1,15 @@
-// Package cover defines the microarchitectural event-coverage model:
-// a fixed vocabulary of named machine states the paper's performance
-// claims depend on (Flexible Result Commit firing ahead of a stalled
-// older block, selective squash sparing other threads, store-buffer
-// saturation, cache refill-overlap hits, BTB cross-thread aliasing,
-// FLDW sleep/wake transitions, ...) and a cheap counter Set the core
-// increments as those states are reached.
+// Package cover defines the machine's event stream and its coverage
+// model. The core, its data cache and its sync controller report what
+// happens to one Sink as typed Records: coverage events, pipeline
+// stages, injected faults, and the facts some coverage events are
+// derived from. Recorder counts coverage into a Set; Trace renders the
+// pipeline stages as text.
+//
+// The coverage events are a fixed vocabulary of named machine states
+// the paper's performance claims depend on (Flexible Result Commit
+// firing ahead of a stalled older block, selective squash sparing other
+// threads, store-buffer saturation, cache refill-overlap hits, BTB
+// cross-thread aliasing, FLDW sleep/wake transitions, ...).
 //
 // The Set answers the question every differential corpus eventually
 // faces: are the rare pipeline interactions we claim to test ever
@@ -246,9 +251,8 @@ func ByName(name string) (Event, bool) {
 }
 
 // Set is one run's (or one merged corpus's) event counters. Create
-// with NewSet, hand it to a machine via Config.Coverage, read it after
-// the run. Hit is allocation-free; the core guards every hook behind a
-// nil check, so a machine without a Set pays one predictable branch.
+// with NewSet, hand it to a machine via Config.Coverage (which feeds it
+// through a Recorder), read it after the run. Hit is allocation-free.
 type Set struct {
 	counts       [NumEvents]uint64
 	inapplicable [NumEvents]bool
@@ -306,15 +310,6 @@ func (s *Set) ApplicableCount() int {
 		}
 	}
 	return n
-}
-
-// Fraction returns hit/applicable, or 1 when nothing is applicable.
-func (s *Set) Fraction() float64 {
-	a := s.ApplicableCount()
-	if a == 0 {
-		return 1
-	}
-	return float64(s.Hits()) / float64(a)
 }
 
 // tierCounts tallies (hits, applicable) over events whose Stress flag
@@ -391,11 +386,7 @@ func (s *Set) NewEventsOver(base *Set) []Event {
 // the stress tier: "24/29 core events (82.8%), 0/7 stress".
 func (s *Set) Summary() string {
 	ch, ca := s.tierCounts(false)
-	frac := 1.0
-	if ca > 0 {
-		frac = float64(ch) / float64(ca)
-	}
-	core := fmt.Sprintf("%d/%d core events (%.1f%%)", ch, ca, 100*frac)
+	core := fmt.Sprintf("%d/%d core events (%.1f%%)", ch, ca, 100*s.CoreFraction())
 	if sh, sa := s.tierCounts(true); sa > 0 {
 		return fmt.Sprintf("%s, %d/%d stress", core, sh, sa)
 	}

@@ -129,7 +129,7 @@ type Runner struct {
 	builds    map[cellSlot]*builtSlot
 	declaring bool
 	pending   []DeclaredCell
-	pendingBy map[string]bool
+	pendingBy map[string]*core.Stats // declared cell ID -> its placeholder
 
 	progressMu sync.Mutex
 }
@@ -140,7 +140,7 @@ func NewRunner(scale kernels.Scale) *Runner {
 		Scale:     scale,
 		cache:     map[string]cellResult{},
 		builds:    map[cellSlot]*builtSlot{},
-		pendingBy: map[string]bool{},
+		pendingBy: map[string]*core.Stats{},
 	}
 }
 
@@ -184,8 +184,9 @@ func placeholderStats(cfg core.Config) *core.Stats {
 // runCell is how every experiment requests a cell. It applies the
 // runner's -paranoid and -fault overrides to c, names it by
 // cellID, and returns the memoized result. In the declaration pass a
-// fresh cell is recorded and answered with a placeholder; outside it a
-// cell that was never declared is an error.
+// fresh cell is recorded and answered with a placeholder, and a repeat
+// gets the same placeholder (no experiment writes to a returned Stats);
+// outside it a cell that was never declared is an error.
 func (r *Runner) runCell(c cellSpec) (*core.Stats, error) {
 	c.cfg.CheckInvariants = c.cfg.CheckInvariants || r.paranoid
 	if c.cfg.Injector == nil {
@@ -200,11 +201,13 @@ func (r *Runner) runCell(c cellSpec) (*core.Stats, error) {
 	if !r.declaring {
 		return nil, fmt.Errorf("cell %s (%.12s) was requested but never declared", c.label, id)
 	}
-	if !r.pendingBy[id] {
+	st, ok := r.pendingBy[id]
+	if !ok {
+		st = placeholderStats(c.cfg)
 		r.pending = append(r.pending, DeclaredCell{Key: id, Label: c.label, spec: c})
-		r.pendingBy[id] = true
+		r.pendingBy[id] = st
 	}
-	return placeholderStats(c.cfg), nil
+	return st, nil
 }
 
 // run requests benchmark b under cfg, validated against the benchmark's
@@ -247,7 +250,7 @@ func (r *Runner) takePending() []DeclaredCell {
 	defer r.mu.Unlock()
 	cells := r.pending
 	r.pending = nil
-	r.pendingBy = map[string]bool{}
+	r.pendingBy = map[string]*core.Stats{}
 	return cells
 }
 

@@ -34,12 +34,9 @@ type Controller struct {
 	// unchanged.
 	FaultDelay func(now uint64, addr uint32, rmw bool) uint64
 
-	// Cover, when set, receives the controller's coverage events
-	// (internal/cover): currently flag handoff — a write landing on a
-	// flag some thread has read since its last write, the producer side
-	// of every spin-wait. readSince tracks the reads, lazily.
-	Cover     *cover.Set
-	readSince map[uint32]bool
+	// Observer, when set, receives a fact record for every flag read and
+	// write (internal/cover), from which coverage derives flag handoffs.
+	Observer cover.Sink
 
 	reads, writes, rmws, delayed uint64
 }
@@ -78,16 +75,11 @@ func (c *Controller) check(addr uint32, write bool) error {
 	return nil
 }
 
-// noteRead records that addr has been read since its last write, for
-// the flag-handoff coverage event.
-func (c *Controller) noteRead(addr uint32) {
-	if c.Cover == nil {
-		return
+// note reports a flag fact of kind k about addr.
+func (c *Controller) note(k cover.Kind, addr uint32) {
+	if c.Observer != nil {
+		c.Observer.Observe(cover.Record{Kind: k, A: uint64(addr)})
 	}
-	if c.readSince == nil {
-		c.readSince = make(map[uint32]bool)
-	}
-	c.readSince[addr] = true
 }
 
 // Read returns the flag word at addr.
@@ -96,7 +88,7 @@ func (c *Controller) Read(addr uint32) (uint32, error) {
 		return 0, err
 	}
 	c.reads++
-	c.noteRead(addr)
+	c.note(cover.KindFlagRead, addr)
 	return c.m.Load(addr)
 }
 
@@ -106,10 +98,7 @@ func (c *Controller) Write(addr, v uint32) error {
 		return err
 	}
 	c.writes++
-	if c.Cover != nil && c.readSince[addr] {
-		c.Cover.Hit(cover.EvFlagHandoff)
-		c.readSince[addr] = false
-	}
+	c.note(cover.KindFlagWrite, addr)
 	return c.m.Store(addr, v)
 }
 
@@ -119,7 +108,7 @@ func (c *Controller) FetchAdd(addr uint32) (uint32, error) {
 		return 0, err
 	}
 	c.rmws++
-	c.noteRead(addr)
+	c.note(cover.KindFlagRead, addr)
 	old, err := c.m.Load(addr)
 	if err != nil {
 		return 0, err

@@ -16,9 +16,11 @@ package sdsp
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/cover"
 	"repro/internal/fault"
 	"repro/internal/funcsim"
 	"repro/internal/kernels"
@@ -210,6 +212,10 @@ func RunMixFunctional(mix *Mix) (*funcsim.Sim, error) {
 
 // NewMachine builds a machine without running it, for cycle-stepping.
 func NewMachine(obj *Object, cfg Config) (*Machine, error) { return core.New(obj, cfg) }
+
+// Trace returns a sink printing the pipeline trace of cycles 1 through
+// last to w; attach it with Machine.Observe.
+func Trace(w io.Writer, last uint64) *cover.Trace { return cover.NewTrace(w, last) }
 
 // Run executes obj to completion under cfg and returns statistics.
 func Run(obj *Object, cfg Config) (*Stats, error) {
