@@ -42,12 +42,12 @@ fuzz-seeds:
 # experiment pipeline in paranoid mode at small scale, and the
 # Paper-scale thread sweeps (figs 5 and 6), so every invariant is also
 # checked at the scale EXPERIMENTS.md reports; their tables must match
-# the committed Paper-scale golden.
+# the committed Paper-scale goldens of those two experiments.
 paranoid:
 	$(GO) test ./sdsp -run TestAllKernelsParanoid
 	$(GO) run ./cmd/sdsp-exp -scale small -paranoid > /dev/null
 	$(GO) run ./cmd/sdsp-exp -scale paper -exp fig5,fig6 -paranoid > /tmp/paranoid-paper.txt
-	cmp /tmp/paranoid-paper.txt internal/experiments/testdata/paper_fig5_fig6.golden
+	cat internal/experiments/testdata/paper/fig5.golden internal/experiments/testdata/paper/fig6.golden | cmp /tmp/paranoid-paper.txt -
 
 # Fault-injection smoke matrix: one preset per mechanism through the
 # CLI, with invariants armed; each run must still validate its golden
@@ -130,13 +130,16 @@ crash-replay-smoke:
 	/tmp/sdsp-sim -bench Matrix -threads 4 -fault cache-storm,seed=3 -watchdog 3 -crashdir /tmp/crash && exit 1 || true
 	/tmp/sdsp-sim -replay /tmp/crash/sdsp-crash-*
 
-# Regenerate the small-scale golden tables, and the Paper-scale fig5/fig6
-# golden, after an intentional change to a kernel, the core, or an
-# experiment. This also rewrites the model digest that every cell ID
-# folds in, so the change renames every cell and warm stores recompute
-# instead of serving stale results. The digest sees the Small sweep only.
+# Regenerate the small-scale golden tables, and the Paper-scale golden
+# of each figure and table experiment (testdata/paper/), after an
+# intentional change to a kernel, the core, or an experiment. This also
+# rewrites the model digest that every cell ID folds in, the digest of
+# every cell of both, so the change renames every cell and warm stores
+# at either scale recompute instead of serving stale results. The paper
+# claims (TestPaperClaims) are not regenerated: a change that flips one
+# fails them until EXPERIMENTS.md and its predicate are rewritten.
 golden:
-	$(GO) test ./internal/experiments -run 'TestGoldenSmallTables|TestGoldenPaperThreads' -update
+	$(GO) test ./internal/experiments -run 'TestGoldenSmallTables|TestGoldenPaperTables|TestModelDigest' -update
 
 # Regenerate the committed unguided coverage-gap list after an
 # intentional change to the event model or the generator.

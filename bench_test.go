@@ -8,7 +8,6 @@ package repro_test
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -29,167 +28,141 @@ func scaleName(s kernels.Scale) string {
 	return "small"
 }
 
-// expTable is a rendered table stamped with the experiment and scale it
-// came from, so cell-level diagnostics can name their provenance.
-type expTable struct {
-	experiments.Table
-	exp   string
-	scale kernels.Scale
-}
-
 // runExperiment executes one experiment per iteration, sequentially on
-// a fresh runner, and returns the final tables for metric extraction.
-func runExperiment(b *testing.B, name string) []expTable {
+// a fresh runner, and returns the final run's export: the typed rows its
+// tables render from (nil for an experiment without one).
+func runExperiment(b *testing.B, name string) any {
 	b.Helper()
 	e, err := experiments.Get(name)
 	if err != nil {
 		b.Fatalf("experiment %s (scale %s): %v", name, scaleName(benchScale), err)
 	}
-	var tables []experiments.Table
+	exps := []experiments.Experiment{e}
+	var rows any
 	for i := 0; i < b.N; i++ {
-		all, _, err := experiments.NewRunner(benchScale).RunExperiments([]experiments.Experiment{e}, 1)
+		r := experiments.NewRunner(benchScale)
+		if _, _, err := r.RunExperiments(exps, 1); err != nil {
+			b.Fatalf("experiment %s (scale %s): %v", name, scaleName(benchScale), err)
+		}
+		x, err := r.Exports(exps)
 		if err != nil {
 			b.Fatalf("experiment %s (scale %s): %v", name, scaleName(benchScale), err)
 		}
-		tables = all[0]
+		rows = x[name]
 	}
-	out := make([]expTable, len(tables))
-	for i, t := range tables {
-		out[i] = expTable{Table: t, exp: name, scale: benchScale}
-	}
-	return out
+	return rows
 }
 
-// cell parses a numeric cell from a rendered table; a parse failure
-// names the experiment, scale, table, and coordinates.
-func cell(b *testing.B, t expTable, row, col int) float64 {
+// rowsOf runs an experiment and returns its typed rows.
+func rowsOf[T any](b *testing.B, name string) []T {
 	b.Helper()
-	if row >= len(t.Rows) || col >= len(t.Rows[row]) {
-		b.Fatalf("experiment %s (scale %s): table %q has no cell (%d,%d): %dx%d",
-			t.exp, scaleName(t.scale), t.Title, row, col, len(t.Rows), len(t.Headers))
+	rows, ok := runExperiment(b, name).([]T)
+	if !ok || len(rows) == 0 {
+		b.Fatalf("experiment %s (scale %s) exports no %T rows", name, scaleName(benchScale), rows)
 	}
-	v, err := strconv.ParseFloat(t.Rows[row][col], 64)
-	if err != nil {
-		b.Fatalf("experiment %s (scale %s): table %q cell (%d,%d) = %q: %v",
-			t.exp, scaleName(t.scale), t.Title, row, col, t.Rows[row][col], err)
+	return rows
+}
+
+// columnMean is the mean over g's kernels of column col; a quarantined
+// cell fails the benchmark.
+func columnMean(b *testing.B, g experiments.Grid, col int) float64 {
+	b.Helper()
+	var sum float64
+	for _, row := range g.Rows {
+		if row.Readings[col].Quarantined {
+			b.Fatalf("%s (scale %s): %s / %s is quarantined", g.Title, scaleName(benchScale), row.Kernel, g.Columns[col])
+		}
+		sum += row.Readings[col].Value
 	}
-	return v
+	return sum / float64(len(g.Rows))
 }
 
 // reportColumnMeans attaches per-column mean metrics, one per series the
 // paper plots.
-func reportColumnMeans(b *testing.B, t expTable, unit string) {
-	for col := 1; col < len(t.Headers); col++ {
-		var sum float64
-		for row := range t.Rows {
-			sum += cell(b, t, row, col)
-		}
-		name := strings.ReplaceAll(t.Headers[col], " ", "")
-		b.ReportMetric(sum/float64(len(t.Rows)), fmt.Sprintf("%s-%s", name, unit))
+func reportColumnMeans(b *testing.B, g experiments.Grid, unit string) {
+	for col, header := range g.Columns {
+		b.ReportMetric(columnMean(b, g, col), fmt.Sprintf("%s-%s", strings.ReplaceAll(header, " ", ""), unit))
 	}
 }
 
 func BenchmarkFig3FetchPolicyGroupI(b *testing.B) {
-	t := runExperiment(b, "fig3")[0]
-	reportColumnMeans(b, t, "cycles")
+	reportColumnMeans(b, rowsOf[experiments.Grid](b, "fig3")[0], "cycles")
 }
 
 func BenchmarkFig4FetchPolicyGroupII(b *testing.B) {
-	t := runExperiment(b, "fig4")[0]
-	reportColumnMeans(b, t, "cycles")
+	reportColumnMeans(b, rowsOf[experiments.Grid](b, "fig4")[0], "cycles")
 }
 
 func BenchmarkFig5ThreadsGroupI(b *testing.B) {
-	t := runExperiment(b, "fig5")[0]
-	reportColumnMeans(b, t, "cycles")
+	reportColumnMeans(b, rowsOf[experiments.Grid](b, "fig5")[0], "cycles")
 }
 
 func BenchmarkFig6ThreadsGroupII(b *testing.B) {
-	t := runExperiment(b, "fig6")[0]
-	reportColumnMeans(b, t, "cycles")
+	reportColumnMeans(b, rowsOf[experiments.Grid](b, "fig6")[0], "cycles")
 }
 
 func BenchmarkFig7CacheGroupI(b *testing.B) {
-	t := runExperiment(b, "fig7")[0]
 	// Rows are thread counts; report the 4-thread row (paper default).
-	b.ReportMetric(cell(b, t, 3, 1), "direct-cycles")
-	b.ReportMetric(cell(b, t, 3, 2), "assoc-cycles")
+	row := rowsOf[experiments.CacheRow](b, "fig7")[3]
+	b.ReportMetric(row.Direct, "direct-cycles")
+	b.ReportMetric(row.Associative, "assoc-cycles")
 }
 
 func BenchmarkFig8CacheGroupII(b *testing.B) {
-	t := runExperiment(b, "fig8")[0]
-	b.ReportMetric(cell(b, t, 3, 1), "direct-cycles")
-	b.ReportMetric(cell(b, t, 3, 2), "assoc-cycles")
+	row := rowsOf[experiments.CacheRow](b, "fig8")[3]
+	b.ReportMetric(row.Direct, "direct-cycles")
+	b.ReportMetric(row.Associative, "assoc-cycles")
 }
 
 func BenchmarkTable3HitRates(b *testing.B) {
-	t := runExperiment(b, "table3")[0]
+	rows := rowsOf[experiments.CacheRow](b, "table3")
 	// 4-thread rows: Group I (index 6) and Group II (index 7).
-	b.ReportMetric(cell(b, t, 6, 2), "gI-direct-hit%")
-	b.ReportMetric(cell(b, t, 6, 3), "gI-assoc-hit%")
-	b.ReportMetric(cell(b, t, 7, 2), "gII-direct-hit%")
-	b.ReportMetric(cell(b, t, 7, 3), "gII-assoc-hit%")
+	b.ReportMetric(rows[6].Direct, "gI-direct-hit%")
+	b.ReportMetric(rows[6].Associative, "gI-assoc-hit%")
+	b.ReportMetric(rows[7].Direct, "gII-direct-hit%")
+	b.ReportMetric(rows[7].Associative, "gII-assoc-hit%")
 }
 
 func BenchmarkFig9SUDepthGroupI(b *testing.B) {
-	t := runExperiment(b, "fig9")[0]
-	reportColumnMeans(b, t, "cycles")
+	reportColumnMeans(b, rowsOf[experiments.Grid](b, "fig9")[0], "cycles")
 }
 
 func BenchmarkFig10SUDepthGroupII(b *testing.B) {
-	t := runExperiment(b, "fig10")[0]
-	reportColumnMeans(b, t, "cycles")
+	reportColumnMeans(b, rowsOf[experiments.Grid](b, "fig10")[0], "cycles")
 }
 
 func BenchmarkFig11FUConfigGroupI(b *testing.B) {
-	t := runExperiment(b, "fig11")[0]
-	reportColumnMeans(b, t, "cycles")
+	reportColumnMeans(b, rowsOf[experiments.Grid](b, "fig11")[0], "cycles")
 }
 
 func BenchmarkFig12FUConfigGroupII(b *testing.B) {
-	t := runExperiment(b, "fig12")[0]
-	reportColumnMeans(b, t, "cycles")
+	reportColumnMeans(b, rowsOf[experiments.Grid](b, "fig12")[0], "cycles")
 }
 
 func BenchmarkTable4ExtraFUUsage(b *testing.B) {
-	t := runExperiment(b, "table4")[0]
 	// Surface the paper's headline: the second load unit's usage.
-	for i, row := range t.Rows {
-		if row[1] == "Load #2" {
-			group := strings.ReplaceAll(row[0], " ", "")
-			b.ReportMetric(cell(b, t, i, 2), group+"-load2-%used")
+	for _, row := range rowsOf[experiments.UnitUsage](b, "table4") {
+		if row.Unit == "Load #2" {
+			b.ReportMetric(row.Percent, "Group"+row.Group+"-load2-%used")
 		}
 	}
 }
 
 func BenchmarkFig13CommitGroupI(b *testing.B) {
-	t := runExperiment(b, "fig13")[0]
-	var multi, lowest float64
-	for row := range t.Rows {
-		multi += cell(b, t, row, 1)
-		lowest += cell(b, t, row, 2)
-	}
-	n := float64(len(t.Rows))
-	b.ReportMetric(multi/n, "multiple-cycles")
-	b.ReportMetric(lowest/n, "lowest-cycles")
+	g := rowsOf[experiments.Grid](b, "fig13")[0]
+	b.ReportMetric(columnMean(b, g, 0), "multiple-cycles")
+	b.ReportMetric(columnMean(b, g, 1), "lowest-cycles")
 }
 
 func BenchmarkFig14CommitGroupII(b *testing.B) {
-	t := runExperiment(b, "fig14")[0]
-	var multi, lowest float64
-	for row := range t.Rows {
-		multi += cell(b, t, row, 1)
-		lowest += cell(b, t, row, 2)
-	}
-	n := float64(len(t.Rows))
-	b.ReportMetric(multi/n, "multiple-cycles")
-	b.ReportMetric(lowest/n, "lowest-cycles")
+	g := rowsOf[experiments.Grid](b, "fig14")[0]
+	b.ReportMetric(columnMean(b, g, 0), "multiple-cycles")
+	b.ReportMetric(columnMean(b, g, 1), "lowest-cycles")
 }
 
 func BenchmarkSummarySpeedups(b *testing.B) {
-	t := runExperiment(b, "summary")[0]
-	for i, row := range t.Rows {
-		b.ReportMetric(cell(b, t, i, 3), row[0]+"-peak-%")
+	for _, p := range rowsOf[experiments.Peak](b, "summary") {
+		b.ReportMetric(100*p.Speedup, p.Kernel+"-peak-%")
 	}
 }
 
@@ -247,42 +220,21 @@ func BenchmarkSimThroughput(b *testing.B) {
 }
 
 func BenchmarkImprovementsSuite(b *testing.B) {
-	tables := runExperiment(b, "improvements")
-	// Headline metric: ICount vs TrueRR average at 4 threads (tables[2]).
-	t := tables[2]
-	var trueRR, icount float64
-	for row := range t.Rows {
-		trueRR += cell(b, t, row, 1)
-		icount += cell(b, t, row, 2)
-	}
-	n := float64(len(t.Rows))
-	b.ReportMetric(trueRR/n, "trueRR-cycles")
-	b.ReportMetric(icount/n, "icount-cycles")
+	// Headline metric: ICount vs TrueRR average at 4 threads (Improvement 3).
+	g := rowsOf[experiments.Grid](b, "improvements")[2]
+	b.ReportMetric(columnMean(b, g, 0), "trueRR-cycles")
+	b.ReportMetric(columnMean(b, g, 1), "icount-cycles")
 }
 
 func BenchmarkHardwareAblations(b *testing.B) {
-	tables := runExperiment(b, "hwablations")
-	// Forwarding table is last; report mean restricted-vs-forwarding.
-	t := tables[2]
-	var restricted, fwd float64
-	for row := range t.Rows {
-		restricted += cell(b, t, row, 1)
-		fwd += cell(b, t, row, 2)
-	}
-	n := float64(len(t.Rows))
-	b.ReportMetric(restricted/n, "restricted-cycles")
-	b.ReportMetric(fwd/n, "forwarding-cycles")
+	// Forwarding grid is last; report mean restricted-vs-forwarding.
+	g := rowsOf[experiments.Grid](b, "hwablations")[2]
+	b.ReportMetric(columnMean(b, g, 0), "restricted-cycles")
+	b.ReportMetric(columnMean(b, g, 1), "forwarding-cycles")
 }
 
+// BenchmarkCompilerStudy times the compiler study, which has no typed
+// rows to report from.
 func BenchmarkCompilerStudy(b *testing.B) {
-	tables := runExperiment(b, "compiler")
-	t := tables[0] // hand vs MiniC
-	var hand, compiled float64
-	for row := range t.Rows {
-		hand += cell(b, t, row, 2)
-		compiled += cell(b, t, row, 3)
-	}
-	n := float64(len(t.Rows))
-	b.ReportMetric(hand/n, "hand-cycles")
-	b.ReportMetric(compiled/n, "minic-cycles")
+	runExperiment(b, "compiler")
 }

@@ -6,7 +6,7 @@
 //	sdsp-exp -exp fig3,fig4   # selected experiments
 //	sdsp-exp -scale small     # quick problem sizes
 //	sdsp-exp -j 8             # simulate up to 8 cells in parallel
-//	sdsp-exp -json t.json     # export per-cell wall times and study rows as JSON
+//	sdsp-exp -json t.json     # export per-cell wall times and the tables' typed rows as JSON
 //	sdsp-exp -store .cells    # persist cells; resumed runs skip committed work
 //	sdsp-exp -v               # per-simulation progress on stderr
 //

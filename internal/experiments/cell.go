@@ -94,34 +94,36 @@ func (s *cellSlot) build() (*loader.Object, *kernels.Benchmark, error) {
 	}
 }
 
-// modelDigest is the sha256 of every Small-sweep cell's Stats, so a
-// change to the timing model that moves any Small-scale result renames
-// every cell and a warm store cannot serve stale ones.
-// TestGoldenSmallTables checks it and make golden rewrites it.
+// modelDigest is the sha256 of the Stats of every Small-sweep and
+// Paper-pinned cell (TestModelDigest), so a model change that moves any
+// of them renames every cell and no store serves stale ones.
 //
 //go:embed testdata/model.digest
 var modelDigest string
 
-// cellID names c by everything it simulates: the hex sha256 of a
-// canonical encoding of the complete Config, the slots and the model
-// digest.
+// cellID names c by everything it simulates: the hex sha256 of its key
+// and the model digest. The key's buffer stays on the stack.
 func cellID(c cellSpec) string {
+	sum := sha256.Sum256(append(appendCellKey(make([]byte, 0, 1024), c), modelDigest...))
+	return hex.EncodeToString(sum[:])
+}
+
+// appendCellKey appends c's key to buf: a canonical encoding of
+// everything c simulates, the complete Config and the slots. It does
+// not depend on the model digest, so the digest can be keyed by it.
+func appendCellKey(buf []byte, c cellSpec) []byte {
 	cfg := c.cfg
 	// An injector is an interface, named by its spec; a coverage set
 	// only asks for recording; a mix is what the slots describe.
 	inj, cov := cfg.Injector, cfg.Coverage != nil
 	cfg.Injector, cfg.Coverage, cfg.Mix = nil, nil, nil
-	buf := make([]byte, 0, 1024)
 	buf = appendCanonical(buf, reflect.ValueOf(&cfg).Elem())
 	buf = appendCanonical(buf, reflect.ValueOf(c.slots))
 	buf = appendCanonical(buf, reflect.ValueOf(cov))
 	if inj != nil {
-		buf = appendCanonical(append(buf, 1), reflect.ValueOf(inj.String()))
-	} else {
-		buf = append(buf, 0)
+		return appendCanonical(append(buf, 1), reflect.ValueOf(inj.String()))
 	}
-	sum := sha256.Sum256(append(buf, modelDigest...))
-	return hex.EncodeToString(sum[:])
+	return append(buf, 0)
 }
 
 // appendCanonical appends an unambiguous encoding of v, whose type is

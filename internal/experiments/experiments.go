@@ -4,18 +4,17 @@
 // plots; EXPERIMENTS.md records the measured values next to the paper's
 // qualitative claims.
 //
-// Experiments are written as straight-line code against a Runner, but a
+// Most experiments build typed rows and render their tables from them;
+// a per-kernel table is a grid (grid.go), data rather than code. A
 // sweep executes as a declare/schedule/assemble pipeline (see
-// Runner.RunExperiments): the benchmark × configuration cells an
-// experiment needs are declared up front, deduplicated across all
-// selected experiments, simulated on a bounded worker pool, and only
-// then assembled into tables — so the rendered output is byte-identical
-// for any worker count.
+// Runner.RunExperiments): the cells an experiment needs are declared up
+// front, deduplicated across experiments, simulated on a bounded worker
+// pool, and only then assembled, so the rendered output is
+// byte-identical for any worker count.
 package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -33,9 +32,9 @@ type Experiment struct {
 	Export func(r *Runner) (any, error)
 }
 
-// exportOf adapts a study's grid function to Experiment.Export.
-func exportOf[T any](grid func(*Runner) (T, error)) func(*Runner) (any, error) {
-	return func(r *Runner) (any, error) { return grid(r) }
+// exportOf adapts a typed-rows builder to Experiment.Export.
+func exportOf[T any](build func(*Runner) (T, error)) func(*Runner) (any, error) {
+	return func(r *Runner) (any, error) { return build(r) }
 }
 
 // Registry returns all experiments in paper order.
@@ -43,36 +42,37 @@ func Registry() []Experiment {
 	return []Experiment{
 		{"table1", "Functional unit configuration", Table1, nil},
 		{"table2", "Hardware configuration", Table2, nil},
-		{"fig3", "Fetch policies, Group I (cycles)", cycleFig(kernels.GroupI, fetchColumns,
-			"Figure 3: cycles of execution, Livermore loops, by fetch policy (4 threads)"), nil},
-		{"fig4", "Fetch policies, Group II (cycles)", cycleFig(kernels.GroupII, fetchColumns,
-			"Figure 4: cycles of execution, Group II, by fetch policy (4 threads)"), nil},
-		{"fig5", "Number of threads, Group I (cycles)", cycleFig(kernels.GroupI, threadColumns,
-			"Figure 5: cycles of execution, Livermore loops, 1-6 threads"), nil},
-		{"fig6", "Number of threads, Group II (cycles)", cycleFig(kernels.GroupII, threadColumns,
-			"Figure 6: cycles of execution, Group II, 1-6 threads"), nil},
-		{"fig7", "Direct vs associative cache, Group I (average cycles)", cacheFig(kernels.GroupI,
-			"Figure 7: average cycles, Livermore loops, direct vs associative cache"), nil},
-		{"fig8", "Direct vs associative cache, Group II (average cycles)", cacheFig(kernels.GroupII,
-			"Figure 8: average cycles, Group II, direct vs associative cache"), nil},
-		{"table3", "Cache hit rates, direct vs 2-way associative", Table3, nil},
-		{"fig9", "Scheduling unit depth, Group I (cycles)", cycleFig(kernels.GroupI, suColumns(),
-			"Figure 9: cycles by scheduling unit depth, Livermore loops"), nil},
-		{"fig10", "Scheduling unit depth, Group II (cycles)", cycleFig(kernels.GroupII, suColumns(),
-			"Figure 10: cycles by scheduling unit depth, Group II"), nil},
-		{"fig11", "Functional unit configurations, Group I (cycles)", cycleFig(kernels.GroupI, fuColumns,
-			"Figure 11: cycles by FU configuration, Livermore loops"), nil},
-		{"fig12", "Functional unit configurations, Group II (cycles)", cycleFig(kernels.GroupII, fuColumns,
-			"Figure 12: cycles by FU configuration, Group II"), nil},
-		{"table4", "Usage of extra functional units (% of cycles)", Table4, nil},
-		{"fig13", "Result commit from one vs four blocks, Group I (cycles)", commitFig(kernels.GroupI,
-			"Figure 13: commit from one vs multiple blocks, Livermore loops"), nil},
-		{"fig14", "Result commit from one vs four blocks, Group II (cycles)", commitFig(kernels.GroupII,
-			"Figure 14: commit from one vs multiple blocks, Group II"), nil},
-		{"summary", "Speedup summary (paper §5.2 prose)", Summary, nil},
-		{"ablations", "Extension ablations: bypassing, renaming, fetch waste", Ablations, nil},
-		{"improvements", "Paper §6.1: all four proposed improvements, implemented", Improvements, nil},
-		{"hwablations", "Extension ablations: predictor, BTB sharing, I-cache, forwarding", HardwareAblations, nil},
+		figure("fig3", "Fetch policies, Group I (cycles)",
+			"Figure 3: cycles of execution, Livermore loops, by fetch policy (4 threads)", kernels.GroupI, fetchColumns),
+		figure("fig4", "Fetch policies, Group II (cycles)",
+			"Figure 4: cycles of execution, Group II, by fetch policy (4 threads)", kernels.GroupII, fetchColumns),
+		figure("fig5", "Number of threads, Group I (cycles)",
+			"Figure 5: cycles of execution, Livermore loops, 1-6 threads", kernels.GroupI, threadColumns),
+		figure("fig6", "Number of threads, Group II (cycles)",
+			"Figure 6: cycles of execution, Group II, 1-6 threads", kernels.GroupII, threadColumns),
+		rowsExperiment("fig7", "Direct vs associative cache, Group I (average cycles)", cacheRows(1, cycleCount.read, 0),
+			cacheTable("Figure 7: average cycles, Livermore loops, direct vs associative cache", []string{"Threads", "Direct", "Associative"}, false, "%.0f")),
+		rowsExperiment("fig8", "Direct vs associative cache, Group II (average cycles)", cacheRows(1, cycleCount.read, 1),
+			cacheTable("Figure 8: average cycles, Group II, direct vs associative cache", []string{"Threads", "Direct", "Associative"}, false, "%.0f")),
+		rowsExperiment("table3", "Cache hit rates, direct vs 2-way associative", cacheRows(100, func(st *core.Stats) float64 { return st.Cache.HitRate() }, 0, 1),
+			cacheTable("Table 3: average cache hit rates (%)", []string{"Threads", "Benchmarks", "Direct", "Assoc."}, true, "%.1f")),
+		figure("fig9", "Scheduling unit depth, Group I (cycles)",
+			"Figure 9: cycles by scheduling unit depth, Livermore loops", kernels.GroupI, suColumns()),
+		figure("fig10", "Scheduling unit depth, Group II (cycles)",
+			"Figure 10: cycles by scheduling unit depth, Group II", kernels.GroupII, suColumns()),
+		figure("fig11", "Functional unit configurations, Group I (cycles)",
+			"Figure 11: cycles by FU configuration, Livermore loops", kernels.GroupI, fuColumns),
+		figure("fig12", "Functional unit configurations, Group II (cycles)",
+			"Figure 12: cycles by FU configuration, Group II", kernels.GroupII, fuColumns),
+		rowsExperiment("table4", "Usage of extra functional units (% of cycles)", unitUsage, table4),
+		figure("fig13", "Result commit from one vs four blocks, Group I (cycles)",
+			"Figure 13: commit from one vs multiple blocks, Livermore loops", kernels.GroupI, commitColumns),
+		figure("fig14", "Result commit from one vs four blocks, Group II (cycles)",
+			"Figure 14: commit from one vs multiple blocks, Group II", kernels.GroupII, commitColumns),
+		rowsExperiment("summary", "Speedup summary (paper §5.2 prose)", peaks, summary),
+		rowsExperiment("ablations", "Extension ablations: bypassing, renaming, fetch waste", ablationGrids.rows, ablationGrids.tables),
+		{"improvements", "Paper §6.1: all four proposed improvements, implemented", Improvements, exportOf(improvementGrids.rows)},
+		rowsExperiment("hwablations", "Extension ablations: predictor, BTB sharing, I-cache, forwarding", hardwareGrids.rows, hardwareGrids.tables),
 		{"compiler", "Toolchain study: MiniC vs hand-written asm; register budget sweep", CompilerStudy, nil},
 		{"faultsweep", "Fault sweep: IPC degradation under injected faults, per mechanism", FaultSweep, exportOf(faultCurves)},
 		{"coverage", "Microarchitectural event coverage across kernels, threads, and policies", Coverage, nil},
@@ -96,8 +96,6 @@ const defaultThreads = 4
 
 // threadSweep is the paper's 1–6 thread range.
 var threadSweep = []int{1, 2, 3, 4, 5, 6}
-
-// ---------------------------------------------------------------------
 
 // Table1 prints the functional unit configuration actually simulated.
 func Table1(r *Runner) ([]Table, error) {
@@ -144,22 +142,13 @@ func Table2(r *Runner) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// cycleColumn is one column of a per-kernel cycle figure: its header
-// and the configuration its cells run, r.config(threads) with set
-// applied.
-type cycleColumn struct {
-	header  string
-	threads int
-	set     func(*core.Config) // nil keeps the default
-}
-
 // fetchColumns are Fig 3/4's: the three fetch policies at 4 threads,
 // plus the single-threaded base case.
-var fetchColumns = []cycleColumn{
-	{"TrueRR", defaultThreads, fetchPolicy(core.TrueRR)},
-	{"MaskedRR", defaultThreads, fetchPolicy(core.MaskedRR)},
-	{"CSwitch", defaultThreads, fetchPolicy(core.CondSwitch)},
-	{"BaseCase", 1, nil},
+var fetchColumns = []column{
+	{header: "TrueRR", threads: defaultThreads, set: fetchPolicy(core.TrueRR)},
+	{header: "MaskedRR", threads: defaultThreads, set: fetchPolicy(core.MaskedRR)},
+	{header: "CSwitch", threads: defaultThreads, set: fetchPolicy(core.CondSwitch)},
+	{header: "BaseCase", threads: 1},
 }
 
 func fetchPolicy(p core.FetchPolicy) func(*core.Config) {
@@ -167,288 +156,229 @@ func fetchPolicy(p core.FetchPolicy) func(*core.Config) {
 }
 
 // threadColumns are Fig 5/6's: 1..6 threads.
-var threadColumns = []cycleColumn{
-	{"One", 1, nil}, {"Two", 2, nil}, {"Three", 3, nil},
-	{"Four", 4, nil}, {"Five", 5, nil}, {"Six", 6, nil},
+var threadColumns = []column{
+	{header: "One", threads: 1}, {header: "Two", threads: 2}, {header: "Three", threads: 3},
+	{header: "Four", threads: 4}, {header: "Five", threads: 5}, {header: "Six", threads: 6},
 }
 
 // suDepths is the paper's scheduling unit sweep.
 var suDepths = []int{16, 32, 48, 64}
 
 // suColumns are Fig 9/10's: every SU depth at 4 threads, then at 1.
-func suColumns() []cycleColumn {
-	var cols []cycleColumn
+func suColumns() []column {
+	var cols []column
 	for _, n := range []int{defaultThreads, 1} {
 		for _, depth := range suDepths {
-			cols = append(cols, cycleColumn{fmt.Sprintf("%dT SU%d", n, depth), n,
-				func(c *core.Config) { c.SUEntries = depth }})
+			cols = append(cols, column{header: fmt.Sprintf("%dT SU%d", n, depth), threads: n,
+				set: func(c *core.Config) { c.SUEntries = depth }})
 		}
 	}
 	return cols
 }
 
 // fuColumns are Fig 11/12's: default vs enhanced FUs, 4 threads and base.
-var fuColumns = []cycleColumn{
-	{"4 Threads", defaultThreads, nil},
-	{"4 Threads++", defaultThreads, enhancedFUs},
-	{"Base", 1, nil},
-	{"Base++", 1, enhancedFUs},
+var fuColumns = []column{
+	{header: "4 Threads", threads: defaultThreads},
+	{header: "4 Threads++", threads: defaultThreads, set: enhancedFUs},
+	{header: "Base", threads: 1},
+	{header: "Base++", threads: 1, set: enhancedFUs},
 }
 
 func enhancedFUs(c *core.Config) { c.FUs = core.EnhancedFUs() }
 
-// cycleFig builds a per-kernel cycle figure: a row per benchmark of the
-// group and a column per configuration, its cells requested row by row.
-func cycleFig(group func() []*kernels.Benchmark, cols []cycleColumn, title string) func(*Runner) ([]Table, error) {
-	return func(r *Runner) ([]Table, error) {
-		t := Table{Title: title, Headers: []string{"Benchmark"}}
-		for _, c := range cols {
-			t.Headers = append(t.Headers, c.header)
-		}
-		for _, b := range group() {
-			row := []string{b.Name}
-			for _, c := range cols {
-				cfg := r.config(c.threads)
-				if c.set != nil {
-					c.set(&cfg)
-				}
-				v, err := cycleCell(r, b, cfg)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		return []Table{t}, nil
-	}
+// commitColumns are Fig 13/14's: flexible vs lowest-only commit at 4
+// threads, in cycles and in SU stalls.
+var commitColumns = []column{
+	{header: "Multiple (4 blocks)", threads: defaultThreads},
+	{header: "Lowest only", threads: defaultThreads, set: func(c *core.Config) { c.CommitPolicy, c.CommitWindow = core.LowestOnly, 1 }},
+	view("SU stalls (multi)", 0, suStalls),
+	view("SU stalls (lowest)", 1, suStalls),
 }
 
-// cacheFig builds Fig 7/8: group-average cycles, direct vs associative.
-func cacheFig(group func() []*kernels.Benchmark, title string) func(*Runner) ([]Table, error) {
-	return func(r *Runner) ([]Table, error) {
-		g := group()
-		t := Table{Title: title, Headers: []string{"Threads", "Direct", "Associative"}}
+// groups are the paper's two benchmark groups.
+var groups = []struct {
+	name    string
+	kernels func() []*kernels.Benchmark
+}{{"I", kernels.GroupI}, {"II", kernels.GroupII}}
+
+// CacheRow is a group's average of a per-cell number at one thread
+// count: cycles in Figs 7–8, the hit rate (%) in Table 3.
+type CacheRow struct {
+	Threads     int     `json:"threads"`
+	Group       string  `json:"group"`
+	Direct      float64 `json:"direct"`
+	Associative float64 `json:"associative"`
+}
+
+// cacheRows averages scale × read over each group's kernels, direct
+// and 2-way associative, by thread count, then group.
+func cacheRows(scale float64, read func(*core.Stats) float64, gs ...int) func(*Runner) ([]CacheRow, error) {
+	return func(r *Runner) ([]CacheRow, error) {
+		var rows []CacheRow
 		for _, n := range threadSweep {
-			row := []string{fmt.Sprint(n)}
-			for _, ways := range []int{1, 2} {
-				var sum float64
-				for _, b := range g {
-					cfg := r.config(n)
-					cfg.Cache.Ways = ways
-					st, err := r.run(b, cfg)
-					if err != nil {
-						return nil, err
+			for _, g := range gs {
+				ks := groups[g].kernels()
+				var avg [2]float64 // direct-mapped, 2-way
+				for i := range avg {
+					var sum float64
+					for _, b := range ks {
+						cfg := r.config(n)
+						cfg.Cache.Ways = i + 1
+						st, err := r.run(b, cfg)
+						if err != nil {
+							return nil, err
+						}
+						sum += read(st)
 					}
-					sum += float64(st.Cycles)
+					avg[i] = scale * sum / float64(len(ks))
 				}
-				row = append(row, fmt.Sprintf("%.0f", sum/float64(len(g))))
+				rows = append(rows, CacheRow{Threads: n, Group: groups[g].name, Direct: avg[0], Associative: avg[1]})
 			}
-			t.Rows = append(t.Rows, row)
 		}
-		return []Table{t}, nil
+		return rows, nil
 	}
 }
 
-// Table3 reports average hit rates per group/threads/cache type.
-func Table3(r *Runner) ([]Table, error) {
-	t := Table{
-		Title:   "Table 3: average cache hit rates (%)",
-		Headers: []string{"Threads", "Benchmarks", "Direct", "Assoc."},
-	}
-	for _, n := range threadSweep {
-		for g, group := range [][]*kernels.Benchmark{kernels.GroupI(), kernels.GroupII()} {
-			row := []string{fmt.Sprint(n), fmt.Sprintf("Group %s", []string{"I", "II"}[g])}
-			for _, ways := range []int{1, 2} {
-				var sum float64
-				for _, b := range group {
-					cfg := r.config(n)
-					cfg.Cache.Ways = ways
-					st, err := r.run(b, cfg)
-					if err != nil {
-						return nil, err
-					}
-					sum += st.Cache.HitRate()
-				}
-				row = append(row, fmt.Sprintf("%.1f", 100*sum/float64(len(group))))
+// cacheTable renders cache rows: the thread count, the group when
+// withGroup, and both averages in format.
+func cacheTable(title string, headers []string, withGroup bool, format string) func([]CacheRow) []Table {
+	return func(rows []CacheRow) []Table {
+		t := Table{Title: title, Headers: headers}
+		for _, row := range rows {
+			cells := []string{fmt.Sprint(row.Threads)}
+			if withGroup {
+				cells = append(cells, "Group "+row.Group)
 			}
-			t.Rows = append(t.Rows, row)
+			t.Rows = append(t.Rows, append(cells, fmt.Sprintf(format, row.Direct), fmt.Sprintf(format, row.Associative)))
 		}
+		return []Table{t}
 	}
-	return []Table{t}, nil
 }
 
-// Table4 reports the utilization of each extra FU (enhanced config, 4
-// threads), averaged across the benchmarks of each group.
-func Table4(r *Runner) ([]Table, error) {
+// UnitUsage is one row of Table 4: a group's average % of cycles an
+// extra functional unit was busy (enhanced FUs, 4 threads).
+type UnitUsage struct {
+	Group   string  `json:"group"`
+	Unit    string  `json:"unit"` // e.g. "Load #2"
+	Percent float64 `json:"percent"`
+}
+
+// unitUsage is Table 4's rows, by class, then unit, then group.
+func unitUsage(r *Runner) ([]UnitUsage, error) {
 	def, enh := core.DefaultFUs(), core.EnhancedFUs()
-	t := Table{
-		Title:   "Table 4: average usage of extra functional units (% of total cycles)",
-		Headers: []string{"Benchmarks", "Extra unit", "% cycles used"},
-	}
-	type key struct {
-		group int
-		class int
-		unit  int
-	}
-	usage := map[key][]float64{}
-	for g, group := range [][]*kernels.Benchmark{kernels.GroupI(), kernels.GroupII()} {
-		for _, b := range group {
+	var sts [2][]*core.Stats
+	for g := range groups {
+		for _, b := range groups[g].kernels() {
 			cfg := r.config(defaultThreads)
 			cfg.FUs = enh
 			st, err := r.run(b, cfg)
 			if err != nil {
 				return nil, err
 			}
-			for cl := 0; cl < len(enh.Count); cl++ {
-				for u := def.Count[cl]; u < enh.Count[cl]; u++ {
-					k := key{g, cl, u}
-					usage[k] = append(usage[k], 100*st.FUUtilization(classOf(cl), u))
+			sts[g] = append(sts[g], st)
+		}
+	}
+	var rows []UnitUsage
+	for cl := 0; cl < len(enh.Count); cl++ {
+		for u := def.Count[cl]; u < enh.Count[cl]; u++ {
+			for g := range groups {
+				var sum float64
+				for _, st := range sts[g] {
+					sum += 100 * st.FUUtilization(classOf(cl), u)
 				}
+				rows = append(rows, UnitUsage{Group: groups[g].name,
+					Unit: fmt.Sprintf("%s #%d", className(cl), u+1), Percent: sum / float64(len(sts[g]))})
 			}
 		}
 	}
-	var keys []key
-	for k := range usage {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.class != b.class {
-			return a.class < b.class
-		}
-		if a.unit != b.unit {
-			return a.unit < b.unit
-		}
-		return a.group < b.group
-	})
-	for _, k := range keys {
-		var sum float64
-		for _, v := range usage[k] {
-			sum += v
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("Group %s", []string{"I", "II"}[k.group]),
-			fmt.Sprintf("%s #%d", className(k.class), k.unit+1),
-			fmt.Sprintf("%.2f", sum/float64(len(usage[k]))),
-		})
-	}
-	return []Table{t}, nil
+	return rows, nil
 }
 
-// commitFig builds Fig 13/14: lowest-only vs flexible commit, 4 threads.
-func commitFig(group func() []*kernels.Benchmark, title string) func(*Runner) ([]Table, error) {
-	return func(r *Runner) ([]Table, error) {
-		t := Table{Title: title, Headers: []string{"Benchmark", "Multiple (4 blocks)", "Lowest only", "SU stalls (multi)", "SU stalls (lowest)"}}
-		for _, b := range group() {
-			multi, err := r.run(b, r.config(defaultThreads))
-			if err != nil {
-				return nil, err
-			}
-			cfg := r.config(defaultThreads)
-			cfg.CommitPolicy = core.LowestOnly
-			cfg.CommitWindow = 1
-			low, err := r.run(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, []string{b.Name, cycles(multi), cycles(low),
-				fmt.Sprint(multi.SUStalls), fmt.Sprint(low.SUStalls)})
-		}
-		return []Table{t}, nil
-	}
-}
-
-// Summary reproduces the prose numbers of §5.2: peak improvement per
-// benchmark and group averages.
-func Summary(r *Runner) ([]Table, error) {
+func table4(rows []UnitUsage) []Table {
 	t := Table{
-		Title:   "Speedup summary (paper §5.2)",
-		Headers: []string{"Benchmark", "Base cycles", "Best threads", "Peak improvement %"},
+		Title:   "Table 4: average usage of extra functional units (% of total cycles)",
+		Headers: []string{"Benchmarks", "Extra unit", "% cycles used"},
 	}
-	groupPeaks := map[int][]float64{}
+	for _, row := range rows {
+		t.Rows = append(t.Rows, []string{"Group " + row.Group, row.Unit, fmt.Sprintf("%.2f", row.Percent)})
+	}
+	return []Table{t}
+}
+
+// Peak is one kernel of the §5.2 summary: its single-threaded cycles
+// and its best speedup over them (core.Speedup; 0.185 is +18.5%).
+type Peak struct {
+	Kernel      string  `json:"kernel"`
+	Group       string  `json:"group"`
+	BaseCycles  uint64  `json:"base_cycles"`
+	BestThreads int     `json:"best_threads"`
+	Speedup     float64 `json:"speedup"`
+}
+
+func peaks(r *Runner) ([]Peak, error) {
+	var rows []Peak
 	for _, b := range kernels.All() {
-		base, err := r.run(b, r.config(1))
-		if err != nil {
-			return nil, err
-		}
-		bestN, bestSpeedup := 1, 0.0
-		first := true
-		for _, n := range threadSweep[1:] {
+		p := Peak{Kernel: b.Name, Group: groups[b.Group-1].name}
+		for _, n := range threadSweep {
 			st, err := r.run(b, r.config(n))
 			if err != nil {
 				return nil, err
 			}
-			s := core.Speedup(st.Cycles, base.Cycles)
-			if first || s > bestSpeedup {
-				bestN, bestSpeedup = n, s
-				first = false
+			if n == 1 {
+				p.BaseCycles = st.Cycles
+			} else if s := core.Speedup(st.Cycles, p.BaseCycles); p.BestThreads == 0 || s > p.Speedup {
+				p.BestThreads, p.Speedup = n, s
 			}
 		}
-		groupPeaks[b.Group] = append(groupPeaks[b.Group], bestSpeedup)
-		t.Rows = append(t.Rows, []string{b.Name, fmt.Sprint(base.Cycles),
-			fmt.Sprint(bestN), fmt.Sprintf("%+.1f", 100*bestSpeedup)})
+		rows = append(rows, p)
 	}
-	for g := 1; g <= 2; g++ {
-		var sum float64
-		for _, v := range groupPeaks[g] {
-			sum += v
-		}
-		t.Notes = append(t.Notes, fmt.Sprintf("Group %s average peak improvement: %+.1f%%",
-			[]string{"", "I", "II"}[g], 100*sum/float64(len(groupPeaks[g]))))
-	}
-	return []Table{t}, nil
+	return rows, nil
 }
 
-// Ablations covers the Table 2 alternatives the paper mentions but does
-// not plot: bypassing, renaming vs scoreboarding, and the fetch-slot
-// waste motivating the paper's alignment improvement (§6.1 #2).
-func Ablations(r *Runner) ([]Table, error) {
-	byp := Table{Title: "Ablation: result bypassing (4 threads)",
-		Headers: []string{"Benchmark", "Bypassing", "No bypassing", "Slowdown %"}}
-	ren := Table{Title: "Ablation: full renaming vs 1-bit scoreboarding (4 threads)",
-		Headers: []string{"Benchmark", "Renaming", "Scoreboard", "Slowdown %"}}
-	waste := Table{Title: "Fetch-block utilization (4 threads, TrueRR)",
-		Headers: []string{"Benchmark", "Valid insts per fetched block (of 4)"}}
-	for _, b := range kernels.All() {
-		basis, err := r.run(b, r.config(defaultThreads))
-		if err != nil {
-			return nil, err
-		}
-		cfg := r.config(defaultThreads)
-		cfg.Bypassing = false
-		noByp, err := r.run(b, cfg)
-		if err != nil {
-			return nil, err
-		}
-		byp.Rows = append(byp.Rows, []string{b.Name, cycles(basis), cycles(noByp),
-			fmt.Sprintf("%.1f", 100*(float64(noByp.Cycles)/float64(basis.Cycles)-1))})
-
-		cfg = r.config(defaultThreads)
-		cfg.Renaming = false
-		sb, err := r.run(b, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ren.Rows = append(ren.Rows, []string{b.Name, cycles(basis), cycles(sb),
-			fmt.Sprintf("%.1f", 100*(float64(sb.Cycles)/float64(basis.Cycles)-1))})
-
-		waste.Rows = append(waste.Rows, []string{b.Name,
-			fmt.Sprintf("%.2f", float64(basis.FetchedInsts)/float64(basis.FetchedBlocks))})
+// summary reproduces the prose numbers of §5.2: peak improvement per
+// benchmark and group averages.
+func summary(rows []Peak) []Table {
+	t := Table{
+		Title:   "Speedup summary (paper §5.2)",
+		Headers: []string{"Benchmark", "Base cycles", "Best threads", "Peak improvement %"},
 	}
-	return []Table{byp, ren, waste}, nil
+	sum, n := map[string]float64{}, map[string]int{}
+	for _, p := range rows {
+		t.Rows = append(t.Rows, []string{p.Kernel, fmt.Sprint(p.BaseCycles),
+			fmt.Sprint(p.BestThreads), fmt.Sprintf("%+.1f", 100*p.Speedup)})
+		sum[p.Group] += p.Speedup
+		n[p.Group]++
+	}
+	for _, g := range groups {
+		t.Notes = append(t.Notes, fmt.Sprintf("Group %s average peak improvement: %+.1f%%", g.name, 100*sum[g.name]/float64(n[g.name])))
+	}
+	return []Table{t}
 }
+
+// ablationGrids cover Table 2 alternatives the paper does not plot, and
+// the fetch-slot waste behind its alignment improvement (§6.1 #2).
+var ablationGrids = grids{{
+	title:   "Ablation: result bypassing (4 threads)",
+	kernels: kernels.All,
+	cols: []column{
+		{header: "Bypassing", threads: defaultThreads},
+		{header: "No bypassing", threads: defaultThreads, set: func(c *core.Config) { c.Bypassing = false }},
+		view("Slowdown %", 1, slowdownPct),
+	},
+}, {
+	title:   "Ablation: full renaming vs 1-bit scoreboarding (4 threads)",
+	kernels: kernels.All,
+	cols: []column{
+		{header: "Renaming", threads: defaultThreads},
+		{header: "Scoreboard", threads: defaultThreads, set: func(c *core.Config) { c.Renaming = false }},
+		view("Slowdown %", 1, slowdownPct),
+	},
+}, {
+	title:   "Fetch-block utilization (4 threads, TrueRR)",
+	kernels: kernels.All,
+	cols:    []column{{header: "Valid insts per fetched block (of 4)", threads: defaultThreads, metric: &fetchFill}},
+}}
 
 func cycles(st *core.Stats) string { return fmt.Sprint(st.Cycles) }
-
-// cycleCell runs one benchmark × config cell and renders its cycle
-// count — or the explicit QUARANTINED marker when the cell has been
-// condemned by the supervisor. Aggregate builders (group averages)
-// intentionally do not use this: an average over a poisoned cell would
-// be silently wrong, so those propagate the error and fail the sweep.
-func cycleCell(r *Runner, b *kernels.Benchmark, cfg core.Config) (string, error) {
-	st, err := r.run(b, cfg)
-	return CellValue(st, err, cycles)
-}
 
 func className(cl int) string { return classOf(cl).String() }

@@ -3,9 +3,11 @@ package experiments
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -14,27 +16,32 @@ import (
 	"repro/internal/kernels"
 )
 
-// sweep is one render of the full registry at Small scale on a fresh
-// runner: exactly what `sdsp-exp -scale small` writes to stdout, with
-// the runner, tables, timings and exports behind it.
+// sweep is one render of a set of experiments on a fresh runner:
+// exactly what sdsp-exp writes to stdout for them, with the runner,
+// declared cells, tables, timings and exports behind it.
 type sweep struct {
 	r       *Runner
+	decl    []DeclaredCell
 	tables  [][]Table
 	timings []CellTiming
 	exports map[string]any
 	out     string // every table, rendered
-	digest  string // the model digest of the sweep's Stats
+	digest  string // the digest of the sweep's Stats (statsDigest)
 }
 
-func renderSweep(t *testing.T, jobs int) sweep {
+// runSweep runs exps on r with jobs workers and renders them.
+func runSweep(t *testing.T, r *Runner, exps []Experiment, jobs int) sweep {
 	t.Helper()
-	s := sweep{r: NewRunner(kernels.Small)}
+	s := sweep{r: r}
 	var err error
-	s.tables, s.timings, err = s.r.RunExperiments(Registry(), jobs)
+	if s.decl, err = r.DeclareCells(exps); err != nil {
+		t.Fatalf("DeclareCells: %v", err)
+	}
+	s.tables, s.timings, err = r.RunExperiments(exps, jobs)
 	if err != nil {
 		t.Fatalf("RunExperiments(j=%d): %v", jobs, err)
 	}
-	if s.exports, err = s.r.Exports(Registry()); err != nil {
+	if s.exports, err = r.Exports(exps); err != nil {
 		t.Fatalf("Exports(j=%d): %v", jobs, err)
 	}
 	var buf bytes.Buffer
@@ -45,21 +52,42 @@ func renderSweep(t *testing.T, jobs int) sweep {
 			}
 		}
 	}
-	s.out, s.digest = buf.String(), statsDigest(t, s.r, s.timings)
+	s.out, s.digest = buf.String(), statsDigest(t, s)
 	return s
 }
 
-// statsDigest is the model digest: the sha256 of the JSON of every
-// cell's Stats, in declaration order.
-func statsDigest(t *testing.T, r *Runner, timings []CellTiming) string {
+// statsDigest is the sha256 of every declared cell's Stats across the
+// sweeps, each cell keyed by appendCellKey and taken in key order. The key
+// leaves out the model digest, so the result depends neither on the
+// order in which experiments declare their cells nor on the digest it
+// is compared with.
+func statsDigest(t *testing.T, sweeps ...sweep) string {
 	t.Helper()
-	h := sha256.New()
-	for _, tm := range timings {
-		data, err := json.Marshal(r.cache[tm.Key].stats)
-		if err != nil {
-			t.Fatal(err)
+	stats := map[string][]byte{}
+	for _, s := range sweeps {
+		for _, c := range s.decl {
+			res, ok := s.r.cache[c.Key]
+			if !ok {
+				t.Fatalf("declared cell %s (%.12s) has no result", c.Label, c.Key)
+			}
+			data, err := json.Marshal(res.stats)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats[string(appendCellKey(nil, c.spec))] = data
 		}
-		h.Write(data)
+	}
+	keys := make([]string, 0, len(stats))
+	for k := range stats {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	h := sha256.New()
+	for _, k := range keys {
+		for _, b := range [][]byte{[]byte(k), stats[k]} {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(b))))
+			h.Write(b)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -74,8 +102,8 @@ var (
 func sweeps(t *testing.T) (j1, j8 sweep) {
 	t.Helper()
 	sweepOnce.Do(func() {
-		sweepJ1 = renderSweep(t, 1)
-		sweepJ8 = renderSweep(t, 8)
+		sweepJ1 = runSweep(t, NewRunner(kernels.Small), Registry(), 1)
+		sweepJ8 = runSweep(t, NewRunner(kernels.Small), Registry(), 8)
 	})
 	if sweepJ1.out == "" || sweepJ8.out == "" {
 		t.Fatal("sweep rendering failed in an earlier test")

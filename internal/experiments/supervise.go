@@ -24,14 +24,15 @@ import (
 //     would fail the same way at twice the cost, and a rerun that
 //     succeeded would be a determinism bug, not a result to commit.
 //     The verdict is recorded (durably, when a store is mounted),
-//     surfaces in table assembly as an explicit QUARANTINED entry, and
+//     surfaces in a grid table as an explicit QUARANTINED entry, and
 //     is never silently dropped or allowed to hang a sweep.
 
 // QuarantinedError marks a cell that failed deterministically: a
-// machine error, which every rerun of the cell would repeat. Table
-// assembly renders it as a QUARANTINED entry (see CellValue);
-// experiments that cannot represent a missing cell (group averages)
-// propagate it and fail the sweep loudly instead.
+// machine error, which every rerun of the cell would repeat. A grid
+// table renders the cell, and a column relative to it, as QUARANTINED
+// (grids.rows). Every other builder (averages, the summary, improvement
+// 4, compiler, the studies) fails the sweep on it: an aggregate over a
+// missing cell would be silently wrong.
 type QuarantinedError struct {
 	Key    string
 	Label  string
@@ -96,25 +97,6 @@ func (r *Runner) StoreReport() StoreReport {
 	rep.SupervisionCounts = r.sup
 	r.mu.Unlock()
 	return rep
-}
-
-// CellValue renders one table cell from a completed cell's result: the
-// supplied rendering on success, the explicit QUARANTINED marker for a
-// quarantined cell, or the error itself (failing the sweep) for
-// anything else. The per-kernel cycle figures (Figs 3–6, 9–12) route
-// through it via cycleCell, so a poisoned cell there is a visible table
-// entry. Every other builder (group averages, figs 13/14, the
-// ablations, improvements, hwablations, compiler and the studies)
-// propagates a quarantined cell's error and fails the sweep instead.
-func CellValue(st *core.Stats, err error, render func(*core.Stats) string) (string, error) {
-	var qe *QuarantinedError
-	if errors.As(err, &qe) {
-		return "QUARANTINED", nil
-	}
-	if err != nil {
-		return "", err
-	}
-	return render(st), nil
 }
 
 // cellOutcome is what supervision hands back to the scheduler for one

@@ -235,9 +235,6 @@ func TestQuarantinePersistsAcrossRunners(t *testing.T) {
 	if r1.sup.Quarantines != 1 {
 		t.Errorf("supervision counters = %+v, want 1 quarantine", r1.sup)
 	}
-	if v, cerr := CellValue(nil, err, cycles); cerr != nil || v != "QUARANTINED" {
-		t.Errorf("CellValue = (%q, %v), want the QUARANTINED marker", v, cerr)
-	}
 
 	r2 := NewRunner(kernels.Small)
 	r2.Store = openStore(t, dir)
@@ -295,40 +292,43 @@ func TestQuarantineCarriesBundle(t *testing.T) {
 	}
 }
 
-// TestQuarantinedCellRendersInTable: end to end, a poisoned cell must
-// become a visible QUARANTINED entry in the rendered table — not a
-// silent hole, and not a failed sweep.
+// TestQuarantinedCellRendersInTable: end to end, a poisoned grid cell
+// must become a visible QUARANTINED entry in the rendered table, and so
+// must a column relative to it: not a silent hole, and not a failed
+// sweep. The exported row marks the same cells, and reading one, as
+// every paper claim does, fails.
 func TestQuarantinedCellRendersInTable(t *testing.T) {
-	poisoned := Experiment{
-		Name:  "poisoned",
-		Title: "table with one quarantined cell",
-		Run: func(r *Runner) ([]Table, error) {
-			tab := Table{Title: "poisoned", Headers: []string{"Benchmark", "Cycles"}}
-			for i, b := range kernels.GroupI()[:2] {
-				cfg := r.config(2)
-				if i == 0 {
-					cfg.MaxCycles = 10 // this cell trips the runaway guard
-				}
-				v, err := cycleCell(r, b, cfg)
-				if err != nil {
-					return nil, err
-				}
-				tab.Rows = append(tab.Rows, []string{b.Name, v})
-			}
-			return []Table{tab}, nil
-		},
-	}
+	poisoned := figure("poisoned", "table with quarantined cells", "poisoned",
+		func() []*kernels.Benchmark { return kernels.GroupI()[:2] }, []column{
+			// These cells trip the runaway guard.
+			{header: "Runaway", threads: 2, set: func(c *core.Config) { c.MaxCycles = 10 }},
+			{header: "Cycles", threads: 2},
+			view("Slowdown %", 1, slowdownPct),
+			view("SU stalls", 1, suStalls),
+		})
 	r := NewRunner(kernels.Small)
 	tables, _, err := r.RunExperiments([]Experiment{poisoned}, 2)
 	if err != nil {
 		t.Fatalf("a quarantined cell failed the sweep: %v", err)
 	}
-	rows := tables[0][0].Rows
-	if rows[0][1] != "QUARANTINED" {
-		t.Errorf("poisoned cell rendered %q, want QUARANTINED", rows[0][1])
+	for _, row := range tables[0][0].Rows {
+		if row[1] != "QUARANTINED" || row[3] != "QUARANTINED" {
+			t.Errorf("%s: poisoned cell and the column relative to it rendered %q and %q, want QUARANTINED", row[0], row[1], row[3])
+		}
+		if row[2] == "QUARANTINED" || row[2] == "" || row[4] == "QUARANTINED" || row[4] == "" {
+			t.Errorf("%s: healthy cells rendered %q and %q", row[0], row[2], row[4])
+		}
 	}
-	if rows[1][1] == "QUARANTINED" || rows[1][1] == "" {
-		t.Errorf("healthy cell rendered %q", rows[1][1])
+	x, err := r.Exports([]Experiment{poisoned})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := x["poisoned"].([]Grid)[0]
+	if _, err := value(g, "LL1", "Slowdown %"); err == nil {
+		t.Error("reading a column relative to a quarantined cell succeeded")
+	}
+	if v, err := value(g, "LL1", "Cycles"); err != nil || v == 0 {
+		t.Errorf("healthy cell reads (%v, %v)", v, err)
 	}
 }
 
