@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cover"
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/loader"
 	"repro/internal/minic"
@@ -34,6 +35,9 @@ import (
 //     at most once each and in strictly increasing cycles; one commit
 //     record per CommitsPerWin count, in its window slot, and at most
 //     one per cycle;
+//   - per-cycle capacity, read from the stream: at most IssueWidth issue
+//     records, at most as many of one FU class as it has units, and at
+//     most WritebackWidth writeback records;
 //   - observation: no observer, coverage, the trace, and both give
 //     identical Stats, and the two coverage runs identical counts.
 //
@@ -203,13 +207,19 @@ func observedRun(t *testing.T, c propCase, cov bool, sink cover.Sink) *Stats {
 	return st
 }
 
-// streamSink checks the stage records of one run as they arrive and
-// tallies what check compares with the run's Stats.
+// streamSink checks the stage records of one run as they arrive, among
+// them the per-cycle capacities of its configuration, and tallies what
+// check compares with the run's Stats.
 type streamSink struct {
+	cfg        Config               // the run's widths and FU counts
 	stages     map[uint64][3]uint64 // per tag: dispatch, issue, writeback cycle
 	dispatched uint64
-	commits    [BlockSize]uint64 // commit records per window slot
-	lastCommit uint64            // cycle of the last commit record
+	commits    [BlockSize]uint64       // commit records per window slot
+	lastCommit uint64                  // cycle of the last commit record
+	issueAt    uint64                  // cycle of the issue records counted in issued
+	issued     [isa.NumClasses + 1]int // per FU class (record field A), then in all
+	wbAt       uint64                  // cycle of the writeback records counted in written
+	written    int
 	err        error
 }
 
@@ -223,8 +233,25 @@ func (s *streamSink) Observe(r cover.Record) {
 		s.dispatched++
 	case cover.KindIssue:
 		stage = 1
+		if r.Cycle != s.issueAt {
+			s.issueAt, s.issued = r.Cycle, [isa.NumClasses + 1]int{}
+		}
+		s.issued[r.A]++
+		s.issued[isa.NumClasses]++
+		switch {
+		case s.issued[isa.NumClasses] > s.cfg.IssueWidth:
+			s.err = fmt.Errorf("%d issue records in cycle %d, IssueWidth %d", s.issued[isa.NumClasses], r.Cycle, s.cfg.IssueWidth)
+		case s.issued[r.A] > s.cfg.FUs.Count[r.A]:
+			s.err = fmt.Errorf("%d issue records of FU class %v in cycle %d, %d units", s.issued[r.A], isa.Class(r.A), r.Cycle, s.cfg.FUs.Count[r.A])
+		}
 	case cover.KindWriteback:
 		stage = 2
+		if r.Cycle != s.wbAt {
+			s.wbAt, s.written = r.Cycle, 0
+		}
+		if s.written++; s.written > s.cfg.WritebackWidth {
+			s.err = fmt.Errorf("%d writeback records in cycle %d, WritebackWidth %d", s.written, r.Cycle, s.cfg.WritebackWidth)
+		}
 	case cover.KindCommit:
 		if r.Cycle == s.lastCommit {
 			s.err = fmt.Errorf("two commit records in cycle %d", r.Cycle)
@@ -358,7 +385,7 @@ func TestTimingProperties(t *testing.T) {
 		// (with the stream checks riding on it) and both.
 		// The trace renders its first 100 cycles: a record reaches the
 		// renderer as a copy, so later cycles' text could change nothing.
-		streams := &streamSink{stages: map[uint64][3]uint64{}}
+		streams := &streamSink{cfg: c.cfg, stages: map[uint64][3]uint64{}}
 		trace := func() cover.Sink { return cover.NewTrace(io.Discard, 100) }
 		plain := observedRun(t, c, false, nil)
 		traced := observedRun(t, c, false, cover.Chain(trace(), streams))

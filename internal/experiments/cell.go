@@ -24,9 +24,9 @@ import (
 )
 
 // cellSpec is one cell of a sweep: everything its simulation depends
-// on. Every experiment declares its cells as specs, simulate is the one
-// function that runs them, and cellID names them, so equal specs are
-// one cell in memory and in the store.
+// on. Every experiment's cubes list their cells as specs, simulate is
+// the one function that runs them, and cellID names them, so equal specs
+// are one cell in memory and in the store.
 type cellSpec struct {
 	label string      // for progress lines and reports; not part of the ID
 	cfg   core.Config // the complete machine configuration; Mix is built from slots

@@ -157,14 +157,7 @@ func TestCellIDRejectsMaps(t *testing.T) {
 // Paranoid runner on the same store must simulate, not be served.
 func TestParanoidRunnerSimulatesItsCells(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cells")
-	exps := []Experiment{{Name: "two", Run: func(r *Runner) ([]Table, error) {
-		for _, b := range kernels.GroupI()[:2] {
-			if _, err := r.run(b, r.config(2)); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	}}}
+	exps := []Experiment{cellsOnly("two", onKernels(kernels.GroupI()[:2]), along([]int{2}, setThreads))}
 	if _, filled := renderStored(t, openStore(t, dir), 2, exps); len(filled) != 2 {
 		t.Fatalf("default runner declared %d cells, want 2", len(filled))
 	}
@@ -221,13 +214,11 @@ func TestMiniCSoloHonoursPredictor(t *testing.T) {
 	}
 	r := NewRunner(kernels.Small)
 	r.predictor = core.PredTAGE
-	var got *core.Stats
-	if _, err := probe(r, 1, func(r *Runner) (err error) {
-		got, err = r.runSolo(lean, k, hierVariants()[0])
-		return err
-	}); err != nil {
+	c, _, err := probe(r, 1, axis{func(c *cellSpec) { lean.alone(c, k) }})
+	if err != nil {
 		t.Fatal(err)
 	}
+	got := c.at(0)
 	if !reflect.DeepEqual(got, tage) {
 		t.Errorf("TAGE runner's MiniC solo differs from a direct TAGE run:\n got  %+v\n want %+v", got.Branch, tage.Branch)
 	}

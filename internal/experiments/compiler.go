@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-
-	"repro/internal/core"
-	"repro/internal/kernels"
+	"slices"
 )
 
 // matrixC is the Matrix benchmark expressed in MiniC (24×24, the paper
@@ -71,78 +69,71 @@ void main() {
 }
 `
 
-// CompilerStudy measures the toolchain dimension the paper only
-// mentions in passing: compiled code vs hand-scheduled assembly, and
-// the cost of shrinking the register budget (the 128/N partition).
-func CompilerStudy(r *Runner) ([]Table, error) {
-	quality := Table{
-		Title:   "Compiler study: hand-written kernels vs naive MiniC (cycles)",
-		Headers: []string{"Workload", "Threads", "Hand-written asm", "MiniC compiled", "Ratio"},
-	}
-	handMatrix, err := kernels.Get("Matrix")
-	if err != nil {
-		return nil, err
-	}
-	handDot, err := kernels.Get("LL3")
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range []struct {
-		name string
-		hand *kernels.Benchmark
-		csrc string
-	}{
-		{"Matrix", handMatrix, matrixC},
-		{"Inner product", handDot, dotC},
-	} {
-		for _, n := range []int{1, 4} {
-			hand, err := r.run(row.hand, r.config(n))
-			if err != nil {
-				return nil, err
-			}
-			comp, err := r.runMiniC(row.name, row.csrc, r.config(n), 128/n)
-			if err != nil {
-				return nil, err
-			}
-			quality.Rows = append(quality.Rows, []string{row.name, fmt.Sprint(n),
-				cycles(hand), cycles(comp),
-				fmt.Sprintf("%.2fx", float64(comp.Cycles)/float64(hand.Cycles))})
-		}
-	}
-	quality.Notes = append(quality.Notes,
-		"MiniC keeps locals in stack slots (a naive 1990s compiler); the gap is the cost of not register-allocating, not a simulator artifact.")
+// compilerWorkload is one of the study's programs: a MiniC source and
+// the hand-written kernel it reimplements.
+type compilerWorkload struct{ name, hand, src string }
 
-	budget := Table{
-		Title:   "Compiler study: register budget (the 128/N partition) vs cycles",
-		Headers: []string{"Budget (threads' share)", "Matrix 1T", "Matrix 4T", "Dot 1T", "Dot 4T"},
-	}
-	for _, regs := range []int{9, 12, 16, 21, 32, 64, 128} {
-		row := []string{fmt.Sprint(regs)}
-		for _, w := range []struct{ name, src string }{{"Matrix", matrixC}, {"Inner product", dotC}} {
-			for _, n := range []int{1, 4} {
-				if regs > 128/n {
-					row = append(row, "—") // partition cannot grant this many
-					continue
-				}
-				st, err := r.runMiniC(w.name, w.src, r.config(n), regs)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, cycles(st))
-			}
-		}
-		budget.Rows = append(budget.Rows, row)
-	}
-	budget.Notes = append(budget.Notes,
-		"Smaller budgets force expression spills; the knee shows how many registers this code actually needs.")
-	return []Table{quality, budget}, nil
+var compilerWorkloads = []compilerWorkload{
+	{"Matrix", "Matrix", matrixC},
+	{"Inner product", "LL3", dotC},
 }
 
-// runMiniC compiles src with a regs-register budget and simulates it
-// under cfg. It is a runner cell like any benchmark run, so the
-// parallel scheduler dedupes and fans it out alongside the kernel cells.
-func (r *Runner) runMiniC(name, src string, cfg core.Config, regs int) (*core.Stats, error) {
-	cfg.MaxCycles = nonKernelMaxCycles
-	return r.runCell(cellSpec{label: "minic/" + name, cfg: cfg,
-		slots: []cellSlot{{Threads: cfg.Threads, Regs: regs, MiniC: src}}})
+// compilerThreads and regBudgets are the study's thread counts and
+// register budgets.
+var (
+	compilerThreads = []int{1, 4}
+	regBudgets      = []int{9, 12, 16, 21, 32, 64, 128}
+)
+
+// compilerStudy measures the toolchain dimension the paper only
+// mentions in passing: compiled code vs hand-scheduled assembly, and
+// the cost of shrinking the register budget (the 128/N partition). Its
+// compiled cells are workload × threads × budget; a budget above 128/N,
+// which the partition cannot grant, is a hole.
+func compilerStudy(*Runner) ([]*cube, build) {
+	hand := newCube(along(compilerWorkloads, func(c *cellSpec, w compilerWorkload) { runKernel(c, w.hand) }),
+		along(compilerThreads, setThreads))
+	compiled := newCube(along(compilerWorkloads, func(c *cellSpec, w compilerWorkload) {
+		c.label, c.slots[0].MiniC, c.cfg.MaxCycles = "minic/"+w.name, w.src, nonKernelMaxCycles
+	}), along(compilerThreads, setThreads), along(regBudgets, func(c *cellSpec, regs int) {
+		if c.slots[0].Regs = regs; regs > 128/c.cfg.Threads {
+			c.slots = nil
+		}
+	}))
+	return []*cube{hand, compiled}, func() ([]Table, any) {
+		quality := Table{
+			Title:   "Compiler study: hand-written kernels vs naive MiniC (cycles)",
+			Headers: []string{"Workload", "Threads", "Hand-written asm", "MiniC compiled", "Ratio"},
+		}
+		for w, wl := range compilerWorkloads {
+			for t, n := range compilerThreads {
+				h, comp := hand.at(w, t), compiled.at(w, t, slices.Index(regBudgets, 128/n))
+				quality.Rows = append(quality.Rows, []string{wl.name, fmt.Sprint(n), cycles(h), cycles(comp),
+					fmt.Sprintf("%.2fx", float64(comp.Cycles)/float64(h.Cycles))})
+			}
+		}
+		quality.Notes = append(quality.Notes,
+			"MiniC keeps locals in stack slots (a naive 1990s compiler); the gap is the cost of not register-allocating, not a simulator artifact.")
+
+		budget := Table{
+			Title:   "Compiler study: register budget (the 128/N partition) vs cycles",
+			Headers: []string{"Budget (threads' share)", "Matrix 1T", "Matrix 4T", "Dot 1T", "Dot 4T"},
+		}
+		for b, regs := range regBudgets {
+			row := []string{fmt.Sprint(regs)}
+			for w := range compilerWorkloads {
+				for t := range compilerThreads {
+					if st := compiled.at(w, t, b); st != nil {
+						row = append(row, cycles(st))
+					} else {
+						row = append(row, "—") // partition cannot grant this many
+					}
+				}
+			}
+			budget.Rows = append(budget.Rows, row)
+		}
+		budget.Notes = append(budget.Notes,
+			"Smaller budgets force expression spills; the knee shows how many registers this code actually needs.")
+		return []Table{quality, budget}, nil
+	}
 }

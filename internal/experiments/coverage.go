@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cover"
-	"repro/internal/kernels"
 )
 
 // The coverage experiment maps which microarchitectural events
@@ -32,25 +31,11 @@ var coveragePolicies = []core.FetchPolicy{
 // default; the multi-thread-only events need the latter.
 var coverageThreads = []int{1, defaultThreads}
 
-// coverCell runs one kernel × threads × policy cell with coverage
-// recording on. The set attached here only asks for recording: each
-// simulation records into a fresh set, which travels on the returned
-// Stats, so the assemble pass reads the executed cell's coverage.
-func (r *Runner) coverCell(b *kernels.Benchmark, n int, pol core.FetchPolicy) (*core.Stats, error) {
-	cfg := r.config(n)
-	cfg.FetchPolicy = pol
-	cfg.Coverage = cover.NewSet()
-	return r.run(b, cfg)
-}
-
 // mergeCover folds src into *dst with the clone-first pattern: merging
 // into a fresh NewSet would wrongly mark every event applicable (Merge
 // keeps an event applicable if either input says so, and a fresh set
 // says so for all of them).
 func mergeCover(dst **cover.Set, src *cover.Set) {
-	if src == nil {
-		return
-	}
 	if *dst == nil {
 		*dst = src.Clone()
 	} else {
@@ -58,70 +43,55 @@ func mergeCover(dst **cover.Set, src *cover.Set) {
 	}
 }
 
-// Coverage renders the event × kernel matrix and the per-configuration
-// coverage summaries.
-func Coverage(r *Runner) ([]Table, error) {
-	matrix := Table{
-		Title:   "Event coverage matrix: hit counts per kernel (merged over 1/4 threads x 4 fetch policies)",
-		Headers: []string{"Group", "Event"},
-	}
-	matrix.Headers = append(matrix.Headers, coverageKernels...)
-	matrix.Headers = append(matrix.Headers, "Status")
-
-	summary := Table{
-		Title:   "Coverage by configuration (core events; stress tier reported separately)",
-		Headers: []string{"Benchmark", "Threads", "Policy", "Core", "Stress", "Core %"},
-	}
-
-	byKernel := map[string]*cover.Set{}
-	var merged *cover.Set
-	for _, name := range coverageKernels {
-		b, err := kernels.Get(name)
-		if err != nil {
-			return nil, err
+// coverage renders the event × kernel matrix and the per-configuration
+// coverage summaries from its cube: kernel × threads × policy, with
+// coverage recording on. A cell's set only asks for recording: each
+// simulation records into a fresh one, which travels on its Stats.
+func coverage(*Runner) ([]*cube, build) {
+	c := newCube(along(coverageKernels, runKernel), along(coverageThreads, setThreads),
+		along(coveragePolicies, func(c *cellSpec, p core.FetchPolicy) { c.cfg.FetchPolicy, c.cfg.Coverage = p, cover.NewSet() }))
+	return []*cube{c}, func() ([]Table, any) {
+		matrix := Table{
+			Title:   "Event coverage matrix: hit counts per kernel (merged over 1/4 threads x 4 fetch policies)",
+			Headers: []string{"Group", "Event"},
 		}
-		for _, n := range coverageThreads {
-			for _, pol := range coveragePolicies {
-				st, err := r.coverCell(b, n, pol)
-				if err != nil {
-					return nil, err
+		matrix.Headers = append(matrix.Headers, coverageKernels...)
+		matrix.Headers = append(matrix.Headers, "Status")
+
+		summary := Table{
+			Title:   "Coverage by configuration (core events; stress tier reported separately)",
+			Headers: []string{"Benchmark", "Threads", "Policy", "Core", "Stress", "Core %"},
+		}
+
+		byKernel := make([]*cover.Set, len(coverageKernels))
+		var merged *cover.Set
+		for k, name := range coverageKernels {
+			for t, n := range coverageThreads {
+				for p, pol := range coveragePolicies {
+					s := c.at(k, t, p).Coverage
+					summary.Rows = append(summary.Rows, []string{
+						name, fmt.Sprint(n), pol.String(),
+						fmt.Sprintf("%d/%d", s.CoreHits(), s.CoreApplicable()),
+						fmt.Sprintf("%d/%d", s.Hits()-s.CoreHits(), s.ApplicableCount()-s.CoreApplicable()),
+						fmt.Sprintf("%.1f", 100*s.CoreFraction()),
+					})
+					mergeCover(&byKernel[k], s)
+					mergeCover(&merged, s)
 				}
-				// Declaration-pass placeholders carry no coverage; the
-				// tables built from them are discarded anyway.
-				if st.Coverage == nil {
-					continue
-				}
-				s := st.Coverage
-				summary.Rows = append(summary.Rows, []string{
-					name, fmt.Sprint(n), pol.String(),
-					fmt.Sprintf("%d/%d", s.CoreHits(), s.CoreApplicable()),
-					fmt.Sprintf("%d/%d", s.Hits()-s.CoreHits(), s.ApplicableCount()-s.CoreApplicable()),
-					fmt.Sprintf("%.1f", 100*s.CoreFraction()),
-				})
-				ks := byKernel[name]
-				mergeCover(&ks, s)
-				byKernel[name] = ks
-				mergeCover(&merged, s)
 			}
 		}
-	}
 
-	for _, e := range cover.Events() {
-		in := e.Describe()
-		row := []string{in.Group, in.Name}
-		for _, name := range coverageKernels {
-			s := byKernel[name]
-			switch {
-			case s == nil:
-				row = append(row, "-")
-			case !s.Applicable(e):
-				row = append(row, "n/a")
-			default:
-				row = append(row, fmt.Sprint(s.Count(e)))
+		for _, e := range cover.Events() {
+			in := e.Describe()
+			row := []string{in.Group, in.Name}
+			for _, s := range byKernel {
+				if s.Applicable(e) {
+					row = append(row, fmt.Sprint(s.Count(e)))
+				} else {
+					row = append(row, "n/a")
+				}
 			}
-		}
-		status := "-"
-		if merged != nil {
+			var status string
 			switch {
 			case !merged.Applicable(e):
 				status = "n/a"
@@ -132,12 +102,9 @@ func Coverage(r *Runner) ([]Table, error) {
 			default:
 				status = "GAP"
 			}
+			matrix.Rows = append(matrix.Rows, append(row, status))
 		}
-		row = append(row, status)
-		matrix.Rows = append(matrix.Rows, row)
-	}
 
-	if merged != nil {
 		var gaps, stress []string
 		for _, e := range merged.Gaps() {
 			if e.Describe().Stress {
@@ -156,9 +123,8 @@ func Coverage(r *Runner) ([]Table, error) {
 		if len(stress) > 0 {
 			matrix.Notes = append(matrix.Notes, fmt.Sprintf("stress gaps (fuzzer-owned, closed by the progen corpus): %v", stress))
 		}
+		summary.Notes = append(summary.Notes,
+			"stress-tier events need adversarial code shapes the kernels lack; TestCoverageFloor holds the generated corpus to them")
+		return []Table{matrix, summary}, nil
 	}
-	summary.Notes = append(summary.Notes,
-		"stress-tier events need adversarial code shapes the kernels lack; TestCoverageFloor holds the generated corpus to them")
-
-	return []Table{matrix, summary}, nil
 }

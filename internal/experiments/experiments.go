@@ -4,13 +4,13 @@
 // plots; EXPERIMENTS.md records the measured values next to the paper's
 // qualitative claims.
 //
-// Most experiments build typed rows and render their tables from them;
-// a per-kernel table is a grid (grid.go), data rather than code. A
-// sweep executes as a declare/schedule/assemble pipeline (see
-// Runner.RunExperiments): the cells an experiment needs are declared up
-// front, deduplicated across experiments, simulated on a bounded worker
-// pool, and only then assembled, so the rendered output is
-// byte-identical for any worker count.
+// An experiment is data plus one build: the cells it reads, as cubes
+// (cube.go), and a function that makes its tables and typed rows from
+// the filled cubes; a per-kernel table is a grid (grid.go). A sweep lists
+// every cube's cells up front without simulating, deduplicates them
+// across experiments, simulates them on a bounded worker pool, and only
+// then builds each experiment once, so the rendered output is
+// byte-identical for any worker count (see Runner.RunExperiments).
 package experiments
 
 import (
@@ -21,27 +21,24 @@ import (
 	"repro/internal/kernels"
 )
 
-// Experiment produces the tables for one paper figure or table.
+// Experiment produces the tables for one paper figure or table. plan
+// returns the cubes of cells it reads and its build.
 type Experiment struct {
 	Name  string // e.g. "fig3"
 	Title string
-	Run   func(r *Runner) ([]Table, error)
-	// Export, when non-nil, returns the rows Run renders its tables
-	// from, for sdsp-exp -json. It serves memoized cells only, so call
-	// it after RunExperiments (see Runner.Exports).
-	Export func(r *Runner) (any, error)
+	plan  func(r *Runner) ([]*cube, build)
 }
 
-// exportOf adapts a typed-rows builder to Experiment.Export.
-func exportOf[T any](build func(*Runner) (T, error)) func(*Runner) (any, error) {
-	return func(r *Runner) (any, error) { return build(r) }
-}
+// build makes an experiment's tables from its filled cubes, and the
+// typed rows they render from, which sdsp-exp -json exports (nil when it
+// has none).
+type build func() ([]Table, any)
 
 // Registry returns all experiments in paper order.
 func Registry() []Experiment {
 	return []Experiment{
-		{"table1", "Functional unit configuration", Table1, nil},
-		{"table2", "Hardware configuration", Table2, nil},
+		{"table1", "Functional unit configuration", table1},
+		{"table2", "Hardware configuration", table2},
 		figure("fig3", "Fetch policies, Group I (cycles)",
 			"Figure 3: cycles of execution, Livermore loops, by fetch policy (4 threads)", kernels.GroupI, fetchColumns),
 		figure("fig4", "Fetch policies, Group II (cycles)",
@@ -70,14 +67,14 @@ func Registry() []Experiment {
 		figure("fig14", "Result commit from one vs four blocks, Group II (cycles)",
 			"Figure 14: commit from one vs multiple blocks, Group II", kernels.GroupII, commitColumns),
 		rowsExperiment("summary", "Speedup summary (paper §5.2 prose)", peaks, summary),
-		rowsExperiment("ablations", "Extension ablations: bypassing, renaming, fetch waste", ablationGrids.rows, ablationGrids.tables),
-		{"improvements", "Paper §6.1: all four proposed improvements, implemented", Improvements, exportOf(improvementGrids.rows)},
-		rowsExperiment("hwablations", "Extension ablations: predictor, BTB sharing, I-cache, forwarding", hardwareGrids.rows, hardwareGrids.tables),
-		{"compiler", "Toolchain study: MiniC vs hand-written asm; register budget sweep", CompilerStudy, nil},
-		{"faultsweep", "Fault sweep: IPC degradation under injected faults, per mechanism", FaultSweep, exportOf(faultCurves)},
-		{"coverage", "Microarchitectural event coverage across kernels, threads, and policies", Coverage, nil},
-		{"predstudy", "Frontend study: predictor family × fetch policy IPC and accuracy matrix", PredStudy, exportOf(predGrid)},
-		{"mixstudy", "Heterogeneous study: multiprogrammed pairings × threads × memory hierarchy", MixStudy, exportOf(mixGrid)},
+		rowsExperiment("ablations", "Extension ablations: bypassing, renaming, fetch waste", ablationGrids.plan, ablationGrids.tables),
+		{"improvements", "Paper §6.1: all four proposed improvements, implemented", improvements},
+		rowsExperiment("hwablations", "Extension ablations: predictor, BTB sharing, I-cache, forwarding", hardwareGrids.plan, hardwareGrids.tables),
+		{"compiler", "Toolchain study: MiniC vs hand-written asm; register budget sweep", compilerStudy},
+		{"faultsweep", "Fault sweep: IPC degradation under injected faults, per mechanism", faultSweep},
+		{"coverage", "Microarchitectural event coverage across kernels, threads, and policies", coverage},
+		{"predstudy", "Frontend study: predictor family × fetch policy IPC and accuracy matrix", predStudy},
+		{"mixstudy", "Heterogeneous study: multiprogrammed pairings × threads × memory hierarchy", mixStudy},
 	}
 }
 
@@ -97,49 +94,53 @@ const defaultThreads = 4
 // threadSweep is the paper's 1–6 thread range.
 var threadSweep = []int{1, 2, 3, 4, 5, 6}
 
-// Table1 prints the functional unit configuration actually simulated.
-func Table1(r *Runner) ([]Table, error) {
-	def, enh := core.DefaultFUs(), core.EnhancedFUs()
-	t := Table{
-		Title:   "Table 1: functional unit configuration",
-		Headers: []string{"Type of FU", "Default no.", "Enhanced no.", "Latency (cycles)", "Pipelined"},
+// table1 prints the functional unit configuration actually simulated.
+func table1(*Runner) ([]*cube, build) {
+	return nil, func() ([]Table, any) {
+		def, enh := core.DefaultFUs(), core.EnhancedFUs()
+		t := Table{
+			Title:   "Table 1: functional unit configuration",
+			Headers: []string{"Type of FU", "Default no.", "Enhanced no.", "Latency (cycles)", "Pipelined"},
+		}
+		for cl := 0; cl < len(def.Count); cl++ {
+			t.Rows = append(t.Rows, []string{
+				className(cl),
+				fmt.Sprint(def.Count[cl]),
+				fmt.Sprint(enh.Count[cl]),
+				fmt.Sprint(def.Latency[cl]),
+				fmt.Sprint(def.Pipelined[cl]),
+			})
+		}
+		t.Notes = append(t.Notes, "Latencies are DESIGN.md substitutions; the OCR of the paper lost the originals.")
+		return []Table{t}, nil
 	}
-	for cl := 0; cl < len(def.Count); cl++ {
-		t.Rows = append(t.Rows, []string{
-			className(cl),
-			fmt.Sprint(def.Count[cl]),
-			fmt.Sprint(enh.Count[cl]),
-			fmt.Sprint(def.Latency[cl]),
-			fmt.Sprint(def.Pipelined[cl]),
-		})
-	}
-	t.Notes = append(t.Notes, "Latencies are DESIGN.md substitutions; the OCR of the paper lost the originals.")
-	return []Table{t}, nil
 }
 
-// Table2 prints the default hardware configuration.
-func Table2(r *Runner) ([]Table, error) {
-	cfg := core.DefaultConfig()
-	t := Table{
-		Title:   "Table 2: hardware configuration",
-		Headers: []string{"Feature", "Default value", "Others simulated"},
-		Rows: [][]string{
-			{"Number of threads", fmt.Sprint(cfg.Threads), "1, 2, 3, 5, or 6"},
-			{"Fetch bandwidth", "4 instructions/cycle", ""},
-			{"Branch prediction", "2-bit hardware predictor, shared BTB", ""},
-			{"Result commit", fmt.Sprintf("from bottom %d blocks of RB", cfg.CommitWindow), "lower-most block only"},
-			{"Register renaming", "full renaming", "1-bit scoreboarding"},
-			{"Bypassing of results", "have bypassing", "no bypassing"},
-			{"Data cache", "8K, 2-way set associative, 32B lines, LRU", "direct-mapped 8K"},
-			{"Instruction cache", "perfect (100% hits)", ""},
-			{"Store buffer depth", fmt.Sprint(cfg.StoreBuffer) + " entries", ""},
-			{"Depth of sched. unit", fmt.Sprint(cfg.SUEntries) + " entries", "16, 48, or 64 entries"},
-			{"Functional units", "see Table 1", "enhanced configuration"},
-			{"Writes to RB+IW/cycle", fmt.Sprint(cfg.WritebackWidth), ""},
-			{"Insns issued/cycle", fmt.Sprint(cfg.IssueWidth), ""},
-		},
+// table2 prints the default hardware configuration.
+func table2(*Runner) ([]*cube, build) {
+	return nil, func() ([]Table, any) {
+		cfg := core.DefaultConfig()
+		t := Table{
+			Title:   "Table 2: hardware configuration",
+			Headers: []string{"Feature", "Default value", "Others simulated"},
+			Rows: [][]string{
+				{"Number of threads", fmt.Sprint(cfg.Threads), "1, 2, 3, 5, or 6"},
+				{"Fetch bandwidth", "4 instructions/cycle", ""},
+				{"Branch prediction", "2-bit hardware predictor, shared BTB", ""},
+				{"Result commit", fmt.Sprintf("from bottom %d blocks of RB", cfg.CommitWindow), "lower-most block only"},
+				{"Register renaming", "full renaming", "1-bit scoreboarding"},
+				{"Bypassing of results", "have bypassing", "no bypassing"},
+				{"Data cache", "8K, 2-way set associative, 32B lines, LRU", "direct-mapped 8K"},
+				{"Instruction cache", "perfect (100% hits)", ""},
+				{"Store buffer depth", fmt.Sprint(cfg.StoreBuffer) + " entries", ""},
+				{"Depth of sched. unit", fmt.Sprint(cfg.SUEntries) + " entries", "16, 48, or 64 entries"},
+				{"Functional units", "see Table 1", "enhanced configuration"},
+				{"Writes to RB+IW/cycle", fmt.Sprint(cfg.WritebackWidth), ""},
+				{"Insns issued/cycle", fmt.Sprint(cfg.IssueWidth), ""},
+			},
+		}
+		return []Table{t}, nil
 	}
-	return []Table{t}, nil
 }
 
 // fetchColumns are Fig 3/4's: the three fetch policies at 4 threads,
@@ -212,30 +213,32 @@ type CacheRow struct {
 
 // cacheRows averages scale × read over each group's kernels, direct
 // and 2-way associative, by thread count, then group.
-func cacheRows(scale float64, read func(*core.Stats) float64, gs ...int) func(*Runner) ([]CacheRow, error) {
-	return func(r *Runner) ([]CacheRow, error) {
-		var rows []CacheRow
-		for _, n := range threadSweep {
-			for _, g := range gs {
-				ks := groups[g].kernels()
-				var avg [2]float64 // direct-mapped, 2-way
-				for i := range avg {
-					var sum float64
-					for _, b := range ks {
-						cfg := r.config(n)
-						cfg.Cache.Ways = i + 1
-						st, err := r.run(b, cfg)
-						if err != nil {
-							return nil, err
-						}
-						sum += read(st)
-					}
-					avg[i] = scale * sum / float64(len(ks))
-				}
-				rows = append(rows, CacheRow{Threads: n, Group: groups[g].name, Direct: avg[0], Associative: avg[1]})
-			}
+func cacheRows(scale float64, read func(*core.Stats) float64, gs ...int) func(*Runner) ([]*cube, func() []CacheRow) {
+	return func(*Runner) ([]*cube, func() []CacheRow) {
+		cubes := make([]*cube, len(gs))
+		for i, g := range gs {
+			cubes[i] = newCube(along(threadSweep, setThreads),
+				along([]int{1, 2}, func(c *cellSpec, ways int) { c.cfg.Cache.Ways = ways }),
+				onKernels(groups[g].kernels()))
 		}
-		return rows, nil
+		return cubes, func() []CacheRow {
+			var rows []CacheRow
+			for t, n := range threadSweep {
+				for i, g := range gs {
+					ks := len(cubes[i].axes[2])
+					var avg [2]float64 // direct-mapped, 2-way
+					for w := range avg {
+						var sum float64
+						for k := 0; k < ks; k++ {
+							sum += read(cubes[i].at(t, w, k))
+						}
+						avg[w] = scale * sum / float64(ks)
+					}
+					rows = append(rows, CacheRow{Threads: n, Group: groups[g].name, Direct: avg[0], Associative: avg[1]})
+				}
+			}
+			return rows
+		}
 	}
 }
 
@@ -264,34 +267,29 @@ type UnitUsage struct {
 }
 
 // unitUsage is Table 4's rows, by class, then unit, then group.
-func unitUsage(r *Runner) ([]UnitUsage, error) {
-	def, enh := core.DefaultFUs(), core.EnhancedFUs()
-	var sts [2][]*core.Stats
+func unitUsage(*Runner) ([]*cube, func() []UnitUsage) {
+	cubes := make([]*cube, len(groups))
 	for g := range groups {
-		for _, b := range groups[g].kernels() {
-			cfg := r.config(defaultThreads)
-			cfg.FUs = enh
-			st, err := r.run(b, cfg)
-			if err != nil {
-				return nil, err
-			}
-			sts[g] = append(sts[g], st)
-		}
+		cubes[g] = newCube(onKernels(groups[g].kernels()), configs(enhancedFUs))
 	}
-	var rows []UnitUsage
-	for cl := 0; cl < len(enh.Count); cl++ {
-		for u := def.Count[cl]; u < enh.Count[cl]; u++ {
-			for g := range groups {
-				var sum float64
-				for _, st := range sts[g] {
-					sum += 100 * st.FUUtilization(classOf(cl), u)
+	return cubes, func() []UnitUsage {
+		def, enh := core.DefaultFUs(), core.EnhancedFUs()
+		var rows []UnitUsage
+		for cl := 0; cl < len(enh.Count); cl++ {
+			for u := def.Count[cl]; u < enh.Count[cl]; u++ {
+				for g, c := range cubes {
+					ks := len(c.axes[0])
+					var sum float64
+					for k := 0; k < ks; k++ {
+						sum += 100 * c.at(k, 0).FUUtilization(classOf(cl), u)
+					}
+					rows = append(rows, UnitUsage{Group: groups[g].name,
+						Unit: fmt.Sprintf("%s #%d", className(cl), u+1), Percent: sum / float64(ks)})
 				}
-				rows = append(rows, UnitUsage{Group: groups[g].name,
-					Unit: fmt.Sprintf("%s #%d", className(cl), u+1), Percent: sum / float64(len(sts[g]))})
 			}
 		}
+		return rows
 	}
-	return rows, nil
 }
 
 func table4(rows []UnitUsage) []Table {
@@ -315,24 +313,24 @@ type Peak struct {
 	Speedup     float64 `json:"speedup"`
 }
 
-func peaks(r *Runner) ([]Peak, error) {
-	var rows []Peak
-	for _, b := range kernels.All() {
-		p := Peak{Kernel: b.Name, Group: groups[b.Group-1].name}
-		for _, n := range threadSweep {
-			st, err := r.run(b, r.config(n))
-			if err != nil {
-				return nil, err
+func peaks(*Runner) ([]*cube, func() []Peak) {
+	all := kernels.All()
+	c := newCube(onKernels(all), along(threadSweep, setThreads))
+	return []*cube{c}, func() []Peak {
+		var rows []Peak
+		for k, b := range all {
+			p := Peak{Kernel: b.Name, Group: groups[b.Group-1].name}
+			for t, n := range threadSweep {
+				if st := c.at(k, t); n == 1 {
+					p.BaseCycles = st.Cycles
+				} else if s := core.Speedup(st.Cycles, p.BaseCycles); p.BestThreads == 0 || s > p.Speedup {
+					p.BestThreads, p.Speedup = n, s
+				}
 			}
-			if n == 1 {
-				p.BaseCycles = st.Cycles
-			} else if s := core.Speedup(st.Cycles, p.BaseCycles); p.BestThreads == 0 || s > p.Speedup {
-				p.BestThreads, p.Speedup = n, s
-			}
+			rows = append(rows, p)
 		}
-		rows = append(rows, p)
+		return rows
 	}
-	return rows, nil
 }
 
 // summary reproduces the prose numbers of §5.2: peak improvement per
@@ -376,7 +374,8 @@ var ablationGrids = grids{{
 }, {
 	title:   "Fetch-block utilization (4 threads, TrueRR)",
 	kernels: kernels.All,
-	cols:    []column{{header: "Valid insts per fetched block (of 4)", threads: defaultThreads, metric: &fetchFill}},
+	cols: []column{{header: "Valid insts per fetched block (of 4)", threads: defaultThreads,
+		set: fetchPolicy(core.TrueRR), metric: &fetchFill}},
 }}
 
 func cycles(st *core.Stats) string { return fmt.Sprint(st.Cycles) }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -74,29 +75,81 @@ func TestFigureCoverage(t *testing.T) {
 // The runner memoizes: the same cell twice must hit the cache (same
 // pointer back).
 func TestRunnerMemoization(t *testing.T) {
-	b := kernels.GroupI()[0]
-	var st1, st2, st3 *core.Stats
-	timings, err := probe(NewRunner(kernels.Small), 1, func(r *Runner) (err error) {
-		cfg := r.config(2)
-		if st1, err = r.run(b, cfg); err != nil {
-			return err
-		}
-		if st2, err = r.run(b, cfg); err != nil {
-			return err
-		}
-		// A different config must be a different cell.
-		cfg.Cache.Ways = 1
-		st3, err = r.run(b, cfg)
-		return err
-	})
+	twoThreads := func(c *core.Config) { c.Threads = 2 }
+	c, timings, err := probe(NewRunner(kernels.Small), 1, along([]string{kernels.GroupI()[0].Name}, runKernel),
+		configs(twoThreads, twoThreads, func(c *core.Config) {
+			// A different config must be a different cell.
+			c.Threads, c.Cache.Ways = 2, 1
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	st1, st2, st3 := c.at(0, 0), c.at(0, 1), c.at(0, 2)
 	if st1 != st2 {
 		t.Error("identical cells were simulated twice")
 	}
 	if st3 == st1 || len(timings) != 2 {
 		t.Errorf("different configs shared a cache entry (%d cells simulated)", len(timings))
+	}
+}
+
+// TestCellCounts pins how many cells each experiment lists on a fresh
+// runner, at both scales, and how many distinct cells the whole
+// registry lists. It simulates nothing, and it is the only check on the
+// Paper cells of the studies that have no Paper golden.
+func TestCellCounts(t *testing.T) {
+	both := map[string]int{"table1": 0, "table2": 0, "fig3": 24, "fig4": 20, "fig5": 36, "fig6": 30,
+		"fig7": 72, "fig8": 60, "table3": 132, "fig9": 48, "fig10": 40, "fig11": 24, "fig12": 20,
+		"table4": 11, "fig13": 12, "fig14": 10, "summary": 66, "ablations": 33, "improvements": 92,
+		"hwablations": 66, "compiler": 28, "coverage": 48}
+	byScale := map[string][2]int{"faultsweep": {152, 8096}, "predstudy": {48, 384}, "mixstudy": {36, 99}}
+	for i, sc := range []struct {
+		name     string
+		scale    kernels.Scale
+		distinct int
+	}{{"small", kernels.Small, 691}, {"paper", kernels.Paper, 8885}} {
+		for _, e := range Registry() {
+			want, ok := both[e.Name]
+			if !ok {
+				want, ok = byScale[e.Name][i], byScale[e.Name] != [2]int{}
+			}
+			cells, err := NewRunner(sc.scale).DeclareCells([]Experiment{e})
+			switch {
+			case err != nil:
+				t.Errorf("%s %s: %v", sc.name, e.Name, err)
+			case !ok:
+				t.Errorf("%s lists %d cells; pin its count here", e.Name, len(cells))
+			case len(cells) != want:
+				t.Errorf("%s %s lists %d cells, want %d", sc.name, e.Name, len(cells), want)
+			}
+		}
+		if cells, err := NewRunner(sc.scale).DeclareCells(Registry()); err != nil || len(cells) != sc.distinct {
+			t.Errorf("%s registry lists %d distinct cells (%v), want %d", sc.name, len(cells), err, sc.distinct)
+		}
+	}
+}
+
+// TestAblationsFetchFillIgnoresFetchOverride: the fetch-block
+// utilization table says TrueRR, so a sweep's -fetch override leaves it
+// as the default runner renders it, while the other ablations follow
+// the override.
+func TestAblationsFetchFillIgnoresFetchOverride(t *testing.T) {
+	e, err := Get("ablations")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(kernels.Small)
+	r.fetchOverride, r.hasFetch = core.ICount, true
+	tables, _, err := r.RunExperiments([]Experiment{e}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def := tablesOf(t, "ablations")
+	if !reflect.DeepEqual(tables[0][2], def[2]) {
+		t.Errorf("under -fetch icount %q reads\n%v\nwant the default runner's\n%v", def[2].Title, tables[0][2].Rows, def[2].Rows)
+	}
+	if reflect.DeepEqual(tables[0][0], def[0]) {
+		t.Errorf("-fetch icount left %q as it is; the test cannot tell the override was applied", def[0].Title)
 	}
 }
 

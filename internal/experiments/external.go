@@ -25,19 +25,15 @@ type DeclaredCell struct {
 	spec  cellSpec
 }
 
-// DeclareCells replays exps in declaration mode and returns the
-// deduplicated cells the sweep needs, in declaration order. The
-// returned keys are the cells' IDs: two processes declaring the same
-// spec produce the same list, which is what makes key-addressed work
-// claiming coherent across a worker fleet.
-//
-// The pending set is consumed: a subsequent RunExperiments on the same
-// Runner re-declares from scratch (already-executed cells memoize).
+// DeclareCells lists the cells RunExperiments(exps) would run: every
+// cell of the experiments' cubes that the runner has not memoized,
+// deduplicated, in listing order. Nothing is simulated. The returned
+// keys are the cells' IDs: two processes listing the same spec produce
+// the same list, which is what makes key-addressed work claiming
+// coherent across a worker fleet.
 func (r *Runner) DeclareCells(exps []Experiment) ([]DeclaredCell, error) {
-	if err := r.declare(exps); err != nil {
-		return nil, err
-	}
-	return r.takePending(), nil
+	_, cells := r.plan(exps)
+	return cells, nil
 }
 
 // ExecuteDeclared runs one declared cell under the full supervision

@@ -41,7 +41,7 @@ func TestExecuteDeclaredMatchesPipeline(t *testing.T) {
 	exps := []Experiment{Registry()[2]} // fig3
 	dir := filepath.Join(t.TempDir(), "cells")
 
-	// External-style execution: declare, execute each cell, assemble.
+	// External-style execution: list the cells, execute each, build.
 	ext := NewRunner(kernels.Small)
 	ext.Store = openStore(t, dir)
 	cells, err := ext.DeclareCells(exps)

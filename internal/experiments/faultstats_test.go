@@ -9,27 +9,26 @@ import (
 )
 
 // faultCellCounts runs one heavily faulted cell for each of the two
-// store-pressure sweep axes through the full declare/schedule/assemble
+// store-pressure sweep axes through the full list/schedule/build
 // pipeline at the given worker count and returns the per-channel fault
 // maps the cells report.
 func faultCellCounts(t *testing.T, jobs int) map[string]core.FaultCounts {
 	t.Helper()
-	got := map[string]core.FaultCounts{}
-	_, err := probe(NewRunner(kernels.Small), jobs, func(r *Runner) error {
-		for _, ax := range sweepAxes {
-			if ax.name != "store-slot" && ax.name != "commit-window" {
-				continue
-			}
-			st, err := r.sweepCell(kernels.LL1(), 2, core.TrueRR, ax, 0.5)
-			if err != nil {
-				return err
-			}
-			got[ax.name] = st.Faults
+	var axes []sweepAxis
+	for _, ax := range sweepAxes {
+		if ax.name == "store-slot" || ax.name == "commit-window" {
+			axes = append(axes, ax)
 		}
-		return nil
-	})
+	}
+	c, _, err := probe(NewRunner(kernels.Small), jobs, along([]string{"LL1"}, runKernel),
+		configs(func(c *core.Config) { c.Threads, c.FetchPolicy = 2, core.TrueRR }),
+		along(axes, func(c *cellSpec, ax sweepAxis) { ax.inject(0.5)(c) }))
 	if err != nil {
 		t.Fatal(err)
+	}
+	got := map[string]core.FaultCounts{}
+	for i, ax := range axes {
+		got[ax.name] = c.at(0, 0, i).Faults
 	}
 	return got
 }

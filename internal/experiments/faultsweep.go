@@ -69,6 +69,12 @@ type DegradationCurve struct {
 	Points         []DegradationPoint `json:"points"`
 }
 
+// inject is the point of ax's curve at intensity x. Each cell builds its
+// own schedule: the cells of a cube run concurrently.
+func (ax sweepAxis) inject(x float64) func(*cellSpec) {
+	return func(c *cellSpec) { c.cfg.Injector = fault.New(sweepSeed, ax.rates(x)) }
+}
+
 // sweepPlan scopes the grid to the problem scale: CI sweeps a
 // representative kernel pair on a tiny grid; paper scale sweeps every
 // kernel across the full thread and policy range.
@@ -79,37 +85,21 @@ type sweepPlan struct {
 	intensities []float64
 }
 
-func planFor(scale kernels.Scale) (sweepPlan, error) {
+func planFor(scale kernels.Scale) sweepPlan {
 	if scale == kernels.Paper {
 		return sweepPlan{
 			kernels:     kernels.All(),
 			threads:     []int{1, 2, 4, 6},
 			policies:    []core.FetchPolicy{core.TrueRR, core.MaskedRR, core.CondSwitch, core.ICount},
 			intensities: []float64{0.01, 0.05, 0.1, 0.2, 0.4},
-		}, nil
-	}
-	var ks []*kernels.Benchmark
-	for _, name := range []string{"LL1", "Water"} { // one Livermore loop, one sync-heavy kernel
-		b, err := kernels.Get(name)
-		if err != nil {
-			return sweepPlan{}, err
 		}
-		ks = append(ks, b)
 	}
 	return sweepPlan{
-		kernels:     ks,
+		kernels:     []*kernels.Benchmark{kernels.LL1(), kernels.Water()}, // one Livermore loop, one sync-heavy kernel
 		threads:     []int{1, defaultThreads},
 		policies:    []core.FetchPolicy{core.TrueRR, core.ICount},
 		intensities: []float64{0.05, 0.2},
-	}, nil
-}
-
-// sweepCell runs one (kernel, threads, policy, axis, intensity) cell.
-func (r *Runner) sweepCell(b *kernels.Benchmark, n int, pol core.FetchPolicy, ax sweepAxis, x float64) (*core.Stats, error) {
-	cfg := r.config(n)
-	cfg.FetchPolicy = pol
-	cfg.Injector = fault.New(sweepSeed, ax.rates(x))
-	return r.run(b, cfg)
+	}
 }
 
 // degradation is the percentage slowdown of a faulted run vs its
@@ -118,60 +108,52 @@ func degradation(st, base *core.Stats) float64 {
 	return 100 * (float64(st.Cycles)/float64(base.Cycles) - 1)
 }
 
-// faultCurves simulates the full grid: one curve per kernel × threads ×
-// policy × axis, the fault-free baseline first.
-func faultCurves(r *Runner) ([]DegradationCurve, error) {
-	plan, err := planFor(r.Scale)
-	if err != nil {
-		return nil, err
+// faultSweep's cube is kernel × threads × policy × fault, where the
+// fault axis is the fault-free baseline, then each axis at each
+// intensity. Its rows are one curve per kernel × threads × policy ×
+// axis.
+func faultSweep(r *Runner) ([]*cube, build) {
+	plan := planFor(r.Scale)
+	faults := axis{func(*cellSpec) {}}
+	for _, ax := range sweepAxes {
+		for _, x := range plan.intensities {
+			faults = append(faults, ax.inject(x))
+		}
 	}
-	var curves []DegradationCurve
-	for _, b := range plan.kernels {
-		for _, n := range plan.threads {
-			for _, pol := range plan.policies {
-				cfg := r.config(n)
-				cfg.FetchPolicy = pol
-				base, err := r.run(b, cfg)
-				if err != nil {
-					return nil, err
-				}
-				for _, ax := range sweepAxes {
-					curve := DegradationCurve{
-						Kernel: b.Name, Threads: n, Policy: pol.String(),
-						Axis: ax.name, BaselineCycles: base.Cycles,
-					}
-					for _, x := range plan.intensities {
-						st, err := r.sweepCell(b, n, pol, ax, x)
-						if err != nil {
-							return nil, fmt.Errorf("axis %s x=%g: %w", ax.name, x, err)
+	c := newCube(onKernels(plan.kernels), along(plan.threads, setThreads), along(plan.policies, setPolicy), faults)
+	return []*cube{c}, func() ([]Table, any) {
+		var curves []DegradationCurve
+		for k, b := range plan.kernels {
+			for t, n := range plan.threads {
+				for p, pol := range plan.policies {
+					base := c.at(k, t, p, 0)
+					for a, ax := range sweepAxes {
+						curve := DegradationCurve{
+							Kernel: b.Name, Threads: n, Policy: pol.String(),
+							Axis: ax.name, BaselineCycles: base.Cycles,
 						}
-						curve.Points = append(curve.Points, DegradationPoint{
-							Intensity:      x,
-							Cycles:         st.Cycles,
-							IPC:            st.IPC(),
-							DegradationPct: degradation(st, base),
-							Injected:       st.Faults.Total(),
-						})
+						for i, x := range plan.intensities {
+							st := c.at(k, t, p, 1+a*len(plan.intensities)+i)
+							curve.Points = append(curve.Points, DegradationPoint{
+								Intensity:      x,
+								Cycles:         st.Cycles,
+								IPC:            st.IPC(),
+								DegradationPct: degradation(st, base),
+								Injected:       st.Faults.Total(),
+							})
+						}
+						curves = append(curves, curve)
 					}
-					curves = append(curves, curve)
 				}
 			}
 		}
+		return faultTables(plan, curves), curves
 	}
-	return curves, nil
 }
 
-// FaultSweep renders three slices of the grid's curves, all at the
-// paper's 4 threads.
-func FaultSweep(r *Runner) ([]Table, error) {
-	plan, err := planFor(r.Scale)
-	if err != nil {
-		return nil, err
-	}
-	curves, err := faultCurves(r)
-	if err != nil {
-		return nil, err
-	}
+// faultTables renders three slices of the curves, all at the paper's 4
+// threads.
+func faultTables(plan sweepPlan, curves []DegradationCurve) []Table {
 	points := func(b *kernels.Benchmark, pol core.FetchPolicy, axis string) []DegradationPoint {
 		for _, c := range curves {
 			if c.Kernel == b.Name && c.Threads == defaultThreads && c.Policy == pol.String() && c.Axis == axis {
@@ -241,5 +223,5 @@ func FaultSweep(r *Runner) ([]Table, error) {
 		counts.Rows = append(counts.Rows, row)
 	}
 
-	return []Table{byAxis, byPolicy, counts}, nil
+	return []Table{byAxis, byPolicy, counts}
 }

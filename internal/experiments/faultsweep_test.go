@@ -18,10 +18,7 @@ import (
 func TestFaultSweepCurvesPopulated(t *testing.T) {
 	j1, _ := sweeps(t)
 	curves := j1.exports["faultsweep"].([]DegradationCurve)
-	plan, err := planFor(kernels.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := planFor(kernels.Small)
 	want := len(plan.kernels) * len(plan.threads) * len(plan.policies) * len(sweepAxes)
 	if len(curves) != want {
 		t.Fatalf("exported %d curves, want %d", len(curves), want)
@@ -100,12 +97,10 @@ func TestRunnerWritesReplayableCrashBundle(t *testing.T) {
 			dir := t.TempDir()
 			r := NewRunner(kernels.Small)
 			r.CrashDir = dir
-			_, err := probe(r, 1, func(r *Runner) error {
-				cfg := r.config(2)
-				cfg.MaxCycles = 10 // guaranteed runaway
-				_, err := r.runCell(cellSpec{label: tc.name, cfg: cfg, slots: []cellSlot{tc.slot}})
-				return err
-			})
+			_, _, err := probe(r, 1, axis{func(c *cellSpec) {
+				c.label, c.slots = tc.name, []cellSlot{tc.slot}
+				c.cfg.Threads, c.cfg.MaxCycles = 2, 10 // guaranteed runaway
+			}})
 			if err == nil {
 				t.Fatal("10-cycle MaxCycles did not fail")
 			}

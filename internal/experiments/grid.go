@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/core"
@@ -22,6 +21,7 @@ type grid struct {
 // params, under r.config(threads) edited by set (so a set that picks the
 // fetch policy overrides a sweep's -fetch), or, as a view, reuses the
 // cell of column `of`. It shows its metric of the cell, cycles if unset.
+// A grid's cells are its kernels × its non-view columns.
 type column struct {
 	header  string
 	threads int
@@ -87,56 +87,66 @@ type Reading struct {
 	Quarantined bool    `json:"quarantined,omitempty"`
 }
 
+// edit is the column's point on its grid's column axis.
+func (c column) edit(s *cellSpec) {
+	s.cfg.Threads, s.slots[0].Params = c.threads, c.params
+	if c.set != nil {
+		c.set(&s.cfg)
+	}
+}
+
 // grids are the grid tables of one experiment.
 type grids []grid
 
-// rows requests every grid's cells, row by row, and reads them. A
-// quarantined cell has no reading; any other failure fails the sweep.
-func (gs grids) rows(r *Runner) ([]Grid, error) {
-	out := make([]Grid, len(gs))
-	cfg := new(core.Config) // one for all cells: set would move a per-cell config to the heap
+// plan returns a cube per grid, and the function that reads every
+// grid's rows from them, row by row. A quarantined cell has no reading.
+func (gs grids) plan(*Runner) ([]*cube, func() []Grid) {
+	cubes := make([]*cube, len(gs))
 	for k, g := range gs {
-		out[k].Title = g.title
+		var cols axis
 		for _, c := range g.cols {
-			out[k].Columns = append(out[k].Columns, c.header)
+			if !c.view {
+				cols = append(cols, c.edit)
+			}
 		}
-		for _, b := range g.kernels() {
-			row := GridRow{Kernel: b.Name}
-			cells := make([]*core.Stats, len(g.cols)) // nil: quarantined
-			for i, c := range g.cols {
-				if c.view {
-					cells[i] = cells[c.of]
-				} else {
-					*cfg = r.config(c.threads)
-					if c.set != nil {
-						c.set(cfg)
+		cubes[k] = &cube{axes: []axis{onKernels(g.kernels()), cols}, grid: true}
+	}
+	return cubes, func() []Grid {
+		out := make([]Grid, len(gs))
+		for k, g := range gs {
+			out[k].Title = g.title
+			for _, c := range g.cols {
+				out[k].Columns = append(out[k].Columns, c.header)
+			}
+			for b, bench := range g.kernels() {
+				row := GridRow{Kernel: bench.Name}
+				cells := make([]*core.Stats, len(g.cols)) // nil: quarantined
+				j := 0
+				for i, c := range g.cols {
+					if c.view {
+						cells[i] = cells[c.of]
+					} else {
+						cells[i] = cubes[k].at(b, j)
+						j++
 					}
-					st, err := r.runWith(b, *cfg, c.params)
-					if err != nil {
-						var qe *QuarantinedError
-						if !errors.As(err, &qe) {
-							return nil, err
+					m := c.shows()
+					rd := Reading{Quarantined: cells[i] == nil || (m.relative && cells[0] == nil)}
+					if !rd.Quarantined {
+						rd.Value = m.read(cells[i])
+						if m.relative {
+							rd.Base = m.read(cells[0])
 						}
 					}
-					cells[i] = st
+					row.Readings = append(row.Readings, rd)
 				}
-				m := c.shows()
-				rd := Reading{Quarantined: cells[i] == nil || (m.relative && cells[0] == nil)}
-				if !rd.Quarantined {
-					rd.Value = m.read(cells[i])
-					if m.relative {
-						rd.Base = m.read(cells[0])
-					}
-				}
-				row.Readings = append(row.Readings, rd)
+				out[k].Rows = append(out[k].Rows, row)
 			}
-			out[k].Rows = append(out[k].Rows, row)
 		}
+		return out
 	}
-	return out, nil
 }
 
-// tables renders rows, which gs.rows built.
+// tables renders rows, which gs.plan read.
 func (gs grids) tables(rows []Grid) []Table {
 	ts := make([]Table, len(gs))
 	for k, g := range gs {
@@ -156,21 +166,20 @@ func (gs grids) tables(rows []Grid) []Table {
 	return ts
 }
 
-// rowsExperiment is a registry entry that builds typed rows, exports
-// them, and renders its tables from them.
-func rowsExperiment[T any](name, title string, build func(*Runner) (T, error), render func(T) []Table) Experiment {
-	return Experiment{Name: name, Title: title, Export: exportOf(build),
-		Run: func(r *Runner) ([]Table, error) {
-			rows, err := build(r)
-			if err != nil {
-				return nil, err
-			}
-			return render(rows), nil
-		}}
+// rowsExperiment is a registry entry whose build makes typed rows from
+// its cubes, exports them, and renders its tables from them.
+func rowsExperiment[T any](name, title string, plan func(*Runner) ([]*cube, func() T), render func(T) []Table) Experiment {
+	return Experiment{name, title, func(r *Runner) ([]*cube, build) {
+		cubes, rows := plan(r)
+		return cubes, func() ([]Table, any) {
+			x := rows()
+			return render(x), x
+		}
+	}}
 }
 
 // figure is a one-grid experiment over a kernel group.
 func figure(name, title, caption string, group func() []*kernels.Benchmark, cols []column) Experiment {
 	gs := grids{{title: caption, kernels: group, cols: cols}}
-	return rowsExperiment(name, title, gs.rows, gs.tables)
+	return rowsExperiment(name, title, gs.plan, gs.tables)
 }

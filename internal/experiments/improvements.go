@@ -8,17 +8,19 @@ import (
 	"repro/internal/kernels"
 )
 
-// Improvements implements all four proposals of the paper's "Scope for
+// improvements implements all four proposals of the paper's "Scope for
 // improvement" section (§6.1) and measures what each buys. The first
 // three are grids, which it exports; the fourth's rows are LL5 chunk
 // sizes.
-func Improvements(r *Runner) ([]Table, error) {
-	rows, err := improvementGrids.rows(r)
-	if err != nil {
-		return nil, err
+func improvements(r *Runner) ([]*cube, build) {
+	cubes, rows := improvementGrids.plan(r)
+	chunks := newCube(along([]string{"LL5"}, runKernel),
+		along(syncChunks, func(c *cellSpec, chunk int) { c.slots[0].Params.SyncChunk = chunk }),
+		along(chunkThreads, setThreads))
+	return append(cubes, chunks), func() ([]Table, any) {
+		x := rows()
+		return append(improvementGrids.tables(x), chunkTable(chunks)), x
 	}
-	chunk, err := improvementChunks(r)
-	return append(improvementGrids.tables(rows), chunk), err
 }
 
 var improvementGrids = grids{{
@@ -53,32 +55,31 @@ var improvementGrids = grids{{
 	},
 }}
 
-// improvementChunks: LL5's synchronization granularity (paper §6.1 #4:
-// "reduce the synchronization overhead by ... dividing tasks
-// judiciously").
-func improvementChunks(r *Runner) (Table, error) {
+// syncChunks and chunkThreads are LL5's synchronization granularity
+// (paper §6.1 #4: "reduce the synchronization overhead by ... dividing
+// tasks judiciously") and the thread counts it is measured at.
+var (
+	syncChunks   = []int{4, 8, 16, 32, 64}
+	chunkThreads = []int{1, 2, 4}
+)
+
+// chunkTable renders Improvement 4 from its cube: LL5 × chunk size ×
+// threads.
+func chunkTable(c *cube) Table {
 	t := Table{
 		Title:   "Improvement 4: LL5 synchronization granularity (cycles)",
 		Headers: []string{"Chunk size", "1 thread", "2 threads", "4 threads"},
 	}
-	b, err := kernels.Get("LL5")
-	if err != nil {
-		return t, err
-	}
-	for _, chunk := range []int{4, 8, 16, 32, 64} {
+	for i, chunk := range syncChunks {
 		row := []string{fmt.Sprint(chunk)}
-		for _, n := range []int{1, 2, 4} {
-			st, err := r.runWith(b, r.config(n), kernels.Params{SyncChunk: chunk})
-			if err != nil {
-				return t, err
-			}
-			row = append(row, cycles(st))
+		for n := range chunkThreads {
+			row = append(row, cycles(c.at(0, i, n)))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	t.Notes = append(t.Notes,
 		"Larger chunks amortize the per-chunk flag handshake but lengthen the pipeline fill; the crossover is the paper's 'judicious division'.")
-	return t, nil
+	return t
 }
 
 // hardwareGrids cover the remaining extension knobs: predictor width,

@@ -62,7 +62,7 @@ func hierVariants() []hierVariant {
 }
 
 // mixProgram is one side of a pairing: its name in the tables and the
-// slot that runs it (Threads, and a kernel's Params, are set per group).
+// slot that runs it (Threads, and a kernel's Params, are set per cell).
 type mixProgram struct {
 	name string
 	slot cellSlot
@@ -86,14 +86,17 @@ func progenProgram(seed int64) mixProgram {
 	return mixProgram{fmt.Sprintf("progen%d", seed), cellSlot{Seed: seed, Regs: 21}}
 }
 
-// group returns prog's slot for a k-thread group.
-func (r *Runner) group(prog mixProgram, k int) cellSlot {
-	s := prog.slot
-	s.Threads = k
-	if s.Kernel != "" {
-		s.Params = kernels.Params{Threads: k, Scale: r.Scale}
+// alone makes c run p by itself on a k-thread group: the interference
+// baseline. A kernel's solo is the same cell as its runs in the paper
+// figures, and a MiniC solo is labelled as the compiler study labels it.
+func (p mixProgram) alone(c *cellSpec, k int) {
+	c.label, c.cfg.Threads, c.slots = p.name, k, []cellSlot{p.slot}
+	if p.slot.Kernel == "" {
+		c.cfg.MaxCycles = nonKernelMaxCycles
 	}
-	return s
+	if p.slot.MiniC != "" {
+		c.label = "minic/" + p.name
+	}
 }
 
 // mixPairing is one row family of the study: two unlike programs and how
@@ -107,6 +110,19 @@ type mixPairing struct {
 func (p *mixPairing) split(total int) (ka, kb int) {
 	kb = total / 2
 	return total - kb, kb
+}
+
+// roles is the last axis of p's cube, which splits the cell's thread
+// count: both programs resident, then each alone on its share.
+func (p *mixPairing) roles() axis {
+	return axis{
+		func(c *cellSpec) {
+			c.label, c.cfg.MaxCycles, c.slots = "mix/"+p.name, nonKernelMaxCycles, []cellSlot{p.a.slot, p.b.slot}
+			c.slots[0].Threads, c.slots[1].Threads = p.split(c.cfg.Threads)
+		},
+		func(c *cellSpec) { ka, _ := p.split(c.cfg.Threads); p.a.alone(c, ka) },
+		func(c *cellSpec) { _, kb := p.split(c.cfg.Threads); p.b.alone(c, kb) },
+	}
 }
 
 // mixPlan scopes the study to the problem scale: the small/CI plan runs
@@ -133,31 +149,9 @@ func mixPlanFor(scale kernels.Scale) mixPlan {
 	return mixPlan{pairings: pairings, threads: threads}
 }
 
-// runSolo runs prog alone on a k-thread group under hier: the
-// interference baseline. A kernel's solo is the same cell as its runs
-// in the paper figures.
-func (r *Runner) runSolo(prog mixProgram, k int, hier hierVariant) (*core.Stats, error) {
-	cfg := r.config(k)
-	hier.apply(&cfg.Cache)
-	label := prog.name
-	if prog.slot.Kernel == "" {
-		cfg.MaxCycles = nonKernelMaxCycles
-	}
-	if prog.slot.MiniC != "" {
-		label = "minic/" + label // as the compiler study labels it
-	}
-	return r.runCell(cellSpec{label: label, cfg: cfg, slots: []cellSlot{r.group(prog, k)}})
-}
-
-// runMixCell simulates one mixed cell: both programs resident, the
-// hierarchy variant applied.
-func (r *Runner) runMixCell(p *mixPairing, total int, hier hierVariant) (*core.Stats, error) {
-	ka, kb := p.split(total)
-	cfg := r.config(total)
-	cfg.MaxCycles = nonKernelMaxCycles
-	hier.apply(&cfg.Cache)
-	return r.runCell(cellSpec{label: "mix/" + p.name, cfg: cfg,
-		slots: []cellSlot{r.group(p.a, ka), r.group(p.b, kb)}})
+// hierarchies is the axis of memory-hierarchy variants.
+func hierarchies() axis {
+	return along(hierVariants(), func(c *cellSpec, h hierVariant) { h.apply(&c.cfg.Cache) })
 }
 
 // slotAggregates reduces per-thread stats to per-slot committed counts
@@ -178,58 +172,49 @@ func slotAggregates(st *core.Stats, ka, kb int) (committed [2]uint64, finish [2]
 	return committed, finish
 }
 
-// mixGrid simulates the pairing × threads × hierarchy grid: each mixed
-// cell, then the solo baselines of its two slots.
-func mixGrid(r *Runner) ([]MixCell, error) {
+// mixStudy has a cube per pairing: threads × hierarchy × role. Its rows
+// are one per mixed cell, with the solo baselines of its two slots, and
+// it renders them as three tables.
+func mixStudy(r *Runner) ([]*cube, build) {
 	plan := mixPlanFor(r.Scale)
-	var cells []MixCell
-	for _, pairing := range plan.pairings {
-		p := pairing
-		for _, total := range plan.threads {
-			for _, hier := range hierVariants() {
-				ka, kb := p.split(total)
-				st, err := r.runMixCell(&p, total, hier)
-				if err != nil {
-					return nil, fmt.Errorf("%s/t%d/%s: %w", p.name, total, hier.name, err)
+	cubes := make([]*cube, len(plan.pairings))
+	for i := range plan.pairings {
+		cubes[i] = newCube(along(plan.threads, setThreads), hierarchies(), plan.pairings[i].roles())
+	}
+	return cubes, func() ([]Table, any) {
+		var cells []MixCell
+		for i, p := range plan.pairings {
+			for t, total := range plan.threads {
+				for h, hier := range hierVariants() {
+					ka, kb := p.split(total)
+					st, soloA, soloB := cubes[i].at(t, h, 0), cubes[i].at(t, h, 1), cubes[i].at(t, h, 2)
+					committed, finish := slotAggregates(st, ka, kb)
+					cyc := float64(max(st.Cycles, 1))
+					cells = append(cells, MixCell{
+						Pairing: p.name, Threads: total, Hierarchy: hier.name,
+						Cycles: st.Cycles, IPC: st.IPC(),
+						SlotNames:   []string{p.a.name, p.b.name},
+						SlotThreads: []int{ka, kb},
+						SlotIPC:     []float64{float64(committed[0]) / cyc, float64(committed[1]) / cyc},
+						SlotFinish:  []uint64{finish[0], finish[1]},
+						SlotSolo:    []uint64{soloA.Cycles, soloB.Cycles},
+						SlotSlowdown: []float64{
+							slowdownRatio(finish[0], soloA.Cycles),
+							slowdownRatio(finish[1], soloB.Cycles),
+						},
+						L1HitRate: st.Cache.HitRate(), L2HitRate: st.Cache.L2HitRate(),
+						L2Accesses: st.Cache.L2Hits + st.Cache.L2Misses,
+						VictimHits: st.Cache.VictimHits, PrefetchHits: st.Cache.PrefetchHits,
+					})
 				}
-				soloA, err := r.runSolo(p.a, ka, hier)
-				if err != nil {
-					return nil, fmt.Errorf("%s solo A t%d/%s: %w", p.name, ka, hier.name, err)
-				}
-				soloB, err := r.runSolo(p.b, kb, hier)
-				if err != nil {
-					return nil, fmt.Errorf("%s solo B t%d/%s: %w", p.name, kb, hier.name, err)
-				}
-				committed, finish := slotAggregates(st, ka, kb)
-				cyc := float64(max(st.Cycles, 1))
-				cells = append(cells, MixCell{
-					Pairing: p.name, Threads: total, Hierarchy: hier.name,
-					Cycles: st.Cycles, IPC: st.IPC(),
-					SlotNames:   []string{p.a.name, p.b.name},
-					SlotThreads: []int{ka, kb},
-					SlotIPC:     []float64{float64(committed[0]) / cyc, float64(committed[1]) / cyc},
-					SlotFinish:  []uint64{finish[0], finish[1]},
-					SlotSolo:    []uint64{soloA.Cycles, soloB.Cycles},
-					SlotSlowdown: []float64{
-						slowdownRatio(finish[0], soloA.Cycles),
-						slowdownRatio(finish[1], soloB.Cycles),
-					},
-					L1HitRate: st.Cache.HitRate(), L2HitRate: st.Cache.L2HitRate(),
-					L2Accesses: st.Cache.L2Hits + st.Cache.L2Misses,
-					VictimHits: st.Cache.VictimHits, PrefetchHits: st.Cache.PrefetchHits,
-				})
 			}
 		}
+		return mixTables(cells), cells
 	}
-	return cells, nil
 }
 
-// MixStudy renders the grid as three tables, a row per mixed cell.
-func MixStudy(r *Runner) ([]Table, error) {
-	cells, err := mixGrid(r)
-	if err != nil {
-		return nil, err
-	}
+// mixTables renders the rows as three tables, a row per mixed cell.
+func mixTables(cells []MixCell) []Table {
 	ipcTab := Table{
 		Title:   "Mixstudy: per-slot IPC under multiprogramming",
 		Headers: []string{"Pairing", "Threads", "Hierarchy", "IPC A", "IPC B", "IPC total"},
@@ -271,7 +256,7 @@ func MixStudy(r *Runner) ([]Table, error) {
 		"slot finish time is the last HALT commit of its thread group; solo runs use the same group size and hierarchy")
 	hitTab.Notes = append(hitTab.Notes,
 		"the l1 variant leaves the paper's 8 KB L1 alone: L2/victim/prefetch columns are structurally zero there")
-	return []Table{ipcTab, slowTab, hitTab}, nil
+	return []Table{ipcTab, slowTab, hitTab}
 }
 
 // slowdown renders a mixed-vs-solo finish-time ratio, or a dash when a

@@ -54,21 +54,18 @@ func TestMixstudyCoversGrid(t *testing.T) {
 // TrueRR baseline to a runner that overrides the fetch policy.
 func TestMixSoloKeyNamesFrontend(t *testing.T) {
 	s := openStore(t, filepath.Join(t.TempDir(), "store"))
-	prog, l1 := progenProgram(1996), hierVariants()[0]
+	prog := progenProgram(1996)
 	cswitch := func(r *Runner) *Runner {
 		r.hasFetch, r.fetchOverride = true, core.CondSwitch
 		return r
 	}
 	solo := func(r *Runner) uint64 {
 		t.Helper()
-		var st *core.Stats
-		if _, err := probe(r, 1, func(r *Runner) (err error) {
-			st, err = r.runSolo(prog, 2, l1)
-			return err
-		}); err != nil {
+		c, _, err := probe(r, 1, axis{func(c *cellSpec) { prog.alone(c, 2) }})
+		if err != nil {
 			t.Fatal(err)
 		}
-		return st.Cycles
+		return c.at(0).Cycles
 	}
 	fresh := solo(cswitch(NewRunner(kernels.Small)))
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
@@ -40,87 +41,64 @@ type PredCell struct {
 // with the throttled policies at two thread counts; paper scale runs
 // the full predictor × policy × kernel × thread grid.
 type predPlan struct {
-	kernels  []*kernels.Benchmark
+	kernels  []string
 	threads  []int
 	policies []core.FetchPolicy
 }
 
-func predPlanFor(scale kernels.Scale) (predPlan, error) {
-	names := []string{"LL1", "Sieve"} // one Livermore loop, the branchy sieve
-	threads := []int{1, defaultThreads}
-	policies := []core.FetchPolicy{core.TrueRR, core.ICountFeedback, core.ConfThrottle}
+func predPlanFor(scale kernels.Scale) predPlan {
 	if scale == kernels.Paper {
-		names = []string{"LL1", "LL5", "Matrix", "Sieve"}
-		threads = []int{1, 2, 4, 6}
-		policies = []core.FetchPolicy{
-			core.TrueRR, core.MaskedRR, core.CondSwitch,
-			core.ICount, core.ICountFeedback, core.ConfThrottle,
+		return predPlan{
+			kernels: []string{"LL1", "LL5", "Matrix", "Sieve"},
+			threads: []int{1, 2, 4, 6},
+			policies: []core.FetchPolicy{
+				core.TrueRR, core.MaskedRR, core.CondSwitch,
+				core.ICount, core.ICountFeedback, core.ConfThrottle,
+			},
 		}
 	}
-	var ks []*kernels.Benchmark
-	for _, name := range names {
-		b, err := kernels.Get(name)
-		if err != nil {
-			return predPlan{}, err
-		}
-		ks = append(ks, b)
+	return predPlan{
+		kernels:  []string{"LL1", "Sieve"}, // one Livermore loop, the branchy sieve
+		threads:  []int{1, defaultThreads},
+		policies: []core.FetchPolicy{core.TrueRR, core.ICountFeedback, core.ConfThrottle},
 	}
-	return predPlan{kernels: ks, threads: threads, policies: policies}, nil
 }
 
-// predGrid simulates the full predictor × policy × kernel × threads
-// grid.
-func predGrid(r *Runner) ([]PredCell, error) {
-	plan, err := predPlanFor(r.Scale)
-	if err != nil {
-		return nil, err
-	}
-	var cells []PredCell
-	for _, b := range plan.kernels {
-		for _, pred := range studyPredictors {
-			for _, pol := range plan.policies {
-				for _, n := range plan.threads {
-					cfg := r.config(n)
-					cfg.Predictor, cfg.FetchPolicy = pred, pol
-					st, err := r.run(b, cfg)
-					if err != nil {
-						return nil, fmt.Errorf("%s/%v/%v/t%d: %w", b.Name, pred, pol, n, err)
+// predStudy's cube is kernel × predictor × policy × threads. Its rows
+// are the cube's cells, and it renders three slices of them.
+func predStudy(r *Runner) ([]*cube, build) {
+	plan := predPlanFor(r.Scale)
+	c := newCube(along(plan.kernels, runKernel), along(studyPredictors, setPredictor),
+		along(plan.policies, setPolicy), along(plan.threads, setThreads))
+	return []*cube{c}, func() ([]Table, any) {
+		var cells []PredCell
+		for k, b := range plan.kernels {
+			for p, pred := range studyPredictors {
+				for q, pol := range plan.policies {
+					for t, n := range plan.threads {
+						st := c.at(k, p, q, t)
+						btbHit := 1.0
+						if st.Branch.Lookups > 0 {
+							btbHit = float64(st.Branch.BTBHits) / float64(st.Branch.Lookups)
+						}
+						cells = append(cells, PredCell{
+							Kernel: b, Predictor: pred.String(), Policy: pol.String(),
+							Threads: n, Cycles: st.Cycles, IPC: st.IPC(),
+							Accuracy: st.Branch.Accuracy(), Confidence: st.Branch.Confidence(),
+							BTBHitRate: btbHit, Mispredicts: st.Mispredicts, Throttled: st.FetchThrottled,
+						})
 					}
-					btbHit := 1.0
-					if st.Branch.Lookups > 0 {
-						btbHit = float64(st.Branch.BTBHits) / float64(st.Branch.Lookups)
-					}
-					cells = append(cells, PredCell{
-						Kernel: b.Name, Predictor: pred.String(), Policy: pol.String(),
-						Threads: n, Cycles: st.Cycles, IPC: st.IPC(),
-						Accuracy: st.Branch.Accuracy(), Confidence: st.Branch.Confidence(),
-						BTBHitRate: btbHit, Mispredicts: st.Mispredicts, Throttled: st.FetchThrottled,
-					})
 				}
 			}
 		}
+		return predTables(plan, func(k, p, q, t int) PredCell { return cells[c.index(k, p, q, t)] }), cells
 	}
-	return cells, nil
 }
 
-// PredStudy renders three slices of the grid.
-func PredStudy(r *Runner) ([]Table, error) {
-	plan, err := predPlanFor(r.Scale)
-	if err != nil {
-		return nil, err
-	}
-	cells, err := predGrid(r)
-	if err != nil {
-		return nil, err
-	}
-	cell := func(b *kernels.Benchmark, pred core.PredictorKind, pol core.FetchPolicy, n int) PredCell {
-		for _, c := range cells {
-			if c.Kernel == b.Name && c.Predictor == pred.String() && c.Policy == pol.String() && c.Threads == n {
-				return c
-			}
-		}
-		return PredCell{}
-	}
+// predTables renders three slices of the grid, reading its cells by
+// their coordinates.
+func predTables(plan predPlan, cell func(k, p, q, t int) PredCell) []Table {
+	rr, t4 := slices.Index(plan.policies, core.TrueRR), slices.Index(plan.threads, defaultThreads)
 
 	// Table 1: predictor quality at the paper's operating point.
 	quality := Table{
@@ -128,11 +106,11 @@ func PredStudy(r *Runner) ([]Table, error) {
 			defaultThreads),
 		Headers: []string{"Benchmark", "Predictor", "Accuracy", "Confidence", "BTB hit", "Mispredicts"},
 	}
-	for _, b := range plan.kernels {
-		for _, pred := range studyPredictors {
-			c := cell(b, pred, core.TrueRR, defaultThreads)
+	for k, b := range plan.kernels {
+		for p, pred := range studyPredictors {
+			c := cell(k, p, rr, t4)
 			quality.Rows = append(quality.Rows, []string{
-				b.Name, pred.String(),
+				b, pred.String(),
 				fmt.Sprintf("%.1f%%", 100*c.Accuracy),
 				fmt.Sprintf("%.1f%%", 100*c.Confidence),
 				fmt.Sprintf("%.1f%%", 100*c.BTBHitRate),
@@ -151,11 +129,11 @@ func PredStudy(r *Runner) ([]Table, error) {
 	for _, pol := range plan.policies {
 		matrix.Headers = append(matrix.Headers, pol.String())
 	}
-	for _, b := range plan.kernels {
-		for _, pred := range studyPredictors {
-			row := []string{b.Name, pred.String()}
-			for _, pol := range plan.policies {
-				row = append(row, fmt.Sprintf("%.3f", cell(b, pred, pol, defaultThreads).IPC))
+	for k, b := range plan.kernels {
+		for p, pred := range studyPredictors {
+			row := []string{b, pred.String()}
+			for q := range plan.policies {
+				row = append(row, fmt.Sprintf("%.3f", cell(k, p, q, t4).IPC))
 			}
 			matrix.Rows = append(matrix.Rows, row)
 		}
@@ -171,15 +149,15 @@ func PredStudy(r *Runner) ([]Table, error) {
 	for _, n := range plan.threads {
 		scaling.Headers = append(scaling.Headers, fmt.Sprintf("T=%d", n))
 	}
-	for _, b := range plan.kernels {
-		for _, pred := range studyPredictors {
-			row := []string{b.Name, pred.String()}
-			for _, n := range plan.threads {
-				row = append(row, fmt.Sprint(cell(b, pred, core.TrueRR, n).Cycles))
+	for k, b := range plan.kernels {
+		for p, pred := range studyPredictors {
+			row := []string{b, pred.String()}
+			for t := range plan.threads {
+				row = append(row, fmt.Sprint(cell(k, p, rr, t).Cycles))
 			}
 			scaling.Rows = append(scaling.Rows, row)
 		}
 	}
 
-	return []Table{quality, matrix, scaling}, nil
+	return []Table{quality, matrix, scaling}
 }

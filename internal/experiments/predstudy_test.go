@@ -15,10 +15,7 @@ import (
 func TestPredstudyCoversGrid(t *testing.T) {
 	j1, _ := sweeps(t)
 	cells := j1.exports["predstudy"].([]PredCell)
-	plan, err := predPlanFor(kernels.Small)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := predPlanFor(kernels.Small)
 	want := len(plan.kernels) * len(studyPredictors) * len(plan.policies) * len(plan.threads)
 	if len(cells) != want {
 		t.Fatalf("exported %d cells, want %d", len(cells), want)

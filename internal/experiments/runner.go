@@ -75,13 +75,12 @@ type CellTiming struct {
 // figures share cells, e.g. the 4-thread TrueRR default run) and golden
 // validation of every simulated run.
 //
-// RunExperiments first replays the experiments in a declaration pass
-// that records every requested cell (deduped by cell ID) without
-// simulating, then executes the cells on a bounded worker pool, then
-// replays the experiments again to assemble tables purely from the
-// completed cell map. Assembly only serves memoized cells: a cell the
-// declaration pass did not list fails the sweep. Because the assembly
-// pass runs sequentially against final results, the rendered tables are
+// RunExperiments plans the experiments, each as the cubes of cells it
+// reads and one build (cube.go), lists every cube's cells without
+// simulating, runs the cells no earlier run memoized (deduped by cell
+// ID) on a bounded worker pool, then fills each experiment's cubes from
+// the completed cell map and builds it once. Because the builds run
+// sequentially against final results, the rendered tables are
 // byte-identical regardless of worker count or completion order.
 type Runner struct {
 	Scale kernels.Scale
@@ -123,25 +122,17 @@ type Runner struct {
 	fetchOverride core.FetchPolicy
 	hasFetch      bool
 
-	mu        sync.Mutex
-	sup       SupervisionCounts
-	cache     map[string]cellResult
-	builds    map[cellSlot]*builtSlot
-	declaring bool
-	pending   []DeclaredCell
-	pendingBy map[string]*core.Stats // declared cell ID -> its placeholder
+	mu     sync.Mutex
+	sup    SupervisionCounts
+	cache  map[string]cellResult
+	builds map[cellSlot]*builtSlot
 
 	progressMu sync.Mutex
 }
 
 // NewRunner builds a runner at the given problem scale.
 func NewRunner(scale kernels.Scale) *Runner {
-	return &Runner{
-		Scale:     scale,
-		cache:     map[string]cellResult{},
-		builds:    map[cellSlot]*builtSlot{},
-		pendingBy: map[string]*core.Stats{},
-	}
+	return &Runner{Scale: scale, cache: map[string]cellResult{}, builds: map[cellSlot]*builtSlot{}}
 }
 
 // progressf emits one progress line, serializing concurrent workers.
@@ -166,100 +157,11 @@ func (r *Runner) config(n int) core.Config {
 	return cfg
 }
 
-// placeholderStats is what a declared-but-not-yet-simulated cell returns
-// during the declaration pass. The values are inert but safe: counters
-// are 1 so no ratio divides by zero, and the slices are sized like a
-// real run so assembly code may index them. Tables built from
-// placeholders are discarded; only the assembly pass's tables survive.
-func placeholderStats(cfg core.Config) *core.Stats {
-	st := &core.Stats{Cycles: 1, Committed: 1, FetchedBlocks: 1, FetchedInsts: 1}
-	st.CommittedByThread = make([]uint64, cfg.Threads)
-	st.HaltCycleByThread = make([]uint64, cfg.Threads)
-	for cl := range st.FUUsage {
-		st.FUUsage[cl] = make([]uint64, cfg.FUs.Count[cl])
-	}
-	return st
-}
-
-// runCell is how every experiment requests a cell. It applies the
-// runner's -paranoid and -fault overrides to c, names it by
-// cellID, and returns the memoized result. In the declaration pass a
-// fresh cell is recorded and answered with a placeholder, and a repeat
-// gets the same placeholder (no experiment writes to a returned Stats);
-// outside it a cell that was never declared is an error.
-func (r *Runner) runCell(c cellSpec) (*core.Stats, error) {
-	c.cfg.CheckInvariants = c.cfg.CheckInvariants || r.paranoid
-	if c.cfg.Injector == nil {
-		c.cfg.Injector = r.injector
-	}
-	id := cellID(c)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if res, ok := r.cache[id]; ok {
-		return res.stats, res.err
-	}
-	if !r.declaring {
-		return nil, fmt.Errorf("cell %s (%.12s) was requested but never declared", c.label, id)
-	}
-	st, ok := r.pendingBy[id]
-	if !ok {
-		st = placeholderStats(c.cfg)
-		r.pending = append(r.pending, DeclaredCell{Key: id, Label: c.label, spec: c})
-		r.pendingBy[id] = st
-	}
-	return st, nil
-}
-
-// run requests benchmark b under cfg, validated against the benchmark's
-// golden model. b must be a registered benchmark (kernels.Get finds it
-// by name).
-func (r *Runner) run(b *kernels.Benchmark, cfg core.Config) (*core.Stats, error) {
-	return r.runWith(b, cfg, kernels.Params{})
-}
-
-// runWith is run with explicit benchmark build parameters (alignment,
-// sync granularity) for the extension experiments.
-func (r *Runner) runWith(b *kernels.Benchmark, cfg core.Config, p kernels.Params) (*core.Stats, error) {
-	p.Threads, p.Scale = cfg.Threads, r.Scale
-	return r.runCell(cellSpec{label: b.Name, cfg: cfg,
-		slots: []cellSlot{{Threads: cfg.Threads, Kernel: b.Name, Params: p}}})
-}
-
-// declare replays exps with the runner in declaration mode, recording
-// the deduplicated cell set each experiment will need.
-func (r *Runner) declare(exps []Experiment) error {
-	r.mu.Lock()
-	r.declaring = true
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		r.declaring = false
-		r.mu.Unlock()
-	}()
-	for _, e := range exps {
-		if _, err := e.Run(r); err != nil {
-			return fmt.Errorf("declaring %s: %w", e.Name, err)
-		}
-	}
-	return nil
-}
-
-// takePending consumes the declared cell list.
-func (r *Runner) takePending() []DeclaredCell {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cells := r.pending
-	r.pending = nil
-	r.pendingBy = map[string]*core.Stats{}
-	return cells
-}
-
-// executePending simulates every declared cell on a pool of `jobs`
-// workers and returns per-cell timings in declaration order. Results
-// (including failures) land in the cell cache keyed by cell ID, so
-// completion order cannot influence anything downstream.
-func (r *Runner) executePending(jobs int) []CellTiming {
-	cells := r.takePending()
+// execute simulates cells on a pool of `jobs` workers and returns
+// per-cell timings in listing order. Results (including failures) land
+// in the cell cache keyed by cell ID, so completion order cannot
+// influence anything downstream.
+func (r *Runner) execute(cells []DeclaredCell, jobs int) []CellTiming {
 	if len(cells) == 0 {
 		return nil
 	}
@@ -290,27 +192,59 @@ func (r *Runner) executePending(jobs int) []CellTiming {
 	return timings
 }
 
-// RunExperiments executes exps as a declare/schedule/assemble pipeline:
-// every cell the experiments request is collected up front, deduped
-// across experiments, simulated on `jobs` parallel workers, and the
-// tables are then assembled sequentially from the completed cell map.
+// plan plans exps and lists their cells. It returns, per experiment,
+// the function that fills its cubes from the memo and builds it, and
+// the cells no earlier run memoized, deduplicated by cell ID, in
+// listing order.
+func (r *Runner) plan(exps []Experiment) ([]func() ([]Table, any, error), []DeclaredCell) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	builds := make([]func() ([]Table, any, error), len(exps))
+	var fresh []DeclaredCell
+	seen := map[string]bool{}
+	for i, e := range exps {
+		cubes, build := e.plan(r)
+		for _, c := range cubes {
+			r.list(c, func(id string, s *cellSpec) {
+				if _, done := r.cache[id]; !done && !seen[id] {
+					fresh = append(fresh, DeclaredCell{Key: id, Label: s.label, spec: *s})
+				}
+				seen[id] = true
+			})
+		}
+		builds[i] = func() ([]Table, any, error) {
+			for _, c := range cubes {
+				if err := r.fill(c); err != nil {
+					return nil, nil, fmt.Errorf("%s: %w", e.Name, err)
+				}
+			}
+			ts, x := build()
+			return ts, x, nil
+		}
+	}
+	return builds, fresh
+}
+
+// RunExperiments executes exps as a list/schedule/build pipeline:
+// every cell the experiments' cubes list is collected up front, deduped
+// across experiments, simulated on `jobs` parallel workers, and each
+// experiment is then built once, sequentially, from the completed cell
+// map.
 //
 // Determinism guarantee: the returned tables are byte-identical (once
-// rendered) for any jobs >= 1. An experiment whose assembly requests a
-// cell its declaration pass did not list fails with an error naming the
-// experiment and the cell.
+// rendered) for any jobs >= 1. A failed cell fails the first experiment
+// that reads it, with an error naming the experiment and the cell,
+// unless a grid reads it quarantined (see fill).
 //
-// The timings cover the freshly simulated cells in declaration order.
+// The timings cover the freshly simulated cells in listing order.
 func (r *Runner) RunExperiments(exps []Experiment, jobs int) ([][]Table, []CellTiming, error) {
-	if err := r.declare(exps); err != nil {
-		return nil, nil, err
-	}
-	timings := r.executePending(jobs)
+	builds, fresh := r.plan(exps)
+	timings := r.execute(fresh, jobs)
 	tables := make([][]Table, len(exps))
-	for i, e := range exps {
-		ts, err := e.Run(r)
+	for i, build := range builds {
+		ts, _, err := build()
 		if err != nil {
-			return nil, timings, fmt.Errorf("%s: %w", e.Name, err)
+			return nil, timings, err
 		}
 		tables[i] = ts
 	}
@@ -319,18 +253,19 @@ func (r *Runner) RunExperiments(exps []Experiment, jobs int) ([][]Table, []CellT
 
 // Exports returns the export of each experiment in exps that has one,
 // keyed by experiment name. Call it after RunExperiments(exps): the
-// rows are rebuilt from the memoized cells.
+// rows are rebuilt from the memoized cells, and a cell that was never
+// run fails it.
 func (r *Runner) Exports(exps []Experiment) (map[string]any, error) {
+	builds, _ := r.plan(exps)
 	out := map[string]any{}
-	for _, e := range exps {
-		if e.Export == nil {
-			continue
-		}
-		v, err := e.Export(r)
+	for i, build := range builds {
+		_, x, err := build()
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.Name, err)
+			return nil, err
 		}
-		out[e.Name] = v
+		if x != nil {
+			out[exps[i].Name] = x
+		}
 	}
 	return out, nil
 }

@@ -125,13 +125,30 @@ func tablesOf(t *testing.T, name string) []Table {
 	return nil
 }
 
-// probe runs fn as a one-off experiment through RunExperiments: the
-// cells fn requests are declared, executed on jobs workers, and served
-// to its assembly pass, whose results stay in whatever fn captured.
-func probe(r *Runner, jobs int, fn func(r *Runner) error) ([]CellTiming, error) {
-	e := Experiment{Name: "probe", Run: func(r *Runner) ([]Table, error) { return nil, fn(r) }}
+// cellsOnly is an experiment that reads one cube of cells and builds
+// nothing from them.
+func cellsOnly(name string, axes ...axis) Experiment {
+	return Experiment{Name: name, plan: func(*Runner) ([]*cube, build) {
+		return []*cube{newCube(axes...)}, func() ([]Table, any) { return nil, nil }
+	}}
+}
+
+// probe runs one cube of cells through RunExperiments: its cells are
+// listed, executed on jobs workers, and filled into the returned cube.
+func probe(r *Runner, jobs int, axes ...axis) (*cube, []CellTiming, error) {
+	var c *cube
+	e := Experiment{Name: "probe", plan: func(*Runner) ([]*cube, build) {
+		c = newCube(axes...)
+		return []*cube{c}, func() ([]Table, any) { return nil, nil }
+	}}
 	_, timings, err := r.RunExperiments([]Experiment{e}, jobs)
-	return timings, err
+	return c, timings, err
+}
+
+// runaway is the axes of one cell: kernel at 2 threads with a 10-cycle
+// budget, a deterministic machine error.
+func runaway(kernel string) []axis {
+	return []axis{along([]string{kernel}, runKernel), configs(func(c *core.Config) { c.Threads, c.MaxCycles = 2, 10 })}
 }
 
 // TestParallelDeterminism is the headline property of the parallel
@@ -156,7 +173,7 @@ func TestExportsParallelIdentity(t *testing.T) {
 	j1, j8 := sweeps(t)
 	n := 0
 	for _, e := range Registry() {
-		if e.Export == nil {
+		if _, ok := j8.exports[e.Name]; !ok {
 			continue
 		}
 		n++
@@ -175,13 +192,13 @@ func TestExportsParallelIdentity(t *testing.T) {
 	}
 }
 
-// TestDeclarationCoversAssembly: the declaration pass must predict the
-// full cell set, and a second sweep on the same runner must be fully
-// memoized (zero fresh cells).
+// TestDeclarationCoversAssembly: the cubes list the full cell set, and
+// a second sweep on the same runner must be fully memoized (zero fresh
+// cells).
 func TestDeclarationCoversAssembly(t *testing.T) {
 	_, j8 := sweeps(t)
 	if len(j8.timings) < 100 {
-		t.Errorf("declaration pass found only %d cells; the registry needs hundreds", len(j8.timings))
+		t.Errorf("the cubes list only %d cells; the registry needs hundreds", len(j8.timings))
 	}
 	for _, tm := range j8.timings {
 		if tm.Err != "" {
@@ -203,39 +220,27 @@ func TestDeclarationCoversAssembly(t *testing.T) {
 	}
 }
 
-// TestUndeclaredCellFailsTheSweep: assembly serves declared cells only.
-// An experiment whose assembly requests a cell its declaration pass did
-// not list (here a placeholder steers a branch) fails RunExperiments
-// with an error naming the experiment and the cell, which is never
-// simulated.
-func TestUndeclaredCellFailsTheSweep(t *testing.T) {
-	b := kernels.LL1()
-	late := Experiment{Name: "late", Run: func(r *Runner) ([]Table, error) {
-		st, err := r.run(b, r.config(1))
-		if err != nil {
-			return nil, err
-		}
-		if st.Cycles > 1 { // a real result: the placeholder has 1 cycle
-			if _, err := r.run(b, r.config(2)); err != nil {
-				return nil, err
-			}
-		}
-		return nil, nil
-	}}
-	r := NewRunner(kernels.Small)
-	_, timings, err := r.RunExperiments([]Experiment{late}, 2)
-	if err == nil {
-		t.Fatal("assembly was served a cell the declaration pass never listed")
+// TestExportsBeforeRunFails: Exports serves memoized cells only, so
+// called before RunExperiments it fails, naming the experiment and a
+// cell it would read, and simulates nothing.
+func TestExportsBeforeRunFails(t *testing.T) {
+	e, err := Get("fig3")
+	if err != nil {
+		t.Fatal(err)
 	}
-	undeclared := cellSpec{label: b.Name, cfg: r.config(2), slots: []cellSlot{{Threads: 2, Kernel: b.Name,
-		Params: kernels.Params{Threads: 2, Scale: kernels.Small}}}}
-	for _, want := range []string{"late: ", b.Name, cellID(undeclared)[:12], "never declared"} {
+	r := NewRunner(kernels.Small)
+	_, err = r.Exports([]Experiment{e})
+	if err == nil {
+		t.Fatal("Exports built rows from cells that were never run")
+	}
+	cells, err2 := r.DeclareCells([]Experiment{e})
+	if err2 != nil || len(cells) == 0 {
+		t.Fatalf("after Exports the runner lists %d cells to run (%v), want all of fig3's", len(cells), err2)
+	}
+	for _, want := range []string{"fig3: ", cells[0].Label, cells[0].Key[:12], "never run"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
-	}
-	if len(timings) != 1 {
-		t.Errorf("simulated %d cells, want only the declared one", len(timings))
 	}
 }
 
@@ -243,18 +248,7 @@ func TestUndeclaredCellFailsTheSweep(t *testing.T) {
 // error from the same experiment at every worker count, and must not
 // suppress the other experiments' successful cells.
 func TestParallelErrorDeterminism(t *testing.T) {
-	failing := Experiment{
-		Name:  "failing",
-		Title: "cell that trips the runaway guard",
-		Run: func(r *Runner) ([]Table, error) {
-			cfg := r.config(2)
-			cfg.MaxCycles = 10 // guaranteed "exceeded 10 cycles" error
-			if _, err := r.run(kernels.GroupI()[0], cfg); err != nil {
-				return nil, err
-			}
-			return []Table{{Title: "unreachable", Headers: []string{"x"}, Rows: [][]string{{"y"}}}}, nil
-		},
-	}
+	failing := cellsOnly("failing", runaway(kernels.GroupI()[0].Name)...)
 	exps := []Experiment{Registry()[2], failing} // fig3 + the failing one
 	errAt := func(jobs int) string {
 		r := NewRunner(kernels.Small)
@@ -270,29 +264,6 @@ func TestParallelErrorDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(e1, "failing:") {
 		t.Errorf("error not attributed to the failing experiment: %s", e1)
-	}
-}
-
-// TestPlaceholderStatsSafety: placeholder statistics must not produce
-// zero denominators or undersized slices for the ratios experiments
-// compute while declaring.
-func TestPlaceholderStatsSafety(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.FUs = core.EnhancedFUs()
-	st := placeholderStats(cfg)
-	if st.Cycles == 0 || st.FetchedBlocks == 0 {
-		t.Error("placeholder has zero cycle/fetch counters")
-	}
-	if len(st.CommittedByThread) != cfg.Threads {
-		t.Errorf("CommittedByThread sized %d, want %d", len(st.CommittedByThread), cfg.Threads)
-	}
-	for cl := range st.FUUsage {
-		if len(st.FUUsage[cl]) != cfg.FUs.Count[cl] {
-			t.Errorf("FUUsage[%d] sized %d, want %d", cl, len(st.FUUsage[cl]), cfg.FUs.Count[cl])
-		}
-	}
-	if st.Cache.HitRate() != 1 || st.Branch.Accuracy() != 1 {
-		t.Error("placeholder ratios should be the no-data defaults")
 	}
 }
 

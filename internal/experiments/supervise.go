@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the runner's supervision layer: every cell the pipeline
-// executes goes declare → store-lookup → supervised-simulate →
+// executes goes list → store-lookup → supervised-simulate →
 // atomic-commit. Supervision runs a cell at most once and adds two
 // failure behaviors on top of the bare run closure:
 //
@@ -28,11 +28,12 @@ import (
 //     is never silently dropped or allowed to hang a sweep.
 
 // QuarantinedError marks a cell that failed deterministically: a
-// machine error, which every rerun of the cell would repeat. A grid
-// table renders the cell, and a column relative to it, as QUARANTINED
-// (grids.rows). Every other builder (averages, the summary, improvement
-// 4, compiler, the studies) fails the sweep on it: an aggregate over a
-// missing cell would be silently wrong.
+// machine error, which every rerun of the cell would repeat. The runner
+// fills a grid's cube with the cell as nil, and the grid's table renders
+// it, and a column relative to it, as QUARANTINED. Any other cube (the
+// averages, the summary, improvement 4, compiler, the studies) fails its
+// experiment on it: an aggregate over a missing cell would be silently
+// wrong. See Runner.fill.
 type QuarantinedError struct {
 	Key    string
 	Label  string

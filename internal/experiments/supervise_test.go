@@ -215,19 +215,10 @@ func TestCellTimeoutSurfaces(t *testing.T) {
 // another failing simulation.
 func TestQuarantinePersistsAcrossRunners(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cells")
-	b := kernels.GroupI()[0]
-
-	// runaway requests b with a 10-cycle budget: a deterministic machine
-	// error.
-	runaway := func(r *Runner) error {
-		cfg := r.config(2)
-		cfg.MaxCycles = 10
-		_, err := r.run(b, cfg)
-		return err
-	}
+	cell := runaway(kernels.GroupI()[0].Name)
 	r1 := NewRunner(kernels.Small)
 	r1.Store = openStore(t, dir)
-	_, err := probe(r1, 1, runaway)
+	_, _, err := probe(r1, 1, cell...)
 	var qe *QuarantinedError
 	if !errors.As(err, &qe) {
 		t.Fatalf("first run returned %v, want QuarantinedError", err)
@@ -238,7 +229,7 @@ func TestQuarantinePersistsAcrossRunners(t *testing.T) {
 
 	r2 := NewRunner(kernels.Small)
 	r2.Store = openStore(t, dir)
-	timings, err2 := probe(r2, 1, runaway)
+	_, timings, err2 := probe(r2, 1, cell...)
 	if !errors.As(err2, &qe) {
 		t.Fatalf("second runner returned %v, want the stored QuarantinedError", err2)
 	}
@@ -274,12 +265,7 @@ func TestStoredRecordOutranksQuarantine(t *testing.T) {
 func TestQuarantineCarriesBundle(t *testing.T) {
 	r := NewRunner(kernels.Small)
 	r.CrashDir = t.TempDir()
-	_, err := probe(r, 1, func(r *Runner) error {
-		cfg := r.config(2)
-		cfg.MaxCycles = 10
-		_, err := r.run(kernels.GroupI()[0], cfg)
-		return err
-	})
+	_, _, err := probe(r, 1, runaway(kernels.GroupI()[0].Name)...)
 	var qe *QuarantinedError
 	if !errors.As(err, &qe) {
 		t.Fatalf("got %v, want QuarantinedError", err)

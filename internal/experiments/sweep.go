@@ -127,7 +127,7 @@ func (sw *Sweep) NewRunner() (*Runner, []Experiment, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if inj != nil { // a typed-nil injector would look non-nil to runCell
+	if inj != nil { // a typed-nil injector would look non-nil to Runner.list
 		r.injector = inj
 	}
 	return r, exps, nil

@@ -103,10 +103,7 @@ func TestSweepRunnerSettings(t *testing.T) {
 	if plain.paranoid || plain.predictor != core.PredTwoBit || plain.hasFetch || plain.injector != nil {
 		t.Errorf("default sweep set overrides: %+v", plain)
 	}
-	one := []Experiment{{Name: "one", Run: func(r *Runner) ([]Table, error) {
-		_, err := r.run(kernels.GroupI()[0], r.config(4))
-		return nil, err
-	}}}
+	one := []Experiment{cellsOnly("one", along([]string{kernels.GroupI()[0].Name}, runKernel))}
 	key := func(r *Runner) string {
 		t.Helper()
 		cells, err := r.DeclareCells(one)
